@@ -192,18 +192,6 @@ class StereoRig:
         return float(np.linalg.norm(self.left.position - self.right.position))
 
 
-def set_world_origin_at_first_camera(rig: StereoRig) -> StereoRig:
-    """Re-express a rig with its left camera as the world origin.
-
-    The returned rig has identity/zero left extrinsics and the relative
-    pair as the right camera's extrinsics; points triangulated from it
-    are measured from the left camera's lens. Idempotent.
-    """
-    left = CameraModel(rig.left.id, np.eye(3), np.zeros(3))
-    right = CameraModel(rig.right.id, rig.relative_rotation, rig.relative_translation)
-    return StereoRig(rig.id, left, right, rig.relative_rotation, rig.relative_translation)
-
-
 def rotation_from_axis_angle(axis_angle) -> np.ndarray:
     """Rodrigues' formula: axis-angle 3-vector (radians) to rotation matrix."""
     v = _as_vec3(axis_angle, "axis_angle")

@@ -89,9 +89,8 @@ def _cmd_simulate(args) -> int:
             out_root / f"stature_{cfg.stature:.2f}"
         recording.save(target)
         for name, segment in recording.segments.items():
-            digest = segment.manifest.get("digest", segment.digest())
             print(f"{target / name}  frames={segment.manifest['frames']}  "
-                  f"digest={digest[:12]}")
+                  f"digest={segment.manifest['digest'][:12]}")
     return EXIT_OK
 
 

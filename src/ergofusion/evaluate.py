@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .recording import (FLOAT_FMT, RecordingError, SegmentRecording,
-                        STREAM_FIELDS)
-from .rula import JointAngles, joint_stress_heatmap
+from .recording import (RecordingError, SegmentRecording, STREAM_COLUMNS,
+                        format_csv)
+from .rula import AREA_FIELDS, JointAngles, joint_stress_heatmap
 from .skeleton import FUSED_LANDMARKS
 
 FUSION_SOURCE = "fusion"
@@ -115,15 +115,6 @@ def rmse_report(segment: SegmentRecording) -> RmseReport:
 # RULA before/after comparison
 # ---------------------------------------------------------------------------
 
-AREA_COLUMNS = {
-    "neck": "score_neck",
-    "trunk": "score_trunk",
-    "legs": "score_legs",
-    "upper_arm": "score_upper_arm",
-    "lower_arm": "score_lower_arm",
-    "wrist": "score_wrist",
-}
-
 ANGLE_COLUMNS = ("upper_arm_left", "upper_arm_right", "lower_arm_left",
                  "lower_arm_right", "wrist_left", "wrist_right", "neck", "trunk")
 
@@ -164,9 +155,8 @@ def _mean_column(segment: SegmentRecording, column: str) -> float:
     return float(np.mean([row[column] for row in rows]))
 
 
-def _pair_key(segment: SegmentRecording) -> tuple:
-    m = segment.manifest
-    return (m.get("stature"), m.get("seed"))
+def _pair_key(manifest: dict) -> tuple:
+    return (manifest.get("stature"), manifest.get("seed"))
 
 
 def rula_compare(pre: SegmentRecording, post: SegmentRecording) -> RulaComparison:
@@ -179,14 +169,14 @@ def rula_compare_many(pairs: list[tuple[SegmentRecording, SegmentRecording]]) ->
     if not pairs:
         raise PairingError("no pre/post recording pairs to compare")
     rows = []
-    area_acc = {area: ([], []) for area in AREA_COLUMNS}
+    area_acc = {area: ([], []) for area in AREA_FIELDS}
     angle_rows: list[tuple] = []
     for pre, post in pairs:
-        if _pair_key(pre) != _pair_key(post):
+        key, post_key = _pair_key(pre.manifest), _pair_key(post.manifest)
+        if key != post_key:
             raise PairingError(
-                f"pre recording (stature, seed) {_pair_key(pre)} does not match "
-                f"post {_pair_key(post)}")
-        stature, seed = _pair_key(pre)
+                f"pre recording (stature, seed) {key} does not match post {post_key}")
+        stature, seed = key
         rows.append({
             "stature": stature,
             "seed": seed,
@@ -195,7 +185,7 @@ def rula_compare_many(pairs: list[tuple[SegmentRecording, SegmentRecording]]) ->
         })
         for phase, segment in (("pre", pre), ("post", post)):
             for row in segment.rula_rows():
-                for area, col in AREA_COLUMNS.items():
+                for area, col in AREA_FIELDS.items():
                     area_acc[area][0 if phase == "pre" else 1].append(row[col])
                 for joint in ANGLE_COLUMNS:
                     angle_rows.append((phase, stature, seed, row["frame"],
@@ -205,24 +195,24 @@ def rula_compare_many(pairs: list[tuple[SegmentRecording, SegmentRecording]]) ->
     return RulaComparison(pairs=rows, area_means=area_means, angle_rows=angle_rows)
 
 
-def collect_segments(root, segment_name: str | None = None) -> list[SegmentRecording]:
-    """Find segment recordings under ``root`` (itself, or nested run dirs)."""
+def collect_segments(root) -> list[tuple[Path, dict]]:
+    """Find segment recordings under ``root`` (itself, or nested run dirs).
+
+    Returns each segment directory with its manifest; no stream is read.
+    """
     root = Path(root)
     if (root / "manifest.json").exists():
-        return [SegmentRecording.load(root)]
-    found = []
-    for manifest in sorted(root.rglob("manifest.json")):
-        seg = SegmentRecording.load(manifest.parent)
-        if segment_name is None or seg.manifest.get("segment") == segment_name:
-            found.append(seg)
-    if not found:
+        manifests = [root / "manifest.json"]
+    else:
+        manifests = sorted(root.rglob("manifest.json"))
+    if not manifests:
         raise RecordingError(f"no segment recordings under {root}")
-    return found
+    return [(m.parent, json.loads(m.read_text())) for m in manifests]
 
 
-def _collect_preferring(root, want: str) -> list[SegmentRecording]:
+def _collect_preferring(root, want: str) -> list[tuple[Path, dict]]:
     segments = collect_segments(root)
-    named = [s for s in segments if s.manifest.get("segment") == want]
+    named = [(path, m) for path, m in segments if m.get("segment") == want]
     return named or segments
 
 
@@ -231,25 +221,26 @@ def pair_recordings(pre_root, post_root) -> list[tuple[SegmentRecording, Segment
 
     When a root holds both segments of adaptation runs, the pre root
     contributes its ``pre`` segments and the post root its ``post``.
+    Pairing reads only manifests; each paired segment is loaded once.
     """
     pre_segments = _collect_preferring(pre_root, "pre")
-    post_segments = _collect_preferring(post_root, "post")
     post_by_key = {}
-    for seg in post_segments:
-        key = _pair_key(seg)
+    for path, manifest in _collect_preferring(post_root, "post"):
+        key = _pair_key(manifest)
         if key in post_by_key:
             raise PairingError(f"duplicate post recording for (stature, seed)={key}")
-        post_by_key[key] = seg
+        post_by_key[key] = path
     pairs = []
-    for pre in pre_segments:
-        key = _pair_key(pre)
+    for path, manifest in pre_segments:
+        key = _pair_key(manifest)
         if key not in post_by_key:
             raise PairingError(f"no post recording pairs (stature, seed)={key}")
-        pairs.append((pre, post_by_key.pop(key)))
+        pairs.append((path, post_by_key.pop(key)))
     if post_by_key:
         raise PairingError(
             f"unpaired post recordings for (stature, seed) in {sorted(post_by_key)}")
-    return pairs
+    loaded = {path: SegmentRecording.load(path) for pair in pairs for path in pair}
+    return [(loaded[pre], loaded[post]) for pre, post in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -258,24 +249,14 @@ def pair_recordings(pre_root, post_root) -> list[tuple[SegmentRecording, Segment
 
 EXPORT_KINDS = ("landmarks", "rula", "heatmap")
 EXPORT_FORMATS = ("csv", "json")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return FLOAT_FMT % float(value)
-    return str(value)
+# Exports that are a recorded stream as it stands.
+STREAM_EXPORTS = {"landmarks": "fused_landmarks", "rula": "rula"}
 
 
 def _write_records(header: tuple[str, ...], rows: list[tuple], fmt: str,
                    out_path: Path) -> Path:
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        out_path.write_text("\n".join(lines) + "\n")
+        out_path.write_text(format_csv(header, rows))
     else:
         records = [dict(zip(header, row)) for row in rows]
         out_path.write_text(json.dumps(records, indent=1, default=float) + "\n")
@@ -295,15 +276,10 @@ def export(segment: SegmentRecording, what: str, fmt: str, out_path) -> Path:
         raise ValueError(f"unknown format {fmt!r}; choose from {EXPORT_FORMATS}")
     out_path = Path(out_path)
 
-    if what == "landmarks":
-        header = ("frame", "landmark", "x", "y", "z", "source")
-        rows = list(segment.streams["fused_landmarks"])
-        return _write_records(header, rows, fmt, out_path)
-
-    if what == "rula":
-        fields = tuple(name for name, _ in STREAM_FIELDS["rula"])
-        rows = list(segment.streams["rula"])
-        return _write_records(fields, rows, fmt, out_path)
+    if what in STREAM_EXPORTS:
+        stream = STREAM_EXPORTS[what]
+        return _write_records(STREAM_COLUMNS[stream], segment.streams[stream],
+                              fmt, out_path)
 
     rows_out: list[tuple] = []
     rula_rows = segment.rula_rows()

@@ -79,7 +79,6 @@ class FusedLandmarks:
     """Optimized landmark set: 12 fused rows plus auxiliary head means."""
 
     xyz: np.ndarray          # (N_ALL, 3)
-    camera_rows: np.ndarray  # (M, 3) re-estimated rig nodes (diagnostic)
 
 
 @dataclass(frozen=True)
@@ -202,7 +201,7 @@ class FusionNode(Node):
         ts = frame_index / self.frame_rate
         publish(Message(TOPIC_PER_RIG, frame_index, ts, PerRigLandmarks(estimates)))
         publish(Message(TOPIC_FUSED, frame_index, ts,
-                        FusedLandmarks(xyz=xyz, camera_rows=solution[N_FUSED:])))
+                        FusedLandmarks(xyz=xyz)))
 
 
 class ErgonomicsNode(Node):

@@ -4,9 +4,11 @@ A segment recording is one directory holding five newline-delimited
 record streams (``ground_truth``, ``observations``, ``per_rig_landmarks``,
 ``fused_landmarks``, ``rula``) and a ``manifest.json``. Records carry a
 fixed field order, floats print with 9 significant digits, and the
-manifest stores a SHA-256 digest over the stream files so determinism
-checks reduce to digest comparison (run statistics live in the manifest
-and deliberately stay outside the digest).
+manifest stores a SHA-256 digest over each stream's name followed by its
+exact file text, so determinism checks reduce to digest comparison (run
+statistics live in the manifest and deliberately stay outside the
+digest). ``save()`` formats each stream once and feeds the same bytes
+to the file and to the digest.
 
 A full run recording is a directory of segment subdirectories, normally
 ``pre`` and ``post`` around the robot adaptation.
@@ -56,6 +58,9 @@ STREAM_FIELDS: dict[str, tuple[tuple[str, type], ...]] = {
         ("status", str), ("side", str)),
 }
 STREAM_NAMES = tuple(STREAM_FIELDS)
+STREAM_COLUMNS = {name: tuple(f for f, _ in fields)
+                  for name, fields in STREAM_FIELDS.items()}
+_LANDMARK_BY_NAME = {lm.value: LANDMARK_INDEX[lm] for lm in ALL_LANDMARKS}
 
 
 class RecordingError(ValueError):
@@ -70,6 +75,29 @@ def _format_value(value) -> str:
     if isinstance(value, (float, np.floating)):
         return FLOAT_FMT % float(value)
     return str(value)
+
+
+def format_csv(header: tuple[str, ...], rows) -> str:
+    """Comma-separated text of ``rows`` under ``header``, one line each."""
+    lines = [",".join(header)]
+    lines += [",".join(map(_format_value, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _landmark_index(name: str) -> int:
+    try:
+        return _LANDMARK_BY_NAME[name]
+    except KeyError:
+        raise RecordingError(f"unknown landmark name {name!r}") from None
+
+
+def _positions(rows, key: int, n_frames: int) -> np.ndarray:
+    """(F, 15, 3) positions from rows holding a landmark name at ``key``
+    followed by x, y, z; NaN where a landmark has no row."""
+    out = np.full((n_frames, N_ALL, 3), np.nan)
+    for row in rows:
+        out[row[0], _landmark_index(row[key])] = row[key + 1:key + 4]
+    return out
 
 
 @dataclass
@@ -92,34 +120,36 @@ class SegmentRecording:
 
     def sort(self) -> None:
         """Canonicalize row order (streams may fill from concurrent nodes)."""
+        # Rows are unique on their leading identity fields (frame, then
+        # rig, camera or landmark names), so plain tuple order never
+        # reaches the float columns.
         for name in STREAM_NAMES:
-            self.streams[name].sort(key=lambda row: (row[0],) + tuple(map(str, row[1:])))
+            self.streams[name].sort()
 
     # -- persistence -----------------------------------------------------
 
-    def _stream_text(self, name: str) -> str:
-        header = ",".join(f for f, _ in STREAM_FIELDS[name])
-        lines = [header]
-        for row in self.streams[name]:
-            lines.append(",".join(_format_value(v) for v in row))
-        return "\n".join(lines) + "\n"
-
-    def digest(self) -> str:
+    def _hash_streams(self, directory: Path | None = None) -> str:
+        """Digest the streams, writing each one's bytes to ``directory`` too."""
         h = hashlib.sha256()
         for name in STREAM_NAMES:
+            data = format_csv(STREAM_COLUMNS[name], self.streams[name]).encode()
             h.update(name.encode())
-            h.update(self._stream_text(name).encode())
+            h.update(data)
+            if directory is not None:
+                (directory / f"{name}.csv").write_bytes(data)
         return h.hexdigest()
 
+    def digest(self) -> str:
+        """SHA-256 over each stream's name followed by its exact file text."""
+        return self._hash_streams()
+
     def save(self, directory) -> Path:
+        """Write the streams and the manifest; ``manifest["digest"]`` is set."""
         path = Path(directory)
         path.mkdir(parents=True, exist_ok=True)
-        for name in STREAM_NAMES:
-            (path / f"{name}.csv").write_text(self._stream_text(name))
-        manifest = dict(self.manifest)
-        manifest["digest"] = self.digest()
+        self.manifest["digest"] = self._hash_streams(path)
         (path / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            json.dumps(self.manifest, indent=2, sort_keys=True) + "\n")
         return path
 
     @classmethod
@@ -129,66 +159,57 @@ class SegmentRecording:
         if not manifest_path.exists():
             raise RecordingError(f"{path} is not a segment recording (no manifest.json)")
         manifest = json.loads(manifest_path.read_text())
+        n_frames = manifest.get("frames", float("inf"))
         streams: dict[str, list[tuple]] = {}
         for name, fields in STREAM_FIELDS.items():
             fpath = path / f"{name}.csv"
             if not fpath.exists():
                 raise RecordingError(f"recording {path} is missing stream {name!r}")
             lines = fpath.read_text().splitlines()
-            expect = ",".join(f for f, _ in fields)
-            if not lines or lines[0] != expect:
+            if not lines or lines[0] != ",".join(STREAM_COLUMNS[name]):
                 raise RecordingError(f"stream {name!r} has unexpected header")
             rows = []
             for line in lines[1:]:
                 parts = line.split(",")
                 if len(parts) != len(fields):
                     raise RecordingError(f"stream {name!r}: malformed row {line!r}")
-                rows.append(tuple(conv(p) for p, (_, conv) in zip(parts, fields)))
+                row = tuple(conv(p) for p, (_, conv) in zip(parts, fields))
+                if not 0 <= row[0] < n_frames:
+                    raise RecordingError(
+                        f"stream {name!r}: frame {row[0]} is outside [0, {n_frames})")
+                rows.append(row)
             streams[name] = rows
         return cls(manifest=manifest, streams=streams)
 
     # -- typed accessors ---------------------------------------------------
 
-    def _positions(self, stream: str, key_fields: int) -> np.ndarray:
-        rows = self.streams[stream]
+    def _frame_count(self, stream: str) -> int:
         n_frames = self.manifest.get("frames")
         if n_frames is None:
-            n_frames = 1 + max((r[0] for r in rows), default=-1)
-        out = np.full((n_frames, N_ALL, 3), np.nan)
-        for row in rows:
-            lm = LANDMARK_INDEX[_landmark_from_name(row[key_fields])]
-            out[row[0], lm] = row[key_fields + 1:key_fields + 4]
-        return out
+            n_frames = 1 + max((r[0] for r in self.streams[stream]), default=-1)
+        return n_frames
 
     def ground_truth_positions(self) -> np.ndarray:
         """(F, 15, 3) array of ground-truth landmark positions."""
-        return self._positions("ground_truth", 1)
+        return _positions(self.streams["ground_truth"], 1,
+                          self._frame_count("ground_truth"))
 
     def fused_positions(self) -> np.ndarray:
         """(F, 15, 3) array of fused (and auxiliary mean) positions."""
-        return self._positions("fused_landmarks", 1)
+        return _positions(self.streams["fused_landmarks"], 1,
+                          self._frame_count("fused_landmarks"))
 
     def rig_positions(self) -> dict[str, np.ndarray]:
         """Per-rig (F, 15, 3) triangulated positions, NaN where unseen."""
-        rows = self.streams["per_rig_landmarks"]
-        n_frames = self.manifest.get("frames", 1 + max((r[0] for r in rows), default=-1))
-        out: dict[str, np.ndarray] = {}
-        for row in rows:
-            frame, rig, lm_name, x, y, z = row[0], row[1], row[2], row[3], row[4], row[5]
-            arr = out.setdefault(rig, np.full((n_frames, N_ALL, 3), np.nan))
-            arr[frame, LANDMARK_INDEX[_landmark_from_name(lm_name)]] = (x, y, z)
-        return out
+        by_rig: dict[str, list[tuple]] = {}
+        for row in self.streams["per_rig_landmarks"]:
+            by_rig.setdefault(row[1], []).append(row)
+        n_frames = self._frame_count("per_rig_landmarks")
+        return {rig: _positions(rows, 2, n_frames) for rig, rows in by_rig.items()}
 
     def rula_rows(self) -> list[dict]:
-        fields = [f for f, _ in STREAM_FIELDS["rula"]]
+        fields = STREAM_COLUMNS["rula"]
         return [dict(zip(fields, row)) for row in self.streams["rula"]]
-
-
-def _landmark_from_name(name: str):
-    for lm in ALL_LANDMARKS:
-        if lm.value == name:
-            return lm
-    raise RecordingError(f"unknown landmark name {name!r}")
 
 
 @dataclass

@@ -384,14 +384,6 @@ AREA_FIELDS = {
 }
 
 
-def area_scores(breakdowns: Sequence[RulaBreakdown]) -> dict[str, float]:
-    """Mean step score per body area over a sequence of frames."""
-    if not breakdowns:
-        raise RulaError("area_scores needs a non-empty sequence")
-    return {area: float(np.mean([getattr(b, field_) for b in breakdowns]))
-            for area, field_ in AREA_FIELDS.items()}
-
-
 def joint_stress_heatmap(angle_frames: Sequence[JointAngles]) -> tuple[tuple[str, ...], np.ndarray]:
     """Per-frame normalized joint stress in [0, 1].
 

@@ -33,8 +33,6 @@ from enum import Enum
 
 import numpy as np
 
-from .cameras import StereoRig
-
 FRAME_RATE_HZ = 10.0
 
 
@@ -414,17 +412,3 @@ def observe(camera, frame: LandmarkFrame, noise_sigma: float,
     uv[~visible] = np.nan
     return CameraObservations(camera_id=camera.id, frame_index=frame.index,
                               uv=uv, visible=visible)
-
-
-def capture(frame: LandmarkFrame, rig: StereoRig, noise_sigma: float,
-            rng: np.random.Generator | None = None) -> dict[str, CameraObservations]:
-    """Project one frame into both cameras of a rig and add pixel noise.
-
-    Gaussian noise with standard deviation ``noise_sigma`` (normalized
-    image units) is added independently per coordinate, left camera
-    first. Landmarks behind a camera are excluded from that camera's
-    observation set. Pass a seeded ``rng`` for reproducible noise.
-    """
-    if noise_sigma > 0 and rng is None:
-        rng = np.random.default_rng()
-    return {cam.id: observe(cam, frame, noise_sigma, rng) for cam in rig.cameras}

@@ -7,8 +7,7 @@ from ergofusion.cameras import (CameraModel, DegenerateProjectionError,
                                 GeometryError, StereoRig,
                                 axis_angle_from_rotation,
                                 compose_world_extrinsics, look_at_rotation,
-                                rotation_from_axis_angle,
-                                set_world_origin_at_first_camera)
+                                rotation_from_axis_angle)
 from ergofusion.triangulate import Observation2D, triangulate_dlt
 
 from helpers import random_rotation
@@ -152,32 +151,18 @@ class TestStereoRig:
         with pytest.raises(GeometryError):
             StereoRig("S", left, right, np.eye(3), np.array([-0.5, 0.0, 0.0]))
 
-    def test_world_origin_moves_left_camera_to_origin(self):
-        rng = np.random.default_rng(32)
-        rig = set_world_origin_at_first_camera(self._rig(rng))
-        np.testing.assert_allclose(rig.left.position, np.zeros(3), atol=1e-12)
-        np.testing.assert_array_equal(rig.left.rotation, np.eye(3))
-        np.testing.assert_array_equal(rig.right.rotation, rig.relative_rotation)
-        np.testing.assert_array_equal(rig.right.translation, rig.relative_translation)
-
-    def test_world_origin_idempotent(self):
-        rng = np.random.default_rng(33)
-        once = set_world_origin_at_first_camera(self._rig(rng))
-        twice = set_world_origin_at_first_camera(once)
-        np.testing.assert_array_equal(once.left.projection, twice.left.projection)
-        np.testing.assert_array_equal(once.right.projection, twice.right.projection)
-
     def test_triangulation_lands_in_left_camera_frame(self):
         # Observe a point with a rig in an arbitrary world pose, then
-        # triangulate those image points with the origin-convention rig:
-        # the result is the point manually transformed into the original
-        # left camera's frame.
+        # triangulate those image points with the same relative pair placed
+        # at the origin: the result is the point manually transformed into
+        # the original left camera's frame.
         rng = np.random.default_rng(34)
         rig = self._rig(rng)
         point = rig.left.position + rig.left.rotation.T @ np.array([0.2, -0.1, 2.0])
         uv_left = rig.left.project(point)
         uv_right = rig.right.project(point)
-        local = set_world_origin_at_first_camera(rig)
+        local = StereoRig.from_left_pose(rig.id, np.eye(3), np.zeros(3),
+                                         rig.relative_rotation, rig.relative_translation)
         got = triangulate_dlt((
             Observation2D("L", uv_left, local.left.projection),
             Observation2D("R", uv_right, local.right.projection)))

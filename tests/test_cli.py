@@ -123,6 +123,19 @@ class TestEvalRmse:
     def test_nonexistent_recording_exits_2(self, tmp_path):
         assert main(["eval-rmse", "--recording", str(tmp_path / "ghost")]) == 2
 
+    @pytest.mark.parametrize("stream, frame", [("ground_truth", "frames"),
+                                               ("fused_landmarks", -1)])
+    def test_out_of_range_frame_exits_2(self, run_dir, capsys, stream, frame):
+        segment = run_dir / "pre"
+        if frame == "frames":
+            frame = json.loads((segment / "manifest.json").read_text())["frames"]
+        path = segment / f"{stream}.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = f"{frame}," + lines[1].split(",", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["eval-rmse", "--recording", str(segment)]) == 2
+        assert f"frame {frame}" in capsys.readouterr().err
+
 
 class TestEvalRula:
     def test_paired_report(self, run_dir, tmp_path, capsys):

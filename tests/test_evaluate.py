@@ -114,6 +114,22 @@ class TestRulaCompare:
         # segments here, so pairing happens per (stature, seed).
         assert len(pairs) >= 2
 
+    def test_shared_root_loads_each_segment_once(self, noisy_recording, tmp_path,
+                                                 monkeypatch):
+        noisy_recording.save(tmp_path / "run")
+        load = SegmentRecording.load.__func__
+        loaded = []
+
+        def counting_load(cls, directory):
+            loaded.append(directory)
+            return load(cls, directory)
+
+        monkeypatch.setattr(SegmentRecording, "load", classmethod(counting_load))
+        pairs = pair_recordings(tmp_path, tmp_path)
+        assert [(pre.manifest["segment"], post.manifest["segment"])
+                for pre, post in pairs] == [("pre", "post")]
+        assert sorted(loaded) == [tmp_path / "run" / "post", tmp_path / "run" / "pre"]
+
     def test_write_comparison_files(self, noisy_recording, tmp_path):
         comparison = rula_compare(noisy_recording.segments["pre"],
                                   noisy_recording.segments["post"])
@@ -147,6 +163,13 @@ class TestExport:
             expect = original[frame, idx]
             assert np.all(np.abs(value - expect)
                           <= 1e-8 * np.maximum(1.0, np.abs(expect)))
+
+    def test_stream_csv_exports_are_the_stream_files(self, noisy_recording, tmp_path):
+        segment = noisy_recording.segments["pre"]
+        segment.save(tmp_path / "pre")
+        for what, stream in (("landmarks", "fused_landmarks"), ("rula", "rula")):
+            out = export(segment, what, "csv", tmp_path / f"{what}.csv")
+            assert out.read_bytes() == (tmp_path / "pre" / f"{stream}.csv").read_bytes()
 
     def test_rula_json_export(self, noisy_recording, tmp_path):
         out = export(noisy_recording.segments["pre"], "rula", "json",

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ergofusion.rula import (AREA_FIELDS, IncompleteFrameError, JointAngles,
+from ergofusion.rula import (IncompleteFrameError, JointAngles,
                              PostureState, RulaAdjustments, RulaError,
                              STRESS_JOINTS, TABLE_A, TABLE_B, TABLE_C,
-                             area_scores, classify_posture, compute_joint_angles,
+                             classify_posture, compute_joint_angles,
                              joint_stress_heatmap, lower_arm_band, neck_band,
                              rula_score, trunk_band, upper_arm_band, wrist_band)
 from ergofusion.skeleton import (LANDMARK_INDEX, LandmarkId, MotionPhase,
@@ -198,36 +198,6 @@ class TestClassifyPosture:
             state = classify_posture(b).status
             seen.setdefault(b.grand, state)
             assert seen[b.grand] == state
-
-
-class TestAreaScores:
-    def test_constant_sequence(self):
-        b = rula_score(angles(neck=15.0))
-        means = area_scores([b, b, b])
-        for area, field in AREA_FIELDS.items():
-            assert means[area] == getattr(b, field)
-
-    def test_two_frame_neck_mean(self):
-        b1 = rula_score(angles(neck=5.0))     # neck 1
-        b3 = rula_score(angles(neck=25.0))    # neck 3
-        assert area_scores([b1, b3])["neck"] == 2.0
-
-    def test_matches_two_pass_mean(self):
-        rng = np.random.default_rng(3)
-        breakdowns = [rula_score(angles(
-            upper_arm_left=rng.uniform(0, 140), upper_arm_right=rng.uniform(0, 140),
-            neck=rng.uniform(0, 40), trunk=rng.uniform(0, 80)))
-            for _ in range(100)]
-        means = area_scores(breakdowns)
-        for area, field in AREA_FIELDS.items():
-            total = 0.0
-            for b in breakdowns:
-                total += getattr(b, field)
-            assert abs(means[area] - total / len(breakdowns)) < 1e-12
-
-    def test_empty_sequence_rejected(self):
-        with pytest.raises(RulaError):
-            area_scores([])
 
 
 class TestJointStressHeatmap:

@@ -8,7 +8,7 @@ from ergofusion.rula import compute_joint_angles
 from ergofusion.skeleton import (ALL_LANDMARKS, AUX_LANDMARKS, FUSED_LANDMARKS,
                                  LANDMARK_INDEX, LandmarkFrame, LandmarkId,
                                  MotionPhase, MotionScript, SEGMENT_RATIOS,
-                                 SkeletonError, animate, build_skeleton, capture,
+                                 SkeletonError, animate, build_skeleton,
                                  neck_flexion_for_target, observe,
                                  trunk_flexion_for_target)
 
@@ -166,6 +166,8 @@ class TestComfortRules:
 
 
 class TestCapture:
+    """Camera capture of one frame through ``observe``."""
+
     def _frame(self):
         profile = build_skeleton(STATURE)
         return animate(profile, MotionScript(phases=(MotionPhase("rest", 0.5, None),)),
@@ -173,12 +175,11 @@ class TestCapture:
 
     def test_zero_noise_equals_projection(self):
         frame = self._frame()
-        rig = make_rig()
-        obs = capture(frame, rig, 0.0)
-        for cam in rig.cameras:
+        for cam in make_rig().cameras:
+            obs = observe(cam, frame, 0.0)
             uv, depth = cam.project_many(frame.xyz)
-            assert obs[cam.id].visible.all()
-            np.testing.assert_array_equal(obs[cam.id].uv, uv)
+            assert obs.visible.all()
+            np.testing.assert_array_equal(obs.uv, uv)
 
     def test_noise_statistics(self):
         frame = self._frame()
@@ -200,20 +201,19 @@ class TestCapture:
         xyz = frame.xyz.copy()
         xyz[LANDMARK_INDEX[LandmarkId.LEFT_WRIST]] = [10.0, 0.0, 1.0]  # behind the rig
         behind = LandmarkFrame(index=0, xyz=xyz)
-        obs = capture(behind, make_rig(), 0.0)
-        for cam_obs in obs.values():
+        for cam in make_rig().cameras:
+            cam_obs = observe(cam, behind, 0.0)
             assert not cam_obs.visible[LANDMARK_INDEX[LandmarkId.LEFT_WRIST]]
             assert np.isnan(cam_obs.uv[LANDMARK_INDEX[LandmarkId.LEFT_WRIST]]).all()
             assert cam_obs.visible[LANDMARK_INDEX[LandmarkId.RIGHT_WRIST]]
 
     def test_seeded_capture_is_reproducible(self):
         frame = self._frame()
-        rig = make_rig()
-        a = capture(frame, rig, 0.003, np.random.default_rng(9))
-        b = capture(frame, rig, 0.003, np.random.default_rng(9))
-        for cam_id in a:
-            np.testing.assert_array_equal(a[cam_id].uv, b[cam_id].uv)
+        for cam in make_rig().cameras:
+            a = observe(cam, frame, 0.003, np.random.default_rng(9))
+            b = observe(cam, frame, 0.003, np.random.default_rng(9))
+            np.testing.assert_array_equal(a.uv, b.uv)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(SkeletonError):
-            capture(self._frame(), make_rig(), -0.1)
+            observe(make_rig().left, self._frame(), -0.1)
