@@ -169,11 +169,15 @@ class SegmentRecording:
             if not lines or lines[0] != ",".join(STREAM_COLUMNS[name]):
                 raise RecordingError(f"stream {name!r} has unexpected header")
             rows = []
-            for line in lines[1:]:
+            for lineno, line in enumerate(lines[1:], start=2):
                 parts = line.split(",")
                 if len(parts) != len(fields):
                     raise RecordingError(f"stream {name!r}: malformed row {line!r}")
-                row = tuple(conv(p) for p, (_, conv) in zip(parts, fields))
+                try:
+                    row = tuple(conv(p) for p, (_, conv) in zip(parts, fields))
+                except ValueError as exc:
+                    raise RecordingError(
+                        f"stream {name!r} line {lineno}: {exc}") from exc
                 if not 0 <= row[0] < n_frames:
                     raise RecordingError(
                         f"stream {name!r}: frame {row[0]} is outside [0, {n_frames})")

@@ -13,6 +13,12 @@ singular vector of the smallest singular value and dehomogenizing.
 Rows are scaled to unit norm before the solve so that cameras at very
 different distances condition the system equally; the recovered point is
 invariant to per-observation row scaling.
+
+``triangulate_dlt`` solves one point from any number of views and raises
+on failure. ``triangulate_stereo`` solves many points seen by one camera
+pair with a single batched SVD and reports failures as masks; on every
+point it gives bitwise the same result as ``triangulate_dlt`` on that
+pair, which stays the reference.
 """
 
 from __future__ import annotations
@@ -81,6 +87,22 @@ class TriangulatedPoint:
     n_views: int
 
 
+@dataclass(frozen=True)
+class StereoTriangulation:
+    """Batched two-view result for k points; NaN in xyz/residual where flagged.
+
+    ``degenerate`` marks the points on which ``triangulate_dlt`` raises
+    ``DegenerateGeometryError`` (a zero DLT row or rank < 3), plus those
+    with a non-finite uv; ``at_infinity`` marks those on which it raises
+    ``PointAtInfinityError``. The two masks are disjoint.
+    """
+
+    xyz: np.ndarray          # (k, 3)
+    residual: np.ndarray     # (k,) smallest singular value, as residual_norm
+    degenerate: np.ndarray   # (k,) bool
+    at_infinity: np.ndarray  # (k,) bool
+
+
 def build_dlt_matrix(observations: Sequence[Observation2D]) -> np.ndarray:
     """Stack the two independent DLT rows per observation into a (2m, 4) matrix.
 
@@ -127,3 +149,48 @@ def triangulate_dlt(observations: Sequence[Observation2D]) -> TriangulatedPoint:
             "triangulated point is at infinity (homogeneous scale ~ 0)")
     return TriangulatedPoint(xyz=h[:3] / h[3], residual_norm=float(s[-1]),
                              n_views=len(observations))
+
+
+def triangulate_stereo(uv_left, uv_right, projection_left,
+                       projection_right) -> StereoTriangulation:
+    """Triangulate k points, each seen once by both cameras of a pair.
+
+    ``uv_left`` and ``uv_right`` are (k, 2) normalized observations;
+    the projections are the two 3x4 camera matrices. Builds the (k, 4, 4)
+    stack of row-normalized DLT matrices (rows ordered as in
+    ``build_dlt_matrix``: left u, left v, right u, right v) and solves
+    it with one batched SVD. Failures do not raise; they are flagged in
+    the returned masks.
+    """
+    uv_left = np.asarray(uv_left, dtype=float)
+    uv_right = np.asarray(uv_right, dtype=float)
+    if uv_left.ndim != 2 or uv_left.shape[1] != 2 or uv_right.shape != uv_left.shape:
+        raise TriangulationError(
+            f"uv arrays must both be (k, 2), got {uv_left.shape} and {uv_right.shape}")
+    proj = (np.asarray(projection_left, dtype=float),
+            np.asarray(projection_right, dtype=float))
+    if proj[0].shape != (3, 4) or proj[1].shape != (3, 4):
+        raise TriangulationError(
+            f"projections must be 3x4, got {proj[0].shape} and {proj[1].shape}")
+    proj = np.stack(proj)
+    uv = np.stack((uv_left, uv_right), axis=1)
+    # (k, camera, row, 4): u * k3 - k1 and v * k3 - k2 per camera.
+    a = (uv[..., None] * proj[:, 2:] - proj[:, :2]).reshape(-1, 4, 4)
+    norms = np.linalg.norm(a, axis=2)
+    degenerate = (norms < 1e-300).any(axis=1) | ~np.isfinite(uv).all(axis=(1, 2))
+    if degenerate.any():
+        # Keep the batched SVD finite; these points' results are discarded.
+        a[degenerate] = np.eye(4)
+        norms[degenerate] = 1.0
+    a /= norms[..., None]
+    _, s, vt = np.linalg.svd(a)
+    degenerate |= s[:, 2] <= RANK_RTOL * s[:, 0]
+    h = vt[:, -1]
+    at_infinity = ~degenerate & (np.abs(h[:, 3]) < INFINITY_W)
+    flagged = degenerate | at_infinity
+    residual = s[:, -1].copy()
+    if flagged.any():
+        h[flagged] = np.nan
+        residual[flagged] = np.nan
+    return StereoTriangulation(xyz=h[:, :3] / h[:, 3:], residual=residual,
+                               degenerate=degenerate, at_infinity=at_infinity)

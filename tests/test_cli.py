@@ -136,6 +136,18 @@ class TestEvalRmse:
         assert main(["eval-rmse", "--recording", str(segment)]) == 2
         assert f"frame {frame}" in capsys.readouterr().err
 
+    def test_malformed_number_exits_2(self, run_dir, capsys):
+        segment = run_dir / "pre"
+        path = segment / "ground_truth.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[2] = "abc"
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["eval-rmse", "--recording", str(segment)]) == 2
+        err = capsys.readouterr().err
+        assert "'ground_truth' line 4" in err and "abc" in err
+
 
 class TestEvalRula:
     def test_paired_report(self, run_dir, tmp_path, capsys):

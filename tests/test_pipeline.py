@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from ergofusion.cameras import StereoRig
 from ergofusion.pipeline import PipelineError, run_scenario
 from ergofusion.recording import STREAM_NAMES, RunRecording
-from ergofusion.scenario import default_handover_scenario, parse_scenario
+from ergofusion.scenario import (ScenarioConfig, default_handover_scenario,
+                                 parse_scenario)
 
 
 def small_scenario(**kwargs):
@@ -36,6 +38,12 @@ class TestRunScenario:
         assert pre.manifest["dropped_frames"] == 0
         assert pre.manifest["adaptation"]["class"] == "c2"
         assert pre.manifest["stats"]["prefactor_count"] == 1
+        residual = pre.manifest["stats"]["dlt_residual"]
+        assert set(residual) == {"S1", "S2", "S3"}
+        for rig_stats in residual.values():
+            assert set(rig_stats) == {"p50", "p95", "max"}
+            assert all(np.isfinite(v) and v >= 0 for v in rig_stats.values())
+            assert rig_stats["p50"] <= rig_stats["p95"] <= rig_stats["max"]
 
     def test_adaptation_changes_post_delivery(self):
         recording = run_scenario(small_scenario(stature=1.55), seed=2)
@@ -117,6 +125,24 @@ class TestPipelineFailureModes:
         })
         with pytest.raises(PipelineError, match="visibility"):
             run_scenario(config, seed=0)
+
+    def test_rig_that_cannot_triangulate_names_rig_landmark_and_cause(
+            self, monkeypatch):
+        build_rigs = ScenarioConfig.build_rigs
+
+        def with_coincident_s2(config):
+            # S2's right camera sits on its left camera: noiseless rays coincide.
+            rigs = build_rigs(config)
+            s2 = rigs[1]
+            rigs[1] = StereoRig.from_left_pose(s2.id, s2.left.rotation, s2.left.position,
+                                               np.eye(3), np.zeros(3))
+            return rigs
+
+        monkeypatch.setattr(ScenarioConfig, "build_rigs", with_coincident_s2)
+        with pytest.raises(PipelineError,
+                           match=r"frame 0: rig S2 failed to triangulate left_shoulder: "
+                                 r"degenerate geometry"):
+            run_scenario(small_scenario(noise_sigma=0.0), seed=0)
 
 
 class TestRecordingRoundTrip:
