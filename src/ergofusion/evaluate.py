@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .recording import (RecordingError, SegmentRecording, STREAM_COLUMNS,
-                        format_csv)
-from .rula import AREA_FIELDS, JointAngles, joint_stress_heatmap
-from .skeleton import FUSED_LANDMARKS
+                        STREAM_FIELDS, format_csv)
+from .rula import AREA_FIELDS, STRESS_JOINTS, joint_stress_heatmap
+from .skeleton import LANDMARK_NAMES, N_FUSED
 
 FUSION_SOURCE = "fusion"
 BEST_RIG_MARGIN = 1.10
@@ -92,10 +93,10 @@ class RmseReport:
 
 def rmse_report(segment: SegmentRecording) -> RmseReport:
     """Compute per-landmark RMSE of each rig and the fusion vs ground truth."""
-    truth = segment.ground_truth_positions()[:, :len(FUSED_LANDMARKS)]
+    truth = segment.ground_truth_positions()[:, :N_FUSED]
     if truth.shape[0] == 0:
         raise RecordingError("recording has no ground-truth frames")
-    fused = segment.fused_positions()[:, :len(FUSED_LANDMARKS)]
+    fused = segment.fused_positions()[:, :N_FUSED]
     rigs = segment.rig_positions()
     if not rigs:
         raise RecordingError("recording has no per-rig landmark stream")
@@ -105,19 +106,15 @@ def rmse_report(segment: SegmentRecording) -> RmseReport:
         return np.sqrt(np.nanmean(sq, axis=0))
 
     sources = tuple(sorted(rigs)) + (FUSION_SOURCE,)
-    table = np.vstack([rmse_of(rigs[r][:, :len(FUSED_LANDMARKS)])
+    table = np.vstack([rmse_of(rigs[r][:, :N_FUSED])
                        for r in sorted(rigs)] + [rmse_of(fused)])
-    return RmseReport(landmarks=tuple(lm.value for lm in FUSED_LANDMARKS),
+    return RmseReport(landmarks=LANDMARK_NAMES[:N_FUSED],
                       sources=sources, rmse=table)
 
 
 # ---------------------------------------------------------------------------
 # RULA before/after comparison
 # ---------------------------------------------------------------------------
-
-ANGLE_COLUMNS = ("upper_arm_left", "upper_arm_right", "lower_arm_left",
-                 "lower_arm_right", "wrist_left", "wrist_right", "neck", "trunk")
-
 
 @dataclass
 class RulaComparison:
@@ -187,7 +184,7 @@ def rula_compare_many(pairs: list[tuple[SegmentRecording, SegmentRecording]]) ->
             for row in segment.rula_rows():
                 for area, col in AREA_FIELDS.items():
                     area_acc[area][0 if phase == "pre" else 1].append(row[col])
-                for joint in ANGLE_COLUMNS:
+                for joint in STRESS_JOINTS:
                     angle_rows.append((phase, stature, seed, row["frame"],
                                        joint, row[joint]))
     area_means = {area: (float(np.mean(pre_vals)), float(np.mean(post_vals)))
@@ -253,12 +250,13 @@ EXPORT_FORMATS = ("csv", "json")
 STREAM_EXPORTS = {"landmarks": "fused_landmarks", "rula": "rula"}
 
 
-def _write_records(header: tuple[str, ...], rows: list[tuple], fmt: str,
-                   out_path: Path) -> Path:
+def _write_records(fields: tuple[tuple[str, type], ...], rows: list[tuple],
+                   fmt: str, out_path: Path) -> Path:
     if fmt == "csv":
-        out_path.write_text(format_csv(header, rows))
+        out_path.write_text(format_csv(fields, rows))
     else:
-        records = [dict(zip(header, row)) for row in rows]
+        names = [name for name, _ in fields]
+        records = [dict(zip(names, row)) for row in rows]
         out_path.write_text(json.dumps(records, indent=1, default=float) + "\n")
     return out_path
 
@@ -278,25 +276,20 @@ def export(segment: SegmentRecording, what: str, fmt: str, out_path) -> Path:
 
     if what in STREAM_EXPORTS:
         stream = STREAM_EXPORTS[what]
-        return _write_records(STREAM_COLUMNS[stream], segment.streams[stream],
+        return _write_records(STREAM_FIELDS[stream], segment.streams[stream],
                               fmt, out_path)
 
-    rows_out: list[tuple] = []
-    rula_rows = segment.rula_rows()
+    rula_rows = segment.streams["rula"]
     if not rula_rows:
         raise RecordingError("recording has no rula stream to derive a heatmap from")
-    angles = [JointAngles(
-        upper_arm_left=row["upper_arm_left"], upper_arm_right=row["upper_arm_right"],
-        lower_arm_left=row["lower_arm_left"], lower_arm_right=row["lower_arm_right"],
-        wrist_left=row["wrist_left"], wrist_right=row["wrist_right"],
-        neck=row["neck"], trunk=row["trunk"],
-        legs_supported=bool(row["legs_supported"]),
-        aux_present=bool(row["aux_present"])) for row in rula_rows]
-    joints, stress = joint_stress_heatmap(angles)
-    for row, frame_stress in zip(rula_rows, stress):
-        for joint, value in zip(joints, frame_stress):
-            rows_out.append((row["frame"], joint, value))
-    return _write_records(("frame", "joint", "stress"), rows_out, fmt, out_path)
+    columns = STREAM_COLUMNS["rula"]
+    angles = itemgetter(*(columns.index(joint) for joint in STRESS_JOINTS))
+    joints, stress = joint_stress_heatmap(np.array(list(map(angles, rula_rows))))
+    rows_out = [(row[0], joint, value)
+                for row, frame_stress in zip(rula_rows, stress.tolist())
+                for joint, value in zip(joints, frame_stress)]
+    return _write_records((("frame", int), ("joint", str), ("stress", float)),
+                          rows_out, fmt, out_path)
 
 
 def write_comparison(comparison: RulaComparison, out_dir) -> dict[str, Path]:
@@ -308,16 +301,19 @@ def write_comparison(comparison: RulaComparison, out_dir) -> dict[str, Path]:
     grand_rows = [(row["stature"], row["seed"], row["pre_mean_grand"],
                    row["post_mean_grand"]) for row in comparison.pairs]
     paths["grand"] = _write_records(
-        ("stature", "seed", "pre_mean_grand", "post_mean_grand"),
+        (("stature", float), ("seed", int), ("pre_mean_grand", float),
+         ("post_mean_grand", float)),
         grand_rows, "csv", out_dir / "grand_by_stature.csv")
 
     area_rows = [(area, pre, post, pre - post)
                  for area, (pre, post) in comparison.area_means.items()]
     paths["areas"] = _write_records(
-        ("area", "pre_mean", "post_mean", "improvement"),
+        (("area", str), ("pre_mean", float), ("post_mean", float),
+         ("improvement", float)),
         area_rows, "csv", out_dir / "area_means.csv")
 
     paths["angles"] = _write_records(
-        ("phase", "stature", "seed", "frame", "joint", "angle"),
+        (("phase", str), ("stature", float), ("seed", int), ("frame", int),
+         ("joint", str), ("angle", float)),
         comparison.angle_rows, "csv", out_dir / "angle_distributions.csv")
     return paths

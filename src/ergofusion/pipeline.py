@@ -40,7 +40,7 @@ from .recording import RunRecording, SegmentRecording
 from .rula import RulaAdjustments, RulaBreakdown, JointAngles, PostureStatus, \
     classify_posture, compute_joint_angles, rula_score
 from .scenario import ScenarioConfig
-from .skeleton import (ALL_LANDMARKS, CameraObservations, LandmarkFrame,
+from .skeleton import (LANDMARK_NAMES, CameraObservations, LandmarkFrame,
                        N_ALL, N_FUSED, animate, build_skeleton, observe)
 # triangulate_dlt is the single-point reference for triangulate_stereo and
 # is not called here; perfbench/tracing.py wraps pipeline.triangulate_dlt.
@@ -194,7 +194,7 @@ class FusionNode(Node):
                          if result.degenerate[j] else "point at infinity")
                 raise PipelineError(
                     f"frame {frame_index}: rig {rig.id} failed to "
-                    f"triangulate {ALL_LANDMARKS[idx[j]].value}: {cause}")
+                    f"triangulate {LANDMARK_NAMES[idx[j]]}: {cause}")
             est_xyz[r, idx] = result.xyz
             residual = np.full(N_ALL, np.nan)
             residual[idx] = result.residual
@@ -303,29 +303,29 @@ class RecorderNode(Node):
         rec = self.recording
         if topic == TOPIC_WORLD:
             frame: LandmarkFrame = payload
-            for lm, pos in zip(ALL_LANDMARKS, frame.xyz):
-                rec.append("ground_truth",
-                           (k, lm.value, pos[0], pos[1], pos[2], int(frame.reach_ok)))
+            reach_ok = int(frame.reach_ok)
+            rec.extend("ground_truth", [
+                (k, name, x, y, z, reach_ok)
+                for name, (x, y, z) in zip(LANDMARK_NAMES, frame.xyz.tolist())])
         elif topic.startswith("observations/"):
             obs: CameraObservations = payload
-            for i in np.flatnonzero(obs.visible):
-                rec.append("observations",
-                           (k, obs.camera_id, ALL_LANDMARKS[i].value,
-                            obs.uv[i, 0], obs.uv[i, 1]))
+            rec.extend("observations", [
+                (k, obs.camera_id, name, u, v)
+                for name, (u, v), seen in zip(LANDMARK_NAMES, obs.uv.tolist(),
+                                              obs.visible.tolist()) if seen])
         elif topic == TOPIC_PER_RIG:
-            for rig_id, est in payload.estimates.items():
-                for i in np.flatnonzero(est.visible):
-                    rec.append("per_rig_landmarks",
-                               (k, rig_id, ALL_LANDMARKS[i].value,
-                                est.xyz[i, 0], est.xyz[i, 1], est.xyz[i, 2],
-                                est.residual[i], 2))
+            rec.extend("per_rig_landmarks", [
+                (k, rig_id, name, x, y, z, residual, 2)
+                for rig_id, est in payload.estimates.items()
+                for name, (x, y, z), residual, seen in zip(
+                    LANDMARK_NAMES, est.xyz.tolist(), est.residual.tolist(),
+                    est.visible.tolist()) if seen])
         elif topic == TOPIC_FUSED:
             fused: FusedLandmarks = payload
-            for i, lm in enumerate(ALL_LANDMARKS):
-                source = "fused" if i < N_FUSED else "aux"
-                rec.append("fused_landmarks",
-                           (k, lm.value, fused.xyz[i, 0], fused.xyz[i, 1],
-                            fused.xyz[i, 2], source))
+            rec.extend("fused_landmarks", [
+                (k, name, x, y, z, "fused" if i < N_FUSED else "aux")
+                for i, (name, (x, y, z)) in enumerate(
+                    zip(LANDMARK_NAMES, fused.xyz.tolist()))])
         elif topic == TOPIC_RULA:
             r: RulaRecord = payload
             a, b = r.angles, r.breakdown

@@ -3,8 +3,10 @@
 A segment recording is one directory holding five newline-delimited
 record streams (``ground_truth``, ``observations``, ``per_rig_landmarks``,
 ``fused_landmarks``, ``rula``) and a ``manifest.json``. Records carry a
-fixed field order, floats print with 9 significant digits, and the
-manifest stores a SHA-256 digest over each stream's name followed by its
+fixed field order, and each row is written through one %-template per
+stream derived from ``STREAM_FIELDS``: ``%.9g`` (9 significant digits)
+for float columns and ``%s`` for int and str columns. The manifest
+stores a SHA-256 digest over each stream's name followed by its
 exact file text, so determinism checks reduce to digest comparison (run
 statistics live in the manifest and deliberately stay outside the
 digest). ``save()`` formats each stream once and feeds the same bytes
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .skeleton import ALL_LANDMARKS, LANDMARK_INDEX, N_ALL
+from .skeleton import LANDMARK_NAMES, N_ALL
 
 FLOAT_FMT = "%.9g"
 
@@ -60,27 +62,23 @@ STREAM_FIELDS: dict[str, tuple[tuple[str, type], ...]] = {
 STREAM_NAMES = tuple(STREAM_FIELDS)
 STREAM_COLUMNS = {name: tuple(f for f, _ in fields)
                   for name, fields in STREAM_FIELDS.items()}
-_LANDMARK_BY_NAME = {lm.value: LANDMARK_INDEX[lm] for lm in ALL_LANDMARKS}
+_LANDMARK_BY_NAME = {name: i for i, name in enumerate(LANDMARK_NAMES)}
 
 
 class RecordingError(ValueError):
     """Malformed or incomplete recording on disk."""
 
 
-def _format_value(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return FLOAT_FMT % float(value)
-    return str(value)
+def format_csv(fields: tuple[tuple[str, type], ...], rows) -> str:
+    """Comma-separated text of tuple ``rows`` under typed ``fields``.
 
-
-def format_csv(header: tuple[str, ...], rows) -> str:
-    """Comma-separated text of ``rows`` under ``header``, one line each."""
-    lines = [",".join(header)]
-    lines += [",".join(map(_format_value, row)) for row in rows]
+    Every row goes through one %-template: ``FLOAT_FMT`` for float
+    fields, ``%s`` for int and str ones, so a non-integral value in an
+    int field is written as it is (and rejected on load), never truncated.
+    """
+    template = ",".join(FLOAT_FMT if conv is float else "%s" for _, conv in fields)
+    lines = [",".join(name for name, _ in fields)]
+    lines += map(template.__mod__, rows)
     return "\n".join(lines) + "\n"
 
 
@@ -112,11 +110,16 @@ class SegmentRecording:
             self.streams.setdefault(name, [])
 
     def append(self, stream: str, row: tuple) -> None:
-        fields = STREAM_FIELDS[stream]
-        if len(row) != len(fields):
-            raise RecordingError(
-                f"stream {stream!r} expects {len(fields)} fields, got {len(row)}")
-        self.streams[stream].append(row)
+        self.extend(stream, (row,))
+
+    def extend(self, stream: str, rows) -> None:
+        """Add a sequence of rows, each holding one value per field."""
+        n_fields = len(STREAM_FIELDS[stream])
+        for n in map(len, rows):
+            if n != n_fields:
+                raise RecordingError(
+                    f"stream {stream!r} expects {n_fields} fields, got {n}")
+        self.streams[stream].extend(rows)
 
     def sort(self) -> None:
         """Canonicalize row order (streams may fill from concurrent nodes)."""
@@ -132,7 +135,7 @@ class SegmentRecording:
         """Digest the streams, writing each one's bytes to ``directory`` too."""
         h = hashlib.sha256()
         for name in STREAM_NAMES:
-            data = format_csv(STREAM_COLUMNS[name], self.streams[name]).encode()
+            data = format_csv(STREAM_FIELDS[name], self.streams[name]).encode()
             h.update(name.encode())
             h.update(data)
             if directory is not None:

@@ -22,11 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
-from .skeleton import LandmarkFrame, LandmarkId, LANDMARK_INDEX, N_ALL, N_FUSED
+from .skeleton import (LandmarkFrame, LandmarkId, LANDMARK_INDEX, LANDMARK_NAMES,
+                       N_ALL, N_FUSED)
 
 # Posture scores combine through the standard worksheet tables.
 # TABLE_A[upper_arm-1][lower_arm-1][wrist-1][wrist_twist-1]
@@ -212,8 +212,7 @@ def compute_joint_angles(frame) -> JointAngles:
         raise RulaError(f"expected ({N_ALL}, 3) landmark array, got {xyz.shape}")
     fused_ok = np.all(np.isfinite(xyz[:N_FUSED]), axis=1)
     if not fused_ok.all():
-        missing = [lm.value for lm, i in LANDMARK_INDEX.items()
-                   if i < N_FUSED and not fused_ok[i]]
+        missing = [LANDMARK_NAMES[i] for i in np.flatnonzero(~fused_ok)]
         raise IncompleteFrameError(f"missing fused landmarks: {missing}")
 
     def at(lm: LandmarkId) -> np.ndarray:
@@ -384,31 +383,29 @@ AREA_FIELDS = {
 }
 
 
-def joint_stress_heatmap(angle_frames: Sequence[JointAngles]) -> tuple[tuple[str, ...], np.ndarray]:
+def joint_stress_heatmap(angles) -> tuple[tuple[str, ...], np.ndarray]:
     """Per-frame normalized joint stress in [0, 1].
 
-    Stress is (angle - band_min) / (band_max - band_min) clipped to
-    [0, 1], with band_max the onset of the worst worksheet band per
-    joint (see ``STRESS_BANDS``). Returns the joint-name tuple and an
+    ``angles`` is an (n_frames, n_joints) array of joint angles in
+    degrees, columns in ``STRESS_JOINTS`` order. Stress is
+    (angle - band_min) / (band_max - band_min) clipped to [0, 1], with
+    band_max the onset of the worst worksheet band per joint (see
+    ``STRESS_BANDS``). Returns the joint-name tuple and an
     (n_frames, n_joints) array, suitable for offline heat mapping.
+    Angles must be finite and within [-180, 180], as in
+    :class:`JointAngles`.
     """
-    if not angle_frames:
-        raise RulaError("joint_stress_heatmap needs a non-empty sequence")
-    rows = []
-    for ja in angle_frames:
-        vals = {
-            "upper_arm_left": ja.upper_arm_left,
-            "upper_arm_right": ja.upper_arm_right,
-            "lower_arm_left": ja.lower_arm_left,
-            "lower_arm_right": ja.lower_arm_right,
-            "wrist_left": ja.wrist_left,
-            "wrist_right": ja.wrist_right,
-            "neck": ja.neck,
-            "trunk": ja.trunk,
-        }
-        row = []
-        for joint in STRESS_JOINTS:
-            lo, hi = STRESS_BANDS[joint]
-            row.append(min(1.0, max(0.0, (vals[joint] - lo) / (hi - lo))))
-        rows.append(row)
-    return STRESS_JOINTS, np.array(rows)
+    angles = np.asarray(angles, dtype=float)
+    if angles.ndim != 2 or angles.shape[1] != len(STRESS_JOINTS) or not len(angles):
+        raise RulaError("joint_stress_heatmap needs a non-empty "
+                        f"(n_frames, {len(STRESS_JOINTS)}) angle array")
+    bad = np.argwhere(~(np.abs(angles) <= 180.0))
+    if bad.size:
+        frame, j = bad[0]
+        raise RulaError(
+            f"{STRESS_JOINTS[j]}={float(angles[frame, j])!r} outside [-180, 180]")
+    lo, hi = np.array(list(STRESS_BANDS.values())).T
+    stress = (angles - lo) / (hi - lo)
+    # Clip like Python's max(0.0, s) and min(1.0, s): -0.0 becomes 0.0.
+    stress = np.where(stress > 0.0, stress, 0.0)
+    return STRESS_JOINTS, np.where(stress < 1.0, stress, 1.0)

@@ -65,6 +65,7 @@ AUX_LANDMARKS: tuple[LandmarkId, ...] = tuple(LandmarkId)[12:]
 ALL_LANDMARKS: tuple[LandmarkId, ...] = tuple(LandmarkId)
 N_FUSED = len(FUSED_LANDMARKS)
 N_ALL = len(ALL_LANDMARKS)
+LANDMARK_NAMES: tuple[str, ...] = tuple(lm.value for lm in ALL_LANDMARKS)
 LANDMARK_INDEX = {lm: i for i, lm in enumerate(ALL_LANDMARKS)}
 
 # Body-segment lengths as fractions of stature (Drillis/Contini

@@ -1,14 +1,18 @@
-"""Recording write and read paths: digests, canonical order, landmark names."""
+"""Recording write and read paths: digests, canonical order, landmark names,
+the row formatter and the row contract."""
 
 import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 
 from ergofusion.pipeline import run_scenario
-from ergofusion.recording import STREAM_NAMES, RecordingError, SegmentRecording
+from ergofusion.recording import (STREAM_FIELDS, STREAM_NAMES, RecordingError,
+                                  SegmentRecording, format_csv)
 from ergofusion.scenario import default_handover_scenario
+from ergofusion.skeleton import LANDMARK_NAMES
 
 # Serial-scheduler digests of the acceptance criterion-9 configuration.
 PINNED_DIGESTS = {
@@ -61,3 +65,101 @@ def test_unknown_landmark_name_rejected():
     segment.append("fused_landmarks", (0, "tail", 0.0, 0.0, 0.0, "fused"))
     with pytest.raises(RecordingError, match="tail"):
         segment.fused_positions()
+
+
+# -- the row formatter --------------------------------------------------------
+
+# Strings that existing recordings hold for these values; digests depend on them.
+LEGACY_STRINGS = [
+    (float, float("nan"), "nan"),
+    (float, float("inf"), "inf"),
+    (float, float("-inf"), "-inf"),
+    (float, -0.0, "-0"),
+    (float, 1e-300, "1e-300"),
+    (float, np.float32(0.1), "0.100000001"),
+    (float, 7, "7"),
+    (int, np.int64(3), "3"),
+    (int, 10**10, "10000000000"),
+    (str, "fused", "fused"),
+]
+
+
+def test_formatter_keeps_the_legacy_strings():
+    fields = tuple((f"c{i}", conv) for i, (conv, _, _) in enumerate(LEGACY_STRINGS))
+    row = tuple(value for _, value, _ in LEGACY_STRINGS)
+    header = ",".join(name for name, _ in fields)
+    line = ",".join(text for _, _, text in LEGACY_STRINGS)
+    assert format_csv(fields, [row, row]) == f"{header}\n{line}\n{line}\n"
+
+
+EXTREME_FLOATS = (float("nan"), float("inf"), float("-inf"), 0.0, -0.0,
+                  5e-324, -2.2250738585072014e-308, 1e-300, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 0.1, 1 / 3)
+
+
+def _random_value(rng, name: str, conv: type, n_frames: int):
+    if name == "frame":
+        return int(rng.integers(n_frames))
+    if name == "landmark":
+        return LANDMARK_NAMES[rng.integers(len(LANDMARK_NAMES))]
+    if conv is int:
+        return int(rng.integers(-10, 10))
+    if conv is str:
+        return "".join(rng.choice(list("abcXYZ_09-"), size=rng.integers(1, 6)))
+    if rng.random() < 0.3:
+        return EXTREME_FLOATS[rng.integers(len(EXTREME_FLOATS))]
+    return float(rng.normal() * 10.0 ** rng.integers(-320, 300))
+
+
+def _assert_round_trip(segment: SegmentRecording, first, second):
+    segment.save(first)
+    loaded = SegmentRecording.load(first)
+    loaded.save(second)
+    for name in STREAM_NAMES + ("manifest.json",):
+        filename = name if name.endswith(".json") else f"{name}.csv"
+        assert (first / filename).read_bytes() == (second / filename).read_bytes()
+    assert loaded.digest() == loaded.manifest["digest"] == segment.manifest["digest"]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_rows_round_trip_byte_identical(seed, tmp_path):
+    rng = np.random.default_rng(seed)
+    n_frames = int(rng.integers(1, 5))
+    segment = SegmentRecording(manifest={"frames": n_frames})
+    for stream, fields in STREAM_FIELDS.items():
+        segment.extend(stream, [
+            tuple(_random_value(rng, name, conv, n_frames) for name, conv in fields)
+            for _ in range(rng.integers(0, 12))])
+    _assert_round_trip(segment, tmp_path / "first", tmp_path / "second")
+
+
+def test_criterion_9_recording_round_trips_byte_identical(criterion_9_run, tmp_path):
+    for name, segment in criterion_9_run.segments.items():
+        _assert_round_trip(_copy(segment), tmp_path / name / "first",
+                           tmp_path / name / "second")
+        assert segment.digest() == PINNED_DIGESTS[name]
+
+
+# -- the row contract ----------------------------------------------------------
+
+def test_wrong_length_row_rejected_by_append_and_extend():
+    segment = SegmentRecording(manifest={"frames": 1})
+    good = (0, "nose", 0.0, 0.0, 0.0, "aux")
+    with pytest.raises(RecordingError, match="expects 6 fields, got 5"):
+        segment.append("fused_landmarks", good[:5])
+    with pytest.raises(RecordingError, match="expects 6 fields, got 7"):
+        segment.extend("fused_landmarks", [good, good + ("extra",)])
+    # A rejected batch adds none of its rows.
+    assert segment.streams["fused_landmarks"] == []
+    segment.extend("fused_landmarks", [good])
+    assert segment.streams["fused_landmarks"] == [good]
+
+
+def test_non_integral_value_in_int_column_is_written_and_rejected_on_load(tmp_path):
+    segment = SegmentRecording(manifest={"frames": 1})
+    segment.append("ground_truth", (0, "nose", 0.0, 0.0, 0.0, 0.5))
+    segment.save(tmp_path)
+    lines = (tmp_path / "ground_truth.csv").read_text().splitlines()
+    assert lines[1] == "0,nose,0,0,0,0.5"
+    with pytest.raises(RecordingError, match="ground_truth.*line 2"):
+        SegmentRecording.load(tmp_path)

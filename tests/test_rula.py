@@ -5,7 +5,7 @@ import pytest
 
 from ergofusion.rula import (IncompleteFrameError, JointAngles,
                              PostureState, RulaAdjustments, RulaError,
-                             STRESS_JOINTS, TABLE_A, TABLE_B, TABLE_C,
+                             STRESS_BANDS, STRESS_JOINTS, TABLE_A, TABLE_B, TABLE_C,
                              classify_posture, compute_joint_angles,
                              joint_stress_heatmap, lower_arm_band, neck_band,
                              rula_score, trunk_band, upper_arm_band, wrist_band)
@@ -200,27 +200,54 @@ class TestClassifyPosture:
             assert seen[b.grand] == state
 
 
+def stress_row(**overrides) -> list[float]:
+    """One heatmap input row: ``angles(**overrides)`` in ``STRESS_JOINTS`` order."""
+    joint_angles = angles(**overrides)
+    return [getattr(joint_angles, joint) for joint in STRESS_JOINTS]
+
+
 class TestJointStressHeatmap:
     def test_neutral_pose_is_zero(self):
-        joints, stress = joint_stress_heatmap([angles(upper_arm_left=0.0,
-                                                      upper_arm_right=0.0,
-                                                      lower_arm_left=0.0,
-                                                      lower_arm_right=0.0,
-                                                      neck=0.0, trunk=0.0)])
+        joints, stress = joint_stress_heatmap([stress_row(upper_arm_left=0.0,
+                                                          upper_arm_right=0.0,
+                                                          lower_arm_left=0.0,
+                                                          lower_arm_right=0.0,
+                                                          neck=0.0, trunk=0.0)])
         assert joints == STRESS_JOINTS
         np.testing.assert_array_equal(stress, 0.0)
 
     def test_band_edges(self):
-        _, stress = joint_stress_heatmap([angles(upper_arm_right=90.0)])
+        _, stress = joint_stress_heatmap([stress_row(upper_arm_right=90.0)])
         assert stress[0, STRESS_JOINTS.index("upper_arm_right")] == 1.0
-        _, stress = joint_stress_heatmap([angles(upper_arm_right=45.0)])
+        _, stress = joint_stress_heatmap([stress_row(upper_arm_right=45.0)])
         assert stress[0, STRESS_JOINTS.index("upper_arm_right")] == 0.5
-        _, stress = joint_stress_heatmap([angles(upper_arm_right=200.0 - 80.0)])
+        _, stress = joint_stress_heatmap([stress_row(upper_arm_right=200.0 - 80.0)])
         assert stress[0, STRESS_JOINTS.index("upper_arm_right")] == 1.0
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(RulaError):
             joint_stress_heatmap([])
+
+    def test_equals_the_scalar_clip_bitwise(self):
+        rng = np.random.default_rng(4)
+        values = np.concatenate([rng.uniform(-180.0, 180.0, 400),
+                                 [-180.0, -0.0, 0.0, 7.5, 15.0, 20.0, 60.0, 180.0]])
+        angle_array = rng.choice(values, size=(60, len(STRESS_JOINTS)))
+        _, stress = joint_stress_heatmap(angle_array)
+        expected = [[min(1.0, max(0.0, (v - STRESS_BANDS[j][0])
+                                  / (STRESS_BANDS[j][1] - STRESS_BANDS[j][0])))
+                     for j, v in zip(STRESS_JOINTS, row)] for row in angle_array.tolist()]
+        assert stress.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 180.5, -200.0])
+    def test_out_of_range_angle_rejected_as_joint_angles_rejects_it(self, value):
+        with pytest.raises(RulaError) as expected:
+            angles(neck=value)
+        rows = [stress_row(), stress_row()]
+        rows[1][STRESS_JOINTS.index("neck")] = value
+        with pytest.raises(RulaError) as got:
+            joint_stress_heatmap(rows)
+        assert str(got.value) == str(expected.value)
 
 
 class TestComputeJointAngles:
