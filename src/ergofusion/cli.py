@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .evaluate import (PairingError, export, pair_recordings, rmse_report,
                        rula_compare_many, write_comparison, EXPORT_FORMATS,
-                       EXPORT_KINDS)
+                       EXPORT_KINDS, EXPORT_STREAMS, RMSE_STREAMS)
 from .pipeline import SCHEDULERS, PipelineError, run_scenario
 from .recording import RecordingError, SegmentRecording
 from .scenario import ScenarioError, load_scenario
@@ -64,12 +64,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_segment(path_str: str) -> SegmentRecording:
+def _resolve_segment(path_str: str, streams: tuple[str, ...]) -> SegmentRecording:
+    """Load ``streams`` of a segment directory, or of a run's ``pre`` segment."""
     path = Path(path_str)
     if (path / "manifest.json").exists():
-        return SegmentRecording.load(path)
+        return SegmentRecording.load(path, streams)
     if (path / "pre" / "manifest.json").exists():
-        return SegmentRecording.load(path / "pre")
+        return SegmentRecording.load(path / "pre", streams)
     raise RecordingError(f"{path} is not a recording directory")
 
 
@@ -95,7 +96,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_eval_rmse(args) -> int:
-    segment = _resolve_segment(args.recording)
+    segment = _resolve_segment(args.recording, RMSE_STREAMS)
     report = rmse_report(segment)
     print(report.to_text())
     if args.out:
@@ -117,7 +118,7 @@ def _cmd_eval_rula(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    segment = _resolve_segment(args.recording)
+    segment = _resolve_segment(args.recording, (EXPORT_STREAMS[args.what],))
     out = args.out or f"{args.what}.{args.format}"
     path = export(segment, args.what, args.format, out)
     print(f"wrote {path}")

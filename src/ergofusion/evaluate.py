@@ -91,6 +91,10 @@ class RmseReport:
         }
 
 
+# The streams ``rmse_report`` reads.
+RMSE_STREAMS = ("ground_truth", "per_rig_landmarks", "fused_landmarks")
+
+
 def rmse_report(segment: SegmentRecording) -> RmseReport:
     """Compute per-landmark RMSE of each rig and the fusion vs ground truth."""
     truth = segment.ground_truth_positions()[:, :N_FUSED]
@@ -145,11 +149,19 @@ class RulaComparison:
         return "\n".join(lines)
 
 
-def _mean_column(segment: SegmentRecording, column: str) -> float:
+# The streams ``rula_compare_many`` reads.
+RULA_STREAMS = ("rula",)
+
+
+def _rula_rows(segment: SegmentRecording) -> list[dict]:
     rows = segment.rula_rows()
     if not rows:
         raise RecordingError("recording has no rula stream")
-    return float(np.mean([row[column] for row in rows]))
+    return rows
+
+
+def _mean_grand(rows: list[dict]) -> float:
+    return float(np.mean([row["grand"] for row in rows]))
 
 
 def _pair_key(manifest: dict) -> tuple:
@@ -174,14 +186,15 @@ def rula_compare_many(pairs: list[tuple[SegmentRecording, SegmentRecording]]) ->
             raise PairingError(
                 f"pre recording (stature, seed) {key} does not match post {post_key}")
         stature, seed = key
+        pre_rows, post_rows = _rula_rows(pre), _rula_rows(post)
         rows.append({
             "stature": stature,
             "seed": seed,
-            "pre_mean_grand": _mean_column(pre, "grand"),
-            "post_mean_grand": _mean_column(post, "grand"),
+            "pre_mean_grand": _mean_grand(pre_rows),
+            "post_mean_grand": _mean_grand(post_rows),
         })
-        for phase, segment in (("pre", pre), ("post", post)):
-            for row in segment.rula_rows():
+        for phase, segment_rows in (("pre", pre_rows), ("post", post_rows)):
+            for row in segment_rows:
                 for area, col in AREA_FIELDS.items():
                     area_acc[area][0 if phase == "pre" else 1].append(row[col])
                 for joint in STRESS_JOINTS:
@@ -218,7 +231,8 @@ def pair_recordings(pre_root, post_root) -> list[tuple[SegmentRecording, Segment
 
     When a root holds both segments of adaptation runs, the pre root
     contributes its ``pre`` segments and the post root its ``post``.
-    Pairing reads only manifests; each paired segment is loaded once.
+    Pairing reads only manifests; each paired segment is loaded once,
+    parsing only ``RULA_STREAMS``.
     """
     pre_segments = _collect_preferring(pre_root, "pre")
     post_by_key = {}
@@ -236,7 +250,8 @@ def pair_recordings(pre_root, post_root) -> list[tuple[SegmentRecording, Segment
     if post_by_key:
         raise PairingError(
             f"unpaired post recordings for (stature, seed) in {sorted(post_by_key)}")
-    loaded = {path: SegmentRecording.load(path) for pair in pairs for path in pair}
+    loaded = {path: SegmentRecording.load(path, RULA_STREAMS)
+              for pair in pairs for path in pair}
     return [(loaded[pre], loaded[post]) for pre, post in pairs]
 
 
@@ -244,10 +259,10 @@ def pair_recordings(pre_root, post_root) -> list[tuple[SegmentRecording, Segment
 # Exports
 # ---------------------------------------------------------------------------
 
-EXPORT_KINDS = ("landmarks", "rula", "heatmap")
+# The stream each export reads; all but ``heatmap`` write it as it stands.
+EXPORT_STREAMS = {"landmarks": "fused_landmarks", "rula": "rula", "heatmap": "rula"}
+EXPORT_KINDS = tuple(EXPORT_STREAMS)
 EXPORT_FORMATS = ("csv", "json")
-# Exports that are a recorded stream as it stands.
-STREAM_EXPORTS = {"landmarks": "fused_landmarks", "rula": "rula"}
 
 
 def _write_records(fields: tuple[tuple[str, type], ...], rows: list[tuple],
@@ -274,12 +289,12 @@ def export(segment: SegmentRecording, what: str, fmt: str, out_path) -> Path:
         raise ValueError(f"unknown format {fmt!r}; choose from {EXPORT_FORMATS}")
     out_path = Path(out_path)
 
-    if what in STREAM_EXPORTS:
-        stream = STREAM_EXPORTS[what]
+    stream = EXPORT_STREAMS[what]
+    if what != "heatmap":
         return _write_records(STREAM_FIELDS[stream], segment.streams[stream],
                               fmt, out_path)
 
-    rula_rows = segment.streams["rula"]
+    rula_rows = segment.streams[stream]
     if not rula_rows:
         raise RecordingError("recording has no rula stream to derive a heatmap from")
     columns = STREAM_COLUMNS["rula"]

@@ -12,6 +12,16 @@ statistics live in the manifest and deliberately stay outside the
 digest). ``save()`` formats each stream once and feeds the same bytes
 to the file and to the digest.
 
+``SegmentRecording.load`` can parse a selection of the streams: it
+checks that the manifest and all five stream files exist, but parses
+and validates (header, field count, typed values, frame range) only the
+named ones. The evaluation commands parse only what they read:
+``eval-rmse`` the ``ground_truth``, ``per_rig_landmarks`` and
+``fused_landmarks`` streams, ``eval-rula`` the ``rula`` stream, and
+``export`` the one stream it writes (``rula`` for the heatmap). A
+stream that was not loaded raises ``RecordingError`` when it is read;
+``digest()`` and ``save()`` need a full load.
+
 A full run recording is a directory of segment subdirectories, normally
 ``pre`` and ``post`` around the robot adaptation.
 """
@@ -69,6 +79,15 @@ class RecordingError(ValueError):
     """Malformed or incomplete recording on disk."""
 
 
+class _LoadedStreams(dict):
+    """The streams parsed by ``load``; reading one it skipped raises."""
+
+    def __missing__(self, name):
+        if name in STREAM_FIELDS:
+            raise RecordingError(f"stream {name!r} was not loaded from the recording")
+        raise KeyError(name)
+
+
 def format_csv(fields: tuple[tuple[str, type], ...], rows) -> str:
     """Comma-separated text of tuple ``rows`` under typed ``fields``.
 
@@ -98,6 +117,28 @@ def _positions(rows, key: int, n_frames: int) -> np.ndarray:
     return out
 
 
+def _parse_stream(name: str, path: Path, n_frames: float) -> list[tuple]:
+    """Typed rows of one stream file, checked against its schema."""
+    fields = STREAM_FIELDS[name]
+    lines = path.read_text().splitlines()
+    if not lines or lines[0] != ",".join(STREAM_COLUMNS[name]):
+        raise RecordingError(f"stream {name!r} has unexpected header")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != len(fields):
+            raise RecordingError(f"stream {name!r} line {lineno}: malformed row {line!r}")
+        try:
+            row = tuple(conv(p) for p, (_, conv) in zip(parts, fields))
+        except ValueError as exc:
+            raise RecordingError(f"stream {name!r} line {lineno}: {exc}") from exc
+        if not 0 <= row[0] < n_frames:
+            raise RecordingError(f"stream {name!r} line {lineno}: "
+                                 f"frame {row[0]} is outside [0, {n_frames})")
+        rows.append(row)
+    return rows
+
+
 @dataclass
 class SegmentRecording:
     """One segment's record streams plus its manifest."""
@@ -106,8 +147,9 @@ class SegmentRecording:
     streams: dict[str, list[tuple]] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in STREAM_NAMES:
-            self.streams.setdefault(name, [])
+        if not isinstance(self.streams, _LoadedStreams):
+            for name in STREAM_NAMES:
+                self.streams.setdefault(name, [])
 
     def append(self, stream: str, row: tuple) -> None:
         self.extend(stream, (row,))
@@ -133,9 +175,13 @@ class SegmentRecording:
 
     def _hash_streams(self, directory: Path | None = None) -> str:
         """Digest the streams, writing each one's bytes to ``directory`` too."""
+        # A stream that was not loaded raises here, before anything is written.
+        streams = [self.streams[name] for name in STREAM_NAMES]
+        if directory is not None:
+            directory.mkdir(parents=True, exist_ok=True)
         h = hashlib.sha256()
-        for name in STREAM_NAMES:
-            data = format_csv(STREAM_FIELDS[name], self.streams[name]).encode()
+        for name, rows in zip(STREAM_NAMES, streams):
+            data = format_csv(STREAM_FIELDS[name], rows).encode()
             h.update(name.encode())
             h.update(data)
             if directory is not None:
@@ -149,44 +195,32 @@ class SegmentRecording:
     def save(self, directory) -> Path:
         """Write the streams and the manifest; ``manifest["digest"]`` is set."""
         path = Path(directory)
-        path.mkdir(parents=True, exist_ok=True)
         self.manifest["digest"] = self._hash_streams(path)
         (path / "manifest.json").write_text(
             json.dumps(self.manifest, indent=2, sort_keys=True) + "\n")
         return path
 
     @classmethod
-    def load(cls, directory) -> "SegmentRecording":
+    def load(cls, directory, streams: tuple[str, ...] = STREAM_NAMES) -> "SegmentRecording":
+        """Read a segment, parsing only the named ``streams``.
+
+        Every stream file must exist; the ones not named are not read,
+        and reading them from the result raises ``RecordingError``.
+        """
         path = Path(directory)
         manifest_path = path / "manifest.json"
         if not manifest_path.exists():
             raise RecordingError(f"{path} is not a segment recording (no manifest.json)")
         manifest = json.loads(manifest_path.read_text())
         n_frames = manifest.get("frames", float("inf"))
-        streams: dict[str, list[tuple]] = {}
-        for name, fields in STREAM_FIELDS.items():
-            fpath = path / f"{name}.csv"
-            if not fpath.exists():
+        for name in STREAM_NAMES:
+            if not (path / f"{name}.csv").exists():
                 raise RecordingError(f"recording {path} is missing stream {name!r}")
-            lines = fpath.read_text().splitlines()
-            if not lines or lines[0] != ",".join(STREAM_COLUMNS[name]):
-                raise RecordingError(f"stream {name!r} has unexpected header")
-            rows = []
-            for lineno, line in enumerate(lines[1:], start=2):
-                parts = line.split(",")
-                if len(parts) != len(fields):
-                    raise RecordingError(f"stream {name!r}: malformed row {line!r}")
-                try:
-                    row = tuple(conv(p) for p, (_, conv) in zip(parts, fields))
-                except ValueError as exc:
-                    raise RecordingError(
-                        f"stream {name!r} line {lineno}: {exc}") from exc
-                if not 0 <= row[0] < n_frames:
-                    raise RecordingError(
-                        f"stream {name!r}: frame {row[0]} is outside [0, {n_frames})")
-                rows.append(row)
-            streams[name] = rows
-        return cls(manifest=manifest, streams=streams)
+        loaded = _LoadedStreams()
+        for name in STREAM_NAMES:
+            if name in streams:
+                loaded[name] = _parse_stream(name, path / f"{name}.csv", n_frames)
+        return cls(manifest=manifest, streams=loaded)
 
     # -- typed accessors ---------------------------------------------------
 
@@ -231,16 +265,3 @@ class RunRecording:
         for name, segment in self.segments.items():
             segment.save(path / name)
         return path
-
-    @classmethod
-    def load(cls, directory) -> "RunRecording":
-        path = Path(directory)
-        if (path / "manifest.json").exists():
-            return cls(segments={"pre": SegmentRecording.load(path)})
-        segments = {}
-        for child in sorted(path.iterdir()):
-            if child.is_dir() and (child / "manifest.json").exists():
-                segments[child.name] = SegmentRecording.load(child)
-        if not segments:
-            raise RecordingError(f"{path} contains no segment recordings")
-        return cls(segments=segments)

@@ -45,6 +45,34 @@ def run_dir(tmp_path, scenario_file):
     return out
 
 
+def rewrite_field(path, line: int, column: int, value) -> None:
+    """Replace one field on 1-based ``line`` of a stream file."""
+    lines = path.read_text().splitlines()
+    fields = lines[line - 1].split(",")
+    fields[column] = str(value)
+    lines[line - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def command(name: str, run_dir, out) -> list[str]:
+    """The argv of one evaluation command over ``run_dir``."""
+    if name == "eval-rmse":
+        return ["eval-rmse", "--recording", str(run_dir / "pre")]
+    if name == "eval-rula":
+        return ["eval-rula", "--recording-pre", str(run_dir / "pre"),
+                "--recording-post", str(run_dir / "post")]
+    what = name.removeprefix("export-")
+    return ["export", "--recording", str(run_dir / "pre"), "--what", what,
+            "--format", "csv", "--out", str(out)]
+
+
+COMMANDS = ("eval-rmse", "eval-rula", "export-landmarks", "export-rula",
+            "export-heatmap")
+# A command and one stream it parses (eval-rmse is covered in TestEvalRmse).
+READ_STREAMS = [("eval-rula", "rula"), ("export-landmarks", "fused_landmarks"),
+                ("export-heatmap", "rula")]
+
+
 class TestSimulate:
     def test_creates_recording_with_six_streams(self, run_dir):
         for segment in ("pre", "post"):
@@ -207,3 +235,35 @@ class TestExport:
             main(["export", "--recording", str(run_dir / "pre"),
                   "--what", "rula", "--format", "xml"])
         assert exc.value.code == 2
+
+
+class TestStreamsEachCommandParses:
+    @pytest.mark.parametrize("name, stream", READ_STREAMS)
+    def test_malformed_number_in_a_read_stream_exits_2(self, run_dir, tmp_path,
+                                                       capsys, name, stream):
+        rewrite_field(run_dir / "pre" / f"{stream}.csv", 4, 2, "abc")
+        assert main(command(name, run_dir, tmp_path / "out.csv")) == 2
+        err = capsys.readouterr().err
+        assert f"'{stream}' line 4" in err and "abc" in err
+
+    @pytest.mark.parametrize("name, stream", READ_STREAMS)
+    def test_out_of_range_frame_in_a_read_stream_exits_2(self, run_dir, tmp_path,
+                                                         capsys, name, stream):
+        frames = json.loads((run_dir / "pre" / "manifest.json").read_text())["frames"]
+        rewrite_field(run_dir / "pre" / f"{stream}.csv", 3, 0, frames)
+        assert main(command(name, run_dir, tmp_path / "out.csv")) == 2
+        err = capsys.readouterr().err
+        assert f"'{stream}' line 3: frame {frames} is outside" in err
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_missing_stream_file_exits_2(self, run_dir, tmp_path, capsys, name):
+        (run_dir / "pre" / "observations.csv").unlink()
+        assert main(command(name, run_dir, tmp_path / "out.csv")) == 2
+        assert "missing stream 'observations'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_malformed_row_in_an_unread_stream_is_not_parsed(self, run_dir, tmp_path,
+                                                             name):
+        rewrite_field(run_dir / "pre" / "observations.csv", 4, 3, "abc")
+        rewrite_field(run_dir / "post" / "observations.csv", 4, 3, "abc")
+        assert main(command(name, run_dir, tmp_path / "out.csv")) == 0

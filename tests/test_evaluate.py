@@ -7,7 +7,7 @@ import pytest
 from ergofusion.evaluate import (PairingError, export, pair_recordings,
                                  rmse_report, rula_compare, write_comparison)
 from ergofusion.pipeline import run_scenario
-from ergofusion.recording import SegmentRecording
+from ergofusion.recording import STREAM_NAMES, SegmentRecording
 from ergofusion.scenario import default_handover_scenario, parse_scenario
 from ergofusion.skeleton import ALL_LANDMARKS, FUSED_LANDMARKS
 
@@ -120,15 +120,18 @@ class TestRulaCompare:
         load = SegmentRecording.load.__func__
         loaded = []
 
-        def counting_load(cls, directory):
-            loaded.append(directory)
-            return load(cls, directory)
+        def counting_load(cls, directory, streams=STREAM_NAMES):
+            loaded.append((directory, tuple(streams)))
+            return load(cls, directory, streams)
 
         monkeypatch.setattr(SegmentRecording, "load", classmethod(counting_load))
         pairs = pair_recordings(tmp_path, tmp_path)
         assert [(pre.manifest["segment"], post.manifest["segment"])
                 for pre, post in pairs] == [("pre", "post")]
-        assert sorted(loaded) == [tmp_path / "run" / "post", tmp_path / "run" / "pre"]
+        assert sorted(loaded) == [(tmp_path / "run" / "post", ("rula",)),
+                                  (tmp_path / "run" / "pre", ("rula",))]
+        for segment in pairs[0]:
+            assert list(segment.streams) == ["rula"]
 
     def test_write_comparison_files(self, noisy_recording, tmp_path):
         comparison = rula_compare(noisy_recording.segments["pre"],

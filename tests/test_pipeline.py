@@ -3,7 +3,7 @@ import pytest
 
 from ergofusion.cameras import StereoRig
 from ergofusion.pipeline import PipelineError, run_scenario
-from ergofusion.recording import STREAM_NAMES, RunRecording
+from ergofusion.recording import STREAM_NAMES, SegmentRecording
 from ergofusion.scenario import (ScenarioConfig, default_handover_scenario,
                                  parse_scenario)
 
@@ -149,10 +149,10 @@ class TestRecordingRoundTrip:
     def test_save_load_preserves_streams_and_digest(self, tmp_path):
         recording = run_scenario(small_scenario(noise_sigma=0.001), seed=4)
         recording.save(tmp_path / "run")
-        loaded = RunRecording.load(tmp_path / "run")
-        assert set(loaded.segments) == set(recording.segments)
+        saved = sorted(p.name for p in (tmp_path / "run").iterdir())
+        assert saved == sorted(recording.segments)
         for name, segment in recording.segments.items():
-            reloaded = loaded.segments[name]
+            reloaded = SegmentRecording.load(tmp_path / "run" / name)
             assert reloaded.manifest["digest"] == segment.digest()
             assert reloaded.digest() == segment.digest()
             truth_a = segment.ground_truth_positions()

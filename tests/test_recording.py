@@ -163,3 +163,75 @@ def test_non_integral_value_in_int_column_is_written_and_rejected_on_load(tmp_pa
     assert lines[1] == "0,nose,0,0,0,0.5"
     with pytest.raises(RecordingError, match="ground_truth.*line 2"):
         SegmentRecording.load(tmp_path)
+
+
+# -- partial loads ---------------------------------------------------------------
+
+@pytest.fixture()
+def saved_pre(criterion_9_run, tmp_path):
+    return _copy(criterion_9_run.segments["pre"]).save(tmp_path / "pre")
+
+
+def test_bare_load_parses_every_stream(criterion_9_run, saved_pre):
+    loaded = SegmentRecording.load(saved_pre)
+    assert list(loaded.streams) == list(STREAM_NAMES)
+    assert loaded.streams == SegmentRecording.load(saved_pre, STREAM_NAMES).streams
+    assert loaded.digest() == PINNED_DIGESTS["pre"]
+
+
+def test_partial_load_parses_only_the_named_streams(saved_pre):
+    full = SegmentRecording.load(saved_pre)
+    partial = SegmentRecording.load(saved_pre, ("rula", "fused_landmarks"))
+    assert sorted(partial.streams) == ["fused_landmarks", "rula"]
+    for name in partial.streams:
+        assert partial.streams[name] == full.streams[name]
+    assert partial.manifest == full.manifest
+    assert partial.rula_rows() == full.rula_rows()
+    np.testing.assert_array_equal(partial.fused_positions(), full.fused_positions())
+
+
+@pytest.mark.parametrize("unread", [n for n in STREAM_NAMES if n != "rula"])
+def test_unread_stream_raises_instead_of_reading_empty(saved_pre, unread):
+    partial = SegmentRecording.load(saved_pre, ("rula",))
+    assert unread not in partial.streams
+    with pytest.raises(RecordingError, match=f"stream '{unread}' was not loaded"):
+        partial.streams[unread]
+    with pytest.raises(RecordingError, match=unread):
+        partial.append(unread, tuple(range(len(STREAM_FIELDS[unread]))))
+
+
+def test_typed_accessors_of_unread_streams_raise(saved_pre):
+    partial = SegmentRecording.load(saved_pre, ("rula",))
+    for accessor, stream in ((partial.ground_truth_positions, "ground_truth"),
+                             (partial.fused_positions, "fused_landmarks"),
+                             (partial.rig_positions, "per_rig_landmarks")):
+        with pytest.raises(RecordingError, match=f"'{stream}' was not loaded"):
+            accessor()
+    with pytest.raises(RecordingError, match="'rula' was not loaded"):
+        SegmentRecording.load(saved_pre, ("fused_landmarks",)).rula_rows()
+
+
+def test_digest_and_save_need_a_full_load(saved_pre, tmp_path):
+    partial = SegmentRecording.load(saved_pre, ("rula",))
+    with pytest.raises(RecordingError, match="'ground_truth' was not loaded"):
+        partial.digest()
+    with pytest.raises(RecordingError, match="'ground_truth' was not loaded"):
+        partial.save(tmp_path / "copy")
+    assert not (tmp_path / "copy").exists()
+    every_but_one = SegmentRecording.load(saved_pre, STREAM_NAMES[:-1])
+    with pytest.raises(RecordingError, match="'rula' was not loaded"):
+        every_but_one.save(tmp_path / "copy")
+    assert not (tmp_path / "copy").exists()
+
+
+def test_partial_load_skips_unread_rows_but_needs_every_file(saved_pre):
+    observations = saved_pre / "observations.csv"
+    lines = observations.read_text().splitlines()
+    lines[1] = "x" + lines[1]
+    observations.write_text("\n".join(lines) + "\n")
+    SegmentRecording.load(saved_pre, ("rula",))
+    with pytest.raises(RecordingError, match="'observations' line 2"):
+        SegmentRecording.load(saved_pre)
+    observations.unlink()
+    with pytest.raises(RecordingError, match="missing stream 'observations'"):
+        SegmentRecording.load(saved_pre, ("rula",))
