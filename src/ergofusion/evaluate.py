@@ -220,8 +220,7 @@ def collect_segments(root) -> list[tuple[Path, dict]]:
     return [(m.parent, json.loads(m.read_text())) for m in manifests]
 
 
-def _collect_preferring(root, want: str) -> list[tuple[Path, dict]]:
-    segments = collect_segments(root)
+def _preferring(segments: list[tuple[Path, dict]], want: str) -> list[tuple[Path, dict]]:
     named = [(path, m) for path, m in segments if m.get("segment") == want]
     return named or segments
 
@@ -231,12 +230,15 @@ def pair_recordings(pre_root, post_root) -> list[tuple[SegmentRecording, Segment
 
     When a root holds both segments of adaptation runs, the pre root
     contributes its ``pre`` segments and the post root its ``post``.
-    Pairing reads only manifests; each paired segment is loaded once,
-    parsing only ``RULA_STREAMS``.
+    Pairing reads only manifests, once per distinct root; each paired
+    segment is loaded once, parsing only ``RULA_STREAMS``.
     """
-    pre_segments = _collect_preferring(pre_root, "pre")
+    pre_root, post_root = Path(pre_root), Path(post_root)
+    segments = {root: collect_segments(root)
+                for root in dict.fromkeys((pre_root, post_root))}
+    pre_segments = _preferring(segments[pre_root], "pre")
     post_by_key = {}
-    for path, manifest in _collect_preferring(post_root, "post"):
+    for path, manifest in _preferring(segments[post_root], "post"):
         key = _pair_key(manifest)
         if key in post_by_key:
             raise PairingError(f"duplicate post recording for (stature, seed)={key}")

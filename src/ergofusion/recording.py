@@ -22,6 +22,14 @@ named ones. The evaluation commands parse only what they read:
 stream that was not loaded raises ``RecordingError`` when it is read;
 ``digest()`` and ``save()`` need a full load.
 
+Each stream goes through numpy's C reader (``np.loadtxt`` with a
+structured dtype from ``STREAM_FIELDS``: int64, float64, and ``object``
+for str fields, so no string is cut to a fixed width) and is kept as a
+list of tuples. The per-line parser re-runs only to name a bad line, or
+for a file outside the reader's plain-ASCII subset, so the accepted
+input, the values and every error message stay those of the per-line
+parser.
+
 A full run recording is a directory of segment subdirectories, normally
 ``pre`` and ``post`` around the robot adaptation.
 """
@@ -101,24 +109,47 @@ def format_csv(fields: tuple[tuple[str, type], ...], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _landmark_index(name: str) -> int:
-    try:
-        return _LANDMARK_BY_NAME[name]
-    except KeyError:
-        raise RecordingError(f"unknown landmark name {name!r}") from None
-
-
-def _positions(rows, key: int, n_frames: int) -> np.ndarray:
+def _positions(rows, key: int, n_frames: int,
+               group: int | None = None) -> dict[str | None, np.ndarray]:
     """(F, 15, 3) positions from rows holding a landmark name at ``key``
-    followed by x, y, z; NaN where a landmark has no row."""
-    out = np.full((n_frames, N_ALL, 3), np.nan)
-    for row in rows:
-        out[row[0], _landmark_index(row[key])] = row[key + 1:key + 4]
-    return out
+    followed by x, y, z; NaN where a landmark has no row.
+
+    Returns one array per value of the ``group`` column, in order of
+    first appearance, or without ``group`` one array under ``None``. The
+    rows are transposed into columns once and written with one
+    fancy-indexed assignment.
+    """
+    columns = tuple(zip(*rows)) or ((),) * (key + 4)  # no rows: empty columns
+    names = (None,) if group is None else tuple(dict.fromkeys(columns[group]))
+    out = np.full((len(names), n_frames, N_ALL, 3), np.nan)
+    if rows:
+        try:
+            landmark = list(map(_LANDMARK_BY_NAME.__getitem__, columns[key]))
+        except KeyError as exc:
+            raise RecordingError(f"unknown landmark name {exc.args[0]!r}") from None
+        source = 0
+        if group is not None:
+            code = {name: i for i, name in enumerate(names)}
+            source = list(map(code.__getitem__, columns[group]))
+        out[source, columns[0], landmark] = np.transpose(columns[key + 1:key + 4])
+    return dict(zip(names, out))
 
 
-def _parse_stream(name: str, path: Path, n_frames: float) -> list[tuple]:
-    """Typed rows of one stream file, checked against its schema."""
+# numpy field type per schema type; ``object`` keeps each string whole
+# (a fixed ``U<n>`` width could truncate it and costs n * 4 bytes a row).
+_NUMPY_TYPES = {int: np.int64, float: np.float64, str: object}
+_DTYPES = {name: np.dtype([(f, _NUMPY_TYPES[conv]) for f, conv in fields])
+           for name, fields in STREAM_FIELDS.items()}
+# Printable ASCII and "\n", the bytes of every stream this package writes
+# from ASCII names. Within them numpy's reader and the per-line parser
+# split the same lines and accept the same values; other control or
+# non-ASCII characters can split lines (``str.splitlines``) or read as
+# digits (numpy's int parser) differently.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\n"
+
+
+def _parse_lines(name: str, path: Path, n_frames: float) -> list[tuple]:
+    """Typed rows of one stream file, checked line by line against its schema."""
     fields = STREAM_FIELDS[name]
     lines = path.read_text().splitlines()
     if not lines or lines[0] != ",".join(STREAM_COLUMNS[name]):
@@ -137,6 +168,37 @@ def _parse_stream(name: str, path: Path, n_frames: float) -> list[tuple]:
                                  f"frame {row[0]} is outside [0, {n_frames})")
         rows.append(row)
     return rows
+
+
+def _parse_stream(name: str, path: Path, n_frames: float) -> list[tuple]:
+    """Typed rows of one stream file, checked against its schema.
+
+    numpy's C reader parses a file of plain bytes (``_PLAIN_BYTES``)
+    with the expected header and no blank line. Any other file, one the
+    reader rejects, or one with a frame outside ``[0, n_frames)`` goes
+    through ``_parse_lines``, which names the bad line, or reads the few
+    spellings Python accepts and numpy does not (``1_0``, an int beyond
+    int64) as it always did.
+    """
+    data = path.read_bytes()
+    header_end = data.find(b"\n")
+    plain = (data[:header_end] == ",".join(STREAM_COLUMNS[name]).encode()
+             and not data.translate(None, _PLAIN_BYTES) and b"\n\n" not in data)
+    header_only = header_end + 1 == len(data)
+    del data  # numpy reads the file itself
+    if not plain:
+        return _parse_lines(name, path, n_frames)
+    if header_only:
+        return []
+    try:
+        table = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
+                           ndmin=1, dtype=_DTYPES[name])
+    except ValueError:
+        return _parse_lines(name, path, n_frames)
+    frames = table["frame"]
+    if frames.min() < 0 or frames.max() >= n_frames:
+        return _parse_lines(name, path, n_frames)
+    return table.tolist()
 
 
 @dataclass
@@ -233,20 +295,17 @@ class SegmentRecording:
     def ground_truth_positions(self) -> np.ndarray:
         """(F, 15, 3) array of ground-truth landmark positions."""
         return _positions(self.streams["ground_truth"], 1,
-                          self._frame_count("ground_truth"))
+                          self._frame_count("ground_truth"))[None]
 
     def fused_positions(self) -> np.ndarray:
         """(F, 15, 3) array of fused (and auxiliary mean) positions."""
         return _positions(self.streams["fused_landmarks"], 1,
-                          self._frame_count("fused_landmarks"))
+                          self._frame_count("fused_landmarks"))[None]
 
     def rig_positions(self) -> dict[str, np.ndarray]:
         """Per-rig (F, 15, 3) triangulated positions, NaN where unseen."""
-        by_rig: dict[str, list[tuple]] = {}
-        for row in self.streams["per_rig_landmarks"]:
-            by_rig.setdefault(row[1], []).append(row)
-        n_frames = self._frame_count("per_rig_landmarks")
-        return {rig: _positions(rows, 2, n_frames) for rig, rows in by_rig.items()}
+        return _positions(self.streams["per_rig_landmarks"], 2,
+                          self._frame_count("per_rig_landmarks"), group=1)
 
     def rula_rows(self) -> list[dict]:
         fields = STREAM_COLUMNS["rula"]

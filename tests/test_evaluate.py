@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from ergofusion.evaluate import (PairingError, export, pair_recordings,
-                                 rmse_report, rula_compare, write_comparison)
+from ergofusion import evaluate
+from ergofusion.evaluate import (PairingError, collect_segments, export,
+                                 pair_recordings, rmse_report, rula_compare,
+                                 write_comparison)
 from ergofusion.pipeline import run_scenario
 from ergofusion.recording import STREAM_NAMES, SegmentRecording
 from ergofusion.scenario import default_handover_scenario, parse_scenario
@@ -119,13 +121,20 @@ class TestRulaCompare:
         noisy_recording.save(tmp_path / "run")
         load = SegmentRecording.load.__func__
         loaded = []
+        collected = []
 
         def counting_load(cls, directory, streams=STREAM_NAMES):
             loaded.append((directory, tuple(streams)))
             return load(cls, directory, streams)
 
+        def counting_collect(root):
+            collected.append(root)
+            return collect_segments(root)
+
         monkeypatch.setattr(SegmentRecording, "load", classmethod(counting_load))
-        pairs = pair_recordings(tmp_path, tmp_path)
+        monkeypatch.setattr(evaluate, "collect_segments", counting_collect)
+        pairs = pair_recordings(tmp_path, str(tmp_path))
+        assert collected == [tmp_path]
         assert [(pre.manifest["segment"], post.manifest["segment"])
                 for pre, post in pairs] == [("pre", "post")]
         assert sorted(loaded) == [(tmp_path / "run" / "post", ("rula",)),

@@ -4,15 +4,18 @@ the row formatter and the row contract."""
 import hashlib
 import json
 import random
+import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from ergofusion.pipeline import run_scenario
-from ergofusion.recording import (STREAM_FIELDS, STREAM_NAMES, RecordingError,
-                                  SegmentRecording, format_csv)
+from ergofusion import recording
+from ergofusion.recording import (STREAM_COLUMNS, STREAM_FIELDS, STREAM_NAMES,
+                                  RecordingError, SegmentRecording, format_csv)
 from ergofusion.scenario import default_handover_scenario
-from ergofusion.skeleton import LANDMARK_NAMES
+from ergofusion.skeleton import LANDMARK_NAMES, N_ALL
 
 # Serial-scheduler digests of the acceptance criterion-9 configuration.
 PINNED_DIGESTS = {
@@ -65,6 +68,45 @@ def test_unknown_landmark_name_rejected():
     segment.append("fused_landmarks", (0, "tail", 0.0, 0.0, 0.0, "fused"))
     with pytest.raises(RecordingError, match="tail"):
         segment.fused_positions()
+    segment.append("ground_truth", (0, "nose", 0.0, 0.0, 0.0, 1))
+    segment.append("ground_truth", (0, "tail", 0.0, 0.0, 0.0, 1))
+    segment.append("per_rig_landmarks", (0, "S1", "nose", 0.0, 0.0, 0.0, 0.0, 2))
+    segment.append("per_rig_landmarks", (0, "S2", "fin", 0.0, 0.0, 0.0, 0.0, 2))
+    with pytest.raises(RecordingError, match=r"^unknown landmark name 'tail'$"):
+        segment.ground_truth_positions()
+    with pytest.raises(RecordingError, match=r"^unknown landmark name 'fin'$"):
+        segment.rig_positions()
+
+
+def _positions_by_row(rows, key, n_frames):
+    """Reference: one (F, 15, 3) write per row, the last row winning."""
+    index = {name: i for i, name in enumerate(LANDMARK_NAMES)}
+    out = np.full((n_frames, N_ALL, 3), np.nan)
+    for row in rows:
+        out[row[0], index[row[key]]] = row[key + 1:key + 4]
+    return out
+
+
+def test_positions_equal_the_per_row_reference(criterion_9_run):
+    for original in criterion_9_run.segments.values():
+        segment = _copy(original)
+        # Reversed rows meet the rigs as S3, S2, S1.
+        segment.streams["per_rig_landmarks"].reverse()
+        n_frames = segment.manifest["frames"]
+        for got, stream in ((segment.ground_truth_positions(), "ground_truth"),
+                            (segment.fused_positions(), "fused_landmarks")):
+            want = _positions_by_row(segment.streams[stream], 1, n_frames)
+            assert got.tobytes() == want.tobytes()
+        rig_rows = segment.streams["per_rig_landmarks"]
+        rigs = segment.rig_positions()
+        assert list(rigs) == ["S3", "S2", "S1"]
+        for rig, got in rigs.items():
+            want = _positions_by_row([r for r in rig_rows if r[1] == rig], 2, n_frames)
+            assert got.tobytes() == want.tobytes()
+    empty = SegmentRecording(manifest={"frames": 2})
+    assert np.isnan(empty.ground_truth_positions()).all()
+    assert empty.ground_truth_positions().shape == (2, N_ALL, 3)
+    assert empty.rig_positions() == {}
 
 
 # -- the row formatter --------------------------------------------------------
@@ -235,3 +277,124 @@ def test_partial_load_skips_unread_rows_but_needs_every_file(saved_pre):
     observations.unlink()
     with pytest.raises(RecordingError, match="missing stream 'observations'"):
         SegmentRecording.load(saved_pre, ("rula",))
+
+
+# -- the C reader and the per-line parser ------------------------------------------
+
+def _outcome(parse, name, path, n_frames):
+    """Parsed rows, each float as its bits, or the ``RecordingError`` text."""
+    try:
+        rows = parse(name, path, n_frames)
+    except RecordingError as exc:
+        return str(exc)
+    return [tuple((type(v), struct.pack("<d", v) if type(v) is float else v)
+                  for v in row) for row in rows]
+
+
+@pytest.fixture()
+def per_line_calls(monkeypatch):
+    """Counts the files ``_parse_stream`` hands to the per-line parser."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return parse_lines(*args)
+
+    parse_lines = recording._parse_lines
+    monkeypatch.setattr(recording, "_parse_lines", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_c_reader_reads_random_rows_as_the_per_line_parser(seed, tmp_path, per_line_calls):
+    rng = np.random.default_rng(seed)
+    n_frames = int(rng.integers(1, 5))
+    segment = SegmentRecording(manifest={"frames": n_frames})
+    for stream, fields in STREAM_FIELDS.items():
+        segment.extend(stream, [
+            tuple(_random_value(rng, name, conv, n_frames) for name, conv in fields)
+            for _ in range(rng.integers(1, 12))])
+    segment.save(tmp_path)
+    for name in STREAM_NAMES:
+        path = tmp_path / f"{name}.csv"
+        want = _outcome(recording._parse_lines, name, path, n_frames)
+        per_line_calls.clear()
+        assert _outcome(recording._parse_stream, name, path, n_frames) == want
+        assert not per_line_calls, "the C reader fell back on a written stream"
+        assert len(want) == len(segment.streams[name])
+
+
+PER_RIG_HEADER = ",".join(STREAM_COLUMNS["per_rig_landmarks"])
+GOOD = "1,S1,nose,0.25,-1.5,3e-05,0.001,2"
+
+
+def _line(**values):
+    """``GOOD`` with some fields replaced."""
+    fields = dict(zip(STREAM_COLUMNS["per_rig_landmarks"], GOOD.split(",")))
+    fields.update(values)
+    return ",".join(fields.values())
+
+
+_BODIES = {
+    "good": GOOD + "\n",
+    "blank line": f"{GOOD}\n\n{GOOD}\n",
+    "only a blank line": "\n",
+    "missing trailing newline": f"{GOOD}\n{GOOD}",
+    "crlf": f"{GOOD}\r\n{GOOD}\r\n",
+    "cr in string": _line(rig="S\r1") + "\n",
+    "form feed in string": _line(rig="S\x0c1") + "\n",
+    "file separator in string": _line(rig="S\x1c1") + "\n",
+    "unit separator in float": _line(x="\x1f0.25") + "\n",
+    "line separator in string": _line(rig="S\u20281") + "\n",
+    "non-ascii string": _line(rig="S\u00e91") + "\n",
+    "non-ascii letter in int": _line(n_views="\u01fe") + "\n",
+    "arabic digit in int": _line(n_views="\u0663") + "\n",
+    "leading space": " " + GOOD + "\n",
+    "trailing space": GOOD + " \n",
+    "spaces around string": _line(rig=" S1 ") + "\n",
+    "spaces around float": _line(x=" 0.25 ") + "\n",
+    "spaces around int": _line(n_views=" 2 ") + "\n",
+    "whitespace-only line": f"{GOOD}\n   \n",
+    "underscore float": _line(x="1_0") + "\n",
+    "plus nan": _line(x="+nan") + "\n",
+    "minus nan": _line(x="-nan") + "\n",
+    "plus int": _line(n_views="+3") + "\n",
+    "float in int": _line(n_views="1.0") + "\n",
+    "int beyond int64": _line(n_views=str(2 ** 63)) + "\n",
+    "frame beyond int64": _line(frame=str(2 ** 63)) + "\n",
+    "nan inf -Infinity": _line(x="nan", y="inf", z="-Infinity") + "\n",
+    "empty float": _line(x="") + "\n",
+    "empty string": _line(rig="") + "\n",
+    "quoted string": _line(rig='"S1"') + "\n",
+    "comment mark": _line(rig="S#1") + "\n",
+    "extra field": GOOD + ",7\n",
+    "missing field": GOOD.rsplit(",", 1)[0] + "\n",
+    "negative frame": f"{GOOD}\n" + _line(frame="-1") + "\n",
+    "frame at the end of the range": f"{GOOD}\n" + _line(frame="2") + "\n",
+}
+CRAFTED_FILES = {name: f"{PER_RIG_HEADER}\n{body}" for name, body in _BODIES.items()}
+CRAFTED_FILES.update({
+    "header only": PER_RIG_HEADER + "\n",
+    "header without newline": PER_RIG_HEADER,
+    "empty file": "",
+    "wrong header": f"{PER_RIG_HEADER},extra\n{GOOD}\n",
+    "crlf header": f"{PER_RIG_HEADER}\r\n{GOOD}\n",
+})
+
+
+@pytest.mark.parametrize("text", CRAFTED_FILES.values(), ids=CRAFTED_FILES)
+def test_c_reader_reads_crafted_lines_as_the_per_line_parser(text, tmp_path):
+    path = tmp_path / "per_rig_landmarks.csv"
+    path.write_bytes(text.encode())
+    parse = [_outcome(fn, "per_rig_landmarks", path, 2)
+             for fn in (recording._parse_stream, recording._parse_lines)]
+    assert parse[0] == parse[1]
+
+
+def test_header_only_streams_load_empty_without_warning(tmp_path, per_line_calls):
+    SegmentRecording(manifest={"frames": 0}).save(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = SegmentRecording.load(tmp_path)
+    assert dict(loaded.streams) == {name: [] for name in STREAM_NAMES}
+    assert not per_line_calls
