@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .recording import (RecordingError, SegmentRecording, STREAM_COLUMNS,
-                        STREAM_FIELDS, format_csv)
+from .recording import (RecordingError, SegmentRecording, STREAM_FIELDS,
+                        columns_table, format_csv, format_json, rows_table)
 from .rula import AREA_FIELDS, STRESS_JOINTS, joint_stress_heatmap
 from .skeleton import LANDMARK_NAMES, N_FUSED
 
@@ -126,7 +125,7 @@ class RulaComparison:
 
     pairs: list[dict]                 # one row per (stature, seed) pair
     area_means: dict[str, tuple[float, float]]
-    angle_rows: list[tuple]           # (phase, stature, seed, frame, joint, angle)
+    angle_rows: np.ndarray            # ANGLE_FIELDS table, one row per frame and joint
 
     def mean_grand_by_stature(self) -> dict[float, tuple[float, float]]:
         acc: dict[float, list[tuple[float, float]]] = {}
@@ -151,17 +150,17 @@ class RulaComparison:
 
 # The streams ``rula_compare_many`` reads.
 RULA_STREAMS = ("rula",)
+ANGLE_FIELDS = (("phase", str), ("stature", float), ("seed", int), ("frame", int),
+                ("joint", str), ("angle", float))
 
 
-def _rula_rows(segment: SegmentRecording) -> list[dict]:
-    rows = segment.rula_rows()
-    if not rows:
-        raise RecordingError("recording has no rula stream")
-    return rows
-
-
-def _mean_grand(rows: list[dict]) -> float:
-    return float(np.mean([row["grand"] for row in rows]))
+def _stress_joint_columns(rula: np.ndarray):
+    """The frame and joint columns of one row per frame of ``rula`` and joint
+    of ``STRESS_JOINTS`` (frame-major), and the (F, 8) joint angles."""
+    joints = np.array(STRESS_JOINTS, dtype=object)
+    angles = np.stack([rula[joint] for joint in STRESS_JOINTS], axis=1)
+    return (np.repeat(rula["frame"], len(joints)), np.tile(joints, len(rula)),
+            angles)
 
 
 def _pair_key(manifest: dict) -> tuple:
@@ -178,31 +177,37 @@ def rula_compare_many(pairs: list[tuple[SegmentRecording, SegmentRecording]]) ->
     if not pairs:
         raise PairingError("no pre/post recording pairs to compare")
     rows = []
-    area_acc = {area: ([], []) for area in AREA_FIELDS}
-    angle_rows: list[tuple] = []
+    phase_tables: tuple[list, list] = ([], [])  # pre, post
+    angle_parts = []
     for pre, post in pairs:
         key, post_key = _pair_key(pre.manifest), _pair_key(post.manifest)
         if key != post_key:
             raise PairingError(
                 f"pre recording (stature, seed) {key} does not match post {post_key}")
         stature, seed = key
-        pre_rows, post_rows = _rula_rows(pre), _rula_rows(post)
+        if stature is None or seed is None:
+            missing = "stature" if stature is None else "seed"
+            raise RecordingError(f"recording manifest has no {missing}")
+        tables = pre.streams["rula"], post.streams["rula"]
+        if not all(map(len, tables)):
+            raise RecordingError("recording has no rula stream")
         rows.append({
             "stature": stature,
             "seed": seed,
-            "pre_mean_grand": _mean_grand(pre_rows),
-            "post_mean_grand": _mean_grand(post_rows),
+            "pre_mean_grand": float(np.mean(tables[0]["grand"])),
+            "post_mean_grand": float(np.mean(tables[1]["grand"])),
         })
-        for phase, segment_rows in (("pre", pre_rows), ("post", post_rows)):
-            for row in segment_rows:
-                for area, col in AREA_FIELDS.items():
-                    area_acc[area][0 if phase == "pre" else 1].append(row[col])
-                for joint in STRESS_JOINTS:
-                    angle_rows.append((phase, stature, seed, row["frame"],
-                                       joint, row[joint]))
-    area_means = {area: (float(np.mean(pre_vals)), float(np.mean(post_vals)))
-                  for area, (pre_vals, post_vals) in area_acc.items()}
-    return RulaComparison(pairs=rows, area_means=area_means, angle_rows=angle_rows)
+        for phase, table, acc in zip(("pre", "post"), tables, phase_tables):
+            acc.append(table)
+            frame, joint, angles = _stress_joint_columns(table)
+            angle_parts.append(columns_table(
+                ANGLE_FIELDS, angles.size,
+                (phase, stature, seed, frame, joint, angles.ravel())))
+    pre_all, post_all = (np.concatenate(acc) for acc in phase_tables)
+    area_means = {area: (float(np.mean(pre_all[col])), float(np.mean(post_all[col])))
+                  for area, col in AREA_FIELDS.items()}
+    return RulaComparison(pairs=rows, area_means=area_means,
+                          angle_rows=np.concatenate(angle_parts))
 
 
 def collect_segments(root) -> list[tuple[Path, dict]]:
@@ -231,7 +236,8 @@ def pair_recordings(pre_root, post_root) -> list[tuple[SegmentRecording, Segment
     When a root holds both segments of adaptation runs, the pre root
     contributes its ``pre`` segments and the post root its ``post``.
     Pairing reads only manifests, once per distinct root; each paired
-    segment is loaded once, parsing only ``RULA_STREAMS``.
+    segment is loaded once, from its collected manifest, parsing only
+    ``RULA_STREAMS``.
     """
     pre_root, post_root = Path(pre_root), Path(post_root)
     segments = {root: collect_segments(root)
@@ -252,7 +258,8 @@ def pair_recordings(pre_root, post_root) -> list[tuple[SegmentRecording, Segment
     if post_by_key:
         raise PairingError(
             f"unpaired post recordings for (stature, seed) in {sorted(post_by_key)}")
-    loaded = {path: SegmentRecording.load(path, RULA_STREAMS)
+    manifests = {path: manifest for found in segments.values() for path, manifest in found}
+    loaded = {path: SegmentRecording.load(path, RULA_STREAMS, manifests[path])
               for pair in pairs for path in pair}
     return [(loaded[pre], loaded[post]) for pre, post in pairs]
 
@@ -267,14 +274,12 @@ EXPORT_KINDS = tuple(EXPORT_STREAMS)
 EXPORT_FORMATS = ("csv", "json")
 
 
-def _write_records(fields: tuple[tuple[str, type], ...], rows: list[tuple],
+def _write_records(fields: tuple[tuple[str, type], ...], table: np.ndarray,
                    fmt: str, out_path: Path) -> Path:
     if fmt == "csv":
-        out_path.write_text(format_csv(fields, rows))
+        out_path.write_text(format_csv(fields, table))
     else:
-        names = [name for name, _ in fields]
-        records = [dict(zip(names, row)) for row in rows]
-        out_path.write_text(json.dumps(records, indent=1, default=float) + "\n")
+        out_path.write_text(format_json(fields, table) + "\n")
     return out_path
 
 
@@ -296,17 +301,14 @@ def export(segment: SegmentRecording, what: str, fmt: str, out_path) -> Path:
         return _write_records(STREAM_FIELDS[stream], segment.streams[stream],
                               fmt, out_path)
 
-    rula_rows = segment.streams[stream]
-    if not rula_rows:
+    rula = segment.streams[stream]
+    if not len(rula):
         raise RecordingError("recording has no rula stream to derive a heatmap from")
-    columns = STREAM_COLUMNS["rula"]
-    angles = itemgetter(*(columns.index(joint) for joint in STRESS_JOINTS))
-    joints, stress = joint_stress_heatmap(np.array(list(map(angles, rula_rows))))
-    rows_out = [(row[0], joint, value)
-                for row, frame_stress in zip(rula_rows, stress.tolist())
-                for joint, value in zip(joints, frame_stress)]
-    return _write_records((("frame", int), ("joint", str), ("stress", float)),
-                          rows_out, fmt, out_path)
+    frame, joint, angles = _stress_joint_columns(rula)
+    _, stress = joint_stress_heatmap(angles)
+    fields = (("frame", int), ("joint", str), ("stress", float))
+    table = columns_table(fields, stress.size, (frame, joint, stress.ravel()))
+    return _write_records(fields, table, fmt, out_path)
 
 
 def write_comparison(comparison: RulaComparison, out_dir) -> dict[str, Path]:
@@ -315,22 +317,21 @@ def write_comparison(comparison: RulaComparison, out_dir) -> dict[str, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
 
-    grand_rows = [(row["stature"], row["seed"], row["pre_mean_grand"],
-                   row["post_mean_grand"]) for row in comparison.pairs]
+    grand_fields = (("stature", float), ("seed", int), ("pre_mean_grand", float),
+                    ("post_mean_grand", float))
+    grand_rows = [tuple(row[name] for name, _ in grand_fields) for row in comparison.pairs]
     paths["grand"] = _write_records(
-        (("stature", float), ("seed", int), ("pre_mean_grand", float),
-         ("post_mean_grand", float)),
-        grand_rows, "csv", out_dir / "grand_by_stature.csv")
+        grand_fields, rows_table(grand_fields, grand_rows), "csv",
+        out_dir / "grand_by_stature.csv")
 
+    area_fields = (("area", str), ("pre_mean", float), ("post_mean", float),
+                   ("improvement", float))
     area_rows = [(area, pre, post, pre - post)
                  for area, (pre, post) in comparison.area_means.items()]
     paths["areas"] = _write_records(
-        (("area", str), ("pre_mean", float), ("post_mean", float),
-         ("improvement", float)),
-        area_rows, "csv", out_dir / "area_means.csv")
+        area_fields, rows_table(area_fields, area_rows), "csv",
+        out_dir / "area_means.csv")
 
-    paths["angles"] = _write_records(
-        (("phase", str), ("stature", float), ("seed", int), ("frame", int),
-         ("joint", str), ("angle", float)),
-        comparison.angle_rows, "csv", out_dir / "angle_distributions.csv")
+    paths["angles"] = _write_records(ANGLE_FIELDS, comparison.angle_rows, "csv",
+                                     out_dir / "angle_distributions.csv")
     return paths

@@ -36,7 +36,7 @@ from .bus import FrameSynchronizer, Message, Node, NodeGraph, run_serial, run_th
 from .cameras import CameraModel
 from .fusion import (build_topology, compute_anchors, compute_delta, fuse,
                      prefactor)
-from .recording import RunRecording, SegmentRecording
+from .recording import STREAM_NAMES, RunRecording, SegmentRecording
 from .rula import RulaAdjustments, RulaBreakdown, JointAngles, PostureStatus, \
     classify_posture, compute_joint_angles, rula_score
 from .scenario import ScenarioConfig
@@ -285,13 +285,14 @@ class AdaptationNode(Node):
 
 
 class RecorderNode(Node):
-    """Buffers every stream and canonicalizes row order at the end."""
+    """Buffers every stream's rows and builds the recording from them at the end."""
 
     name = "recorder"
     publishes = ()
 
-    def __init__(self, recording: SegmentRecording, camera_ids):
-        self.recording = recording
+    def __init__(self, camera_ids):
+        self.rows: dict[str, list[tuple]] = {name: [] for name in STREAM_NAMES}
+        self.recording: SegmentRecording | None = None
         self.subscribes = (TOPIC_WORLD, TOPIC_PER_RIG, TOPIC_FUSED, TOPIC_RULA,
                            TOPIC_STATUS, TOPIC_ADAPTATION) + tuple(
             observation_topic(c) for c in camera_ids)
@@ -300,21 +301,21 @@ class RecorderNode(Node):
 
     def handle(self, message, publish):
         topic, k, payload = message.topic, message.frame_index, message.payload
-        rec = self.recording
+        rows = self.rows
         if topic == TOPIC_WORLD:
             frame: LandmarkFrame = payload
             reach_ok = int(frame.reach_ok)
-            rec.extend("ground_truth", [
+            rows["ground_truth"].extend([
                 (k, name, x, y, z, reach_ok)
                 for name, (x, y, z) in zip(LANDMARK_NAMES, frame.xyz.tolist())])
         elif topic.startswith("observations/"):
             obs: CameraObservations = payload
-            rec.extend("observations", [
+            rows["observations"].extend([
                 (k, obs.camera_id, name, u, v)
                 for name, (u, v), seen in zip(LANDMARK_NAMES, obs.uv.tolist(),
                                               obs.visible.tolist()) if seen])
         elif topic == TOPIC_PER_RIG:
-            rec.extend("per_rig_landmarks", [
+            rows["per_rig_landmarks"].extend([
                 (k, rig_id, name, x, y, z, residual, 2)
                 for rig_id, est in payload.estimates.items()
                 for name, (x, y, z), residual, seen in zip(
@@ -322,14 +323,14 @@ class RecorderNode(Node):
                     est.visible.tolist()) if seen])
         elif topic == TOPIC_FUSED:
             fused: FusedLandmarks = payload
-            rec.extend("fused_landmarks", [
+            rows["fused_landmarks"].extend([
                 (k, name, x, y, z, "fused" if i < N_FUSED else "aux")
                 for i, (name, (x, y, z)) in enumerate(
                     zip(LANDMARK_NAMES, fused.xyz.tolist()))])
         elif topic == TOPIC_RULA:
             r: RulaRecord = payload
             a, b = r.angles, r.breakdown
-            rec.append("rula", (
+            rows["rula"].append((
                 k, a.upper_arm_left, a.upper_arm_right, a.lower_arm_left,
                 a.lower_arm_right, a.wrist_left, a.wrist_right, a.neck, a.trunk,
                 int(a.legs_supported), int(a.aux_present),
@@ -346,7 +347,7 @@ class RecorderNode(Node):
             self.adaptation_event = payload
 
     def finish(self, publish):
-        self.recording.sort()
+        self.recording = SegmentRecording.from_rows({}, self.rows)
 
 
 def _drive(frames, frame_rate: float) -> Iterator[Message]:
@@ -363,7 +364,6 @@ def _run_segment(config: ScenarioConfig, segment: str, delivery: np.ndarray,
     truth = animate(profile, config.script(), delivery, stance)
 
     rigs = config.build_rigs()
-    recording = SegmentRecording(manifest={})
     camera_ids = [cam.id for rig in rigs for cam in rig.cameras]
 
     camera_nodes = []
@@ -377,7 +377,7 @@ def _run_segment(config: ScenarioConfig, segment: str, delivery: np.ndarray,
     warmup_frames = int(config.warmup * config.frame_rate + 1e-9)
     adapt_node = AdaptationNode(RobotDeliveryParams(config.delivery),
                                 warmup_frames, adapt_enabled)
-    recorder = RecorderNode(recording, camera_ids)
+    recorder = RecorderNode(camera_ids)
 
     graph = NodeGraph(
         camera_nodes + [fusion_node, ergo_node, adapt_node, recorder],
@@ -412,6 +412,7 @@ def _run_segment(config: ScenarioConfig, segment: str, delivery: np.ndarray,
             "scheduler": scheduler,
         },
     }
+    recording = recorder.recording
     recording.manifest = manifest
     return recording, event
 

@@ -3,14 +3,26 @@
 A segment recording is one directory holding five newline-delimited
 record streams (``ground_truth``, ``observations``, ``per_rig_landmarks``,
 ``fused_landmarks``, ``rula``) and a ``manifest.json``. Records carry a
-fixed field order, and each row is written through one %-template per
-stream derived from ``STREAM_FIELDS``: ``%.9g`` (9 significant digits)
-for float columns and ``%s`` for int and str columns. The manifest
-stores a SHA-256 digest over each stream's name followed by its
-exact file text, so determinism checks reduce to digest comparison (run
-statistics live in the manifest and deliberately stay outside the
-digest). ``save()`` formats each stream once and feeds the same bytes
-to the file and to the digest.
+fixed field order (``STREAM_FIELDS``). In memory each stream is one numpy
+structured table of dtype ``_DTYPES[name]``: int64 and float64 fields,
+and ``object`` for str fields, so no string is cut to a fixed width.
+
+Rows enter only through ``SegmentRecording.from_rows``: it checks that
+each row has one value per field and that every value is held exactly
+by its field's type (numpy alone would truncate ``0.5`` in an int field
+and read ``"3"`` as 3), puts each stream in canonical (tuple) order and
+converts it once. ``rows_table`` is that check and conversion for any
+typed fields.
+
+Each stream file is written through one %-template per stream
+(``format_csv``): ``%.9g`` (9 significant digits) for float columns and
+``%s`` for int and str columns. ``format_json`` writes JSON records
+through one typed template per record, byte-identical to
+``json.dumps(records, indent=1)``. The manifest stores a SHA-256 digest
+over each stream's name followed by its exact file text, so determinism
+checks reduce to digest comparison (run statistics live in the manifest
+and deliberately stay outside the digest). ``save()`` formats each
+stream once and feeds the same bytes to the file and to the digest.
 
 ``SegmentRecording.load`` can parse a selection of the streams: it
 checks that the manifest and all five stream files exist, but parses
@@ -22,13 +34,11 @@ named ones. The evaluation commands parse only what they read:
 stream that was not loaded raises ``RecordingError`` when it is read;
 ``digest()`` and ``save()`` need a full load.
 
-Each stream goes through numpy's C reader (``np.loadtxt`` with a
-structured dtype from ``STREAM_FIELDS``: int64, float64, and ``object``
-for str fields, so no string is cut to a fixed width) and is kept as a
-list of tuples. The per-line parser re-runs only to name a bad line, or
-for a file outside the reader's plain-ASCII subset, so the accepted
-input, the values and every error message stay those of the per-line
-parser.
+Each stream file is read by numpy's C reader (``np.loadtxt`` straight
+into the stream's table). The per-line parser re-runs only to name a
+bad line, or for a file outside the reader's plain-ASCII subset, so the
+accepted input, the values and every error message stay those of the
+per-line parser.
 
 A full run recording is a directory of segment subdirectories, normally
 ``pre`` and ``post`` around the robot adaptation.
@@ -38,7 +48,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from dataclasses import dataclass, field
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -96,50 +109,146 @@ class _LoadedStreams(dict):
         raise KeyError(name)
 
 
-def format_csv(fields: tuple[tuple[str, type], ...], rows) -> str:
-    """Comma-separated text of tuple ``rows`` under typed ``fields``.
+# numpy field type per schema type; ``object`` keeps each string whole
+# (a fixed ``U<n>`` width could truncate it and costs n * 4 bytes a row).
+_NUMPY_TYPES = {int: np.int64, float: np.float64, str: object}
+_INT64 = np.iinfo(np.int64)
+# Value types a field holds as they are; other values are checked one by one.
+_PLAIN_TYPES = {int: {int, np.int64}, float: {float, np.float64}, str: {str}}
+
+
+def _table_dtype(fields: tuple[tuple[str, type], ...]) -> np.dtype:
+    """The structured dtype of typed ``fields``."""
+    return np.dtype([(name, _NUMPY_TYPES[conv]) for name, conv in fields])
+
+
+_DTYPES = {name: _table_dtype(fields) for name, fields in STREAM_FIELDS.items()}
+
+
+def _holds(conv: type, value) -> bool:
+    """Whether a ``conv`` field holds ``value`` exactly."""
+    if conv is str:
+        return isinstance(value, str)
+    try:
+        held = conv(_NUMPY_TYPES[conv](value))  # compared as a Python number: exactly
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return held == value or (held != held and value != value)  # NaN
+
+
+def _column(what: str, name: str, conv: type, values: np.ndarray) -> np.ndarray:
+    """One field's ``object`` values as its typed column; each must fit exactly."""
+    if set(map(type, values)) <= _PLAIN_TYPES[conv]:
+        try:
+            return values.astype(_NUMPY_TYPES[conv], copy=False)
+        except OverflowError:  # an int beyond int64, named below
+            pass
+    for value in values:
+        if not _holds(conv, value):
+            raise RecordingError(
+                f"{what}: {conv.__name__} field {name!r} cannot hold {value!r}")
+    return values.astype(_NUMPY_TYPES[conv], copy=False)
+
+
+def rows_table(fields: tuple[tuple[str, type], ...], rows,
+               what: str = "records") -> np.ndarray:
+    """The structured table of tuple ``rows`` under typed ``fields``.
+
+    Raises ``RecordingError`` (prefixed with ``what``), and builds
+    nothing, for a row without one value per field or for a value its
+    field cannot hold exactly: a non-integral or non-numeric value or
+    one beyond int64 in an int field, a non-number or an int that float64
+    would round in a float field, a non-str in a str field.
+    """
+    n_fields = len(fields)
+    if set(map(len, rows)) - {n_fields}:
+        n = next(n for n in map(len, rows) if n != n_fields)
+        raise RecordingError(f"{what} expects {n_fields} fields, got {n}")
+    # Every value as it is, in an (n_rows, n_fields) object array.
+    values = np.fromiter(chain.from_iterable(rows), object,
+                         len(rows) * n_fields).reshape(len(rows), n_fields)
+    return columns_table(fields, len(rows), (
+        _column(what, name, conv, column) for (name, conv), column in zip(fields, values.T)))
+
+
+def columns_table(fields: tuple[tuple[str, type], ...], n: int, columns) -> np.ndarray:
+    """``n`` rows of typed ``fields`` from numpy columns (or scalars) in field order."""
+    # Every field is overwritten; np.empty would first set each object to None.
+    table = np.zeros(n, _table_dtype(fields))
+    for (name, _), column in zip(fields, columns):
+        table[name] = column
+    return table
+
+
+def format_csv(fields: tuple[tuple[str, type], ...], table: np.ndarray) -> str:
+    """Comma-separated text of a table's rows under typed ``fields``.
 
     Every row goes through one %-template: ``FLOAT_FMT`` for float
-    fields, ``%s`` for int and str ones, so a non-integral value in an
-    int field is written as it is (and rejected on load), never truncated.
+    fields, ``%s`` for int and str ones. Rows are zipped from the
+    columns' Python values one at a time.
     """
     template = ",".join(FLOAT_FMT if conv is float else "%s" for _, conv in fields)
     lines = [",".join(name for name, _ in fields)]
-    lines += map(template.__mod__, rows)
+    lines += map(template.__mod__, zip(*(table[name].tolist() for name, _ in fields)))
     return "\n".join(lines) + "\n"
 
 
-def _positions(rows, key: int, n_frames: int,
-               group: int | None = None) -> dict[str | None, np.ndarray]:
-    """(F, 15, 3) positions from rows holding a landmark name at ``key``
-    followed by x, y, z; NaN where a landmark has no row.
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-    Returns one array per value of the ``group`` column, in order of
-    first appearance, or without ``group`` one array under ``None``. The
-    rows are transposed into columns once and written with one
-    fancy-indexed assignment.
+
+def _json_values(conv: type, column: np.ndarray) -> list:
+    """A column's values as ``json.dumps`` spells them (for ``%s``)."""
+    if conv is str:
+        return list(map(encode_basestring_ascii, column))
+    values = column.tolist()  # Python ints and floats: %s is their repr
+    if conv is float:
+        for i in np.flatnonzero(~np.isfinite(column)).tolist():
+            values[i] = _JSON_NON_FINITE[repr(values[i])]
+    return values
+
+
+def format_json(fields: tuple[tuple[str, type], ...], table: np.ndarray) -> str:
+    """``json.dumps(records, indent=1)`` of a table's rows as records.
+
+    Each record maps the field names to the row's values, and every
+    record goes through one template: ints as ``repr``, strs through
+    ``json.encoder.encode_basestring_ascii``, floats as ``repr`` or
+    ``NaN``, ``Infinity``, ``-Infinity``.
     """
-    columns = tuple(zip(*rows)) or ((),) * (key + 4)  # no rows: empty columns
-    names = (None,) if group is None else tuple(dict.fromkeys(columns[group]))
+    if not len(table):
+        return "[]"
+    template = " {\n" + ",\n".join(
+        f"  {encode_basestring_ascii(name).replace('%', '%%')}: %s"
+        for name, _ in fields) + "\n }"
+    columns = [_json_values(conv, table[name]) for name, conv in fields]
+    return "[\n" + ",\n".join(map(template.__mod__, zip(*columns))) + "\n]"
+
+
+def _positions(table: np.ndarray, n_frames: int,
+               group: str | None = None) -> dict[str | None, np.ndarray]:
+    """(F, 15, 3) positions from a table with ``frame``, ``landmark`` and
+    ``x``, ``y``, ``z`` fields; NaN where a landmark has no row.
+
+    Returns one array per value of the ``group`` field, in order of
+    first appearance, or without ``group`` one array under ``None``. The
+    columns are written with one fancy-indexed assignment.
+    """
+    names = (None,) if group is None else tuple(dict.fromkeys(table[group]))
     out = np.full((len(names), n_frames, N_ALL, 3), np.nan)
-    if rows:
+    if len(table):
         try:
-            landmark = list(map(_LANDMARK_BY_NAME.__getitem__, columns[key]))
+            landmark = list(map(_LANDMARK_BY_NAME.__getitem__, table["landmark"]))
         except KeyError as exc:
             raise RecordingError(f"unknown landmark name {exc.args[0]!r}") from None
         source = 0
         if group is not None:
             code = {name: i for i, name in enumerate(names)}
-            source = list(map(code.__getitem__, columns[group]))
-        out[source, columns[0], landmark] = np.transpose(columns[key + 1:key + 4])
+            source = list(map(code.__getitem__, table[group]))
+        out[source, table["frame"], landmark] = np.stack(
+            (table["x"], table["y"], table["z"]), axis=-1)
     return dict(zip(names, out))
 
 
-# numpy field type per schema type; ``object`` keeps each string whole
-# (a fixed ``U<n>`` width could truncate it and costs n * 4 bytes a row).
-_NUMPY_TYPES = {int: np.int64, float: np.float64, str: object}
-_DTYPES = {name: np.dtype([(f, _NUMPY_TYPES[conv]) for f, conv in fields])
-           for name, fields in STREAM_FIELDS.items()}
 # Printable ASCII and "\n", the bytes of every stream this package writes
 # from ASCII names. Within them numpy's reader and the per-line parser
 # split the same lines and accept the same values; other control or
@@ -148,9 +257,10 @@ _DTYPES = {name: np.dtype([(f, _NUMPY_TYPES[conv]) for f, conv in fields])
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\n"
 
 
-def _parse_lines(name: str, path: Path, n_frames: float) -> list[tuple]:
-    """Typed rows of one stream file, checked line by line against its schema."""
+def _parse_lines(name: str, path: Path, n_frames: float) -> np.ndarray:
+    """Table of one stream file, checked line by line against its schema."""
     fields = STREAM_FIELDS[name]
+    ints = [i for i, (_, conv) in enumerate(fields) if conv is int]
     lines = path.read_text().splitlines()
     if not lines or lines[0] != ",".join(STREAM_COLUMNS[name]):
         raise RecordingError(f"stream {name!r} has unexpected header")
@@ -166,19 +276,24 @@ def _parse_lines(name: str, path: Path, n_frames: float) -> list[tuple]:
         if not 0 <= row[0] < n_frames:
             raise RecordingError(f"stream {name!r} line {lineno}: "
                                  f"frame {row[0]} is outside [0, {n_frames})")
+        for i in ints:
+            if not _INT64.min <= row[i] <= _INT64.max:
+                raise RecordingError(f"stream {name!r} line {lineno}: "
+                                     f"{fields[i][0]} {row[i]} is outside int64")
         rows.append(row)
-    return rows
+    return np.array(rows, _DTYPES[name])
 
 
-def _parse_stream(name: str, path: Path, n_frames: float) -> list[tuple]:
-    """Typed rows of one stream file, checked against its schema.
+def _parse_stream(name: str, path: Path, n_frames: float) -> np.ndarray:
+    """Table of one stream file, checked against its schema.
 
     numpy's C reader parses a file of plain bytes (``_PLAIN_BYTES``)
     with the expected header and no blank line. Any other file, one the
-    reader rejects, or one with a frame outside ``[0, n_frames)`` goes
+    reader rejects or warns about (older numpy only warns on a float in
+    an int field), or one with a frame outside ``[0, n_frames)`` goes
     through ``_parse_lines``, which names the bad line, or reads the few
-    spellings Python accepts and numpy does not (``1_0``, an int beyond
-    int64) as it always did.
+    spellings Python accepts and numpy does not (``1_0``) as it always
+    did.
     """
     data = path.read_bytes()
     header_end = data.find(b"\n")
@@ -189,49 +304,62 @@ def _parse_stream(name: str, path: Path, n_frames: float) -> list[tuple]:
     if not plain:
         return _parse_lines(name, path, n_frames)
     if header_only:
-        return []
+        return np.empty(0, _DTYPES[name])
     try:
-        table = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
-                           ndmin=1, dtype=_DTYPES[name])
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
+                               ndmin=1, dtype=_DTYPES[name])
+    except (ValueError, Warning):
         return _parse_lines(name, path, n_frames)
     frames = table["frame"]
     if frames.min() < 0 or frames.max() >= n_frames:
         return _parse_lines(name, path, n_frames)
-    return table.tolist()
+    return table
 
 
 @dataclass
 class SegmentRecording:
-    """One segment's record streams plus its manifest."""
+    """One segment's record streams, one structured table each, plus its manifest."""
 
     manifest: dict
-    streams: dict[str, list[tuple]] = field(default_factory=dict)
+    streams: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         if not isinstance(self.streams, _LoadedStreams):
             for name in STREAM_NAMES:
-                self.streams.setdefault(name, [])
+                self.streams.setdefault(name, np.empty(0, _DTYPES[name]))
 
-    def append(self, stream: str, row: tuple) -> None:
-        self.extend(stream, (row,))
+    @staticmethod
+    def sort(rows: list) -> list:
+        """``rows`` in canonical order (streams may fill from concurrent nodes).
 
-    def extend(self, stream: str, rows) -> None:
-        """Add a sequence of rows, each holding one value per field."""
-        n_fields = len(STREAM_FIELDS[stream])
-        for n in map(len, rows):
-            if n != n_fields:
-                raise RecordingError(
-                    f"stream {stream!r} expects {n_fields} fields, got {n}")
-        self.streams[stream].extend(rows)
+        Rows are unique on their leading identity fields (frame, then
+        rig, camera or landmark names), so plain tuple order never
+        reaches the float columns. Rows that do not compare hold a value
+        of the wrong type and are returned as they are, for
+        ``rows_table`` to reject.
+        """
+        try:
+            return sorted(rows)
+        except TypeError:
+            return rows
 
-    def sort(self) -> None:
-        """Canonicalize row order (streams may fill from concurrent nodes)."""
-        # Rows are unique on their leading identity fields (frame, then
-        # rig, camera or landmark names), so plain tuple order never
-        # reaches the float columns.
-        for name in STREAM_NAMES:
-            self.streams[name].sort()
+    @classmethod
+    def from_rows(cls, manifest: dict, rows: dict[str, list]) -> "SegmentRecording":
+        """A recording of tuple ``rows`` by stream name (absent streams are empty).
+
+        Each stream is sorted (``sort``) and converted once by
+        ``rows_table``; a wrong field count, a value its field cannot
+        hold exactly or an unknown stream name raises ``RecordingError``,
+        and nothing is built.
+        """
+        unknown = set(rows) - set(STREAM_FIELDS)
+        if unknown:
+            raise RecordingError(f"unknown streams {sorted(unknown)}")
+        return cls(manifest, {
+            name: rows_table(fields, cls.sort(rows.get(name, [])), f"stream {name!r}")
+            for name, fields in STREAM_FIELDS.items()})
 
     # -- persistence -----------------------------------------------------
 
@@ -242,8 +370,8 @@ class SegmentRecording:
         if directory is not None:
             directory.mkdir(parents=True, exist_ok=True)
         h = hashlib.sha256()
-        for name, rows in zip(STREAM_NAMES, streams):
-            data = format_csv(STREAM_FIELDS[name], rows).encode()
+        for name, table in zip(STREAM_NAMES, streams):
+            data = format_csv(STREAM_FIELDS[name], table).encode()
             h.update(name.encode())
             h.update(data)
             if directory is not None:
@@ -263,17 +391,22 @@ class SegmentRecording:
         return path
 
     @classmethod
-    def load(cls, directory, streams: tuple[str, ...] = STREAM_NAMES) -> "SegmentRecording":
+    def load(cls, directory, streams: tuple[str, ...] = STREAM_NAMES,
+             manifest: dict | None = None) -> "SegmentRecording":
         """Read a segment, parsing only the named ``streams``.
 
         Every stream file must exist; the ones not named are not read,
         and reading them from the result raises ``RecordingError``.
+        ``manifest`` is the segment's parsed ``manifest.json`` when the
+        caller has read it already.
         """
         path = Path(directory)
-        manifest_path = path / "manifest.json"
-        if not manifest_path.exists():
-            raise RecordingError(f"{path} is not a segment recording (no manifest.json)")
-        manifest = json.loads(manifest_path.read_text())
+        if manifest is None:
+            manifest_path = path / "manifest.json"
+            if not manifest_path.exists():
+                raise RecordingError(
+                    f"{path} is not a segment recording (no manifest.json)")
+            manifest = json.loads(manifest_path.read_text())
         n_frames = manifest.get("frames", float("inf"))
         for name in STREAM_NAMES:
             if not (path / f"{name}.csv").exists():
@@ -289,27 +422,24 @@ class SegmentRecording:
     def _frame_count(self, stream: str) -> int:
         n_frames = self.manifest.get("frames")
         if n_frames is None:
-            n_frames = 1 + max((r[0] for r in self.streams[stream]), default=-1)
+            frames = self.streams[stream]["frame"]
+            n_frames = int(frames.max()) + 1 if len(frames) else 0
         return n_frames
 
     def ground_truth_positions(self) -> np.ndarray:
         """(F, 15, 3) array of ground-truth landmark positions."""
-        return _positions(self.streams["ground_truth"], 1,
+        return _positions(self.streams["ground_truth"],
                           self._frame_count("ground_truth"))[None]
 
     def fused_positions(self) -> np.ndarray:
         """(F, 15, 3) array of fused (and auxiliary mean) positions."""
-        return _positions(self.streams["fused_landmarks"], 1,
+        return _positions(self.streams["fused_landmarks"],
                           self._frame_count("fused_landmarks"))[None]
 
     def rig_positions(self) -> dict[str, np.ndarray]:
         """Per-rig (F, 15, 3) triangulated positions, NaN where unseen."""
-        return _positions(self.streams["per_rig_landmarks"], 2,
-                          self._frame_count("per_rig_landmarks"), group=1)
-
-    def rula_rows(self) -> list[dict]:
-        fields = STREAM_COLUMNS["rula"]
-        return [dict(zip(fields, row)) for row in self.streams["rula"]]
+        return _positions(self.streams["per_rig_landmarks"],
+                          self._frame_count("per_rig_landmarks"), group="rig")
 
 
 @dataclass

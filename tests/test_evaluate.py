@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ import pytest
 from ergofusion import evaluate
 from ergofusion.evaluate import (PairingError, collect_segments, export,
                                  pair_recordings, rmse_report, rula_compare,
-                                 write_comparison)
+                                 rula_compare_many, write_comparison)
 from ergofusion.pipeline import run_scenario
-from ergofusion.recording import STREAM_NAMES, SegmentRecording
+from ergofusion.recording import (STREAM_COLUMNS, STREAM_FIELDS, STREAM_NAMES,
+                                  RecordingError, SegmentRecording)
+from ergofusion.rula import AREA_FIELDS, STRESS_JOINTS
 from ergofusion.scenario import default_handover_scenario, parse_scenario
 from ergofusion.skeleton import ALL_LANDMARKS, FUSED_LANDMARKS
 
@@ -26,22 +29,50 @@ def build_fixture_recording():
     landmark p1 only, so its p1 RMSE is sqrt((0.09 + 0.16) / 2).
     The fused stream echoes ground truth exactly.
     """
-    seg = SegmentRecording(manifest={"frames": 2, "stature": 1.75, "seed": 0,
-                                     "segment": "pre"})
+    rows = {"ground_truth": [], "fused_landmarks": [], "per_rig_landmarks": []}
     rng = np.random.default_rng(0)
     base = rng.normal(size=(len(ALL_LANDMARKS), 3))
     offsets = [0.3, 0.4]
     for frame in range(2):
         for i, lm in enumerate(ALL_LANDMARKS):
             x, y, z = base[i]
-            seg.append("ground_truth", (frame, lm.value, x, y, z, 1))
-            seg.append("fused_landmarks",
-                       (frame, lm.value, x, y, z,
-                        "fused" if i < 12 else "aux"))
+            rows["ground_truth"].append((frame, lm.value, x, y, z, 1))
+            rows["fused_landmarks"].append(
+                (frame, lm.value, x, y, z, "fused" if i < 12 else "aux"))
             dx = offsets[frame] if i == 0 else 0.0
-            seg.append("per_rig_landmarks",
-                       (frame, "S1", lm.value, x + dx, y, z, 0.0, 2))
-    return seg
+            rows["per_rig_landmarks"].append(
+                (frame, "S1", lm.value, x + dx, y, z, 0.0, 2))
+    return SegmentRecording.from_rows(
+        {"frames": 2, "stature": 1.75, "seed": 0, "segment": "pre"}, rows)
+
+
+def _rula_compare_by_row(pairs):
+    """Reference: ``rula_compare_many`` one row dict at a time."""
+    rows, angle_rows = [], []
+    area_acc = {area: ([], []) for area in AREA_FIELDS}
+    for pre, post in pairs:
+        stature, seed = pre.manifest["stature"], pre.manifest["seed"]
+        pre_rows, post_rows = ([dict(zip(STREAM_COLUMNS["rula"], row))
+                                for row in segment.streams["rula"].tolist()]
+                               for segment in (pre, post))
+        rows.append({"stature": stature, "seed": seed,
+                     "pre_mean_grand": float(np.mean([r["grand"] for r in pre_rows])),
+                     "post_mean_grand": float(np.mean([r["grand"] for r in post_rows]))})
+        for phase, segment_rows in (("pre", pre_rows), ("post", post_rows)):
+            for row in segment_rows:
+                for area, col in AREA_FIELDS.items():
+                    area_acc[area][0 if phase == "pre" else 1].append(row[col])
+                for joint in STRESS_JOINTS:
+                    angle_rows.append((phase, stature, seed, row["frame"], joint, row[joint]))
+    area_means = {area: (float(np.mean(pre_vals)), float(np.mean(post_vals)))
+                  for area, (pre_vals, post_vals) in area_acc.items()}
+    return rows, area_means, angle_rows
+
+
+def _bits(rows):
+    """Rows with each float as its bits (and its type kept)."""
+    return [tuple((type(v), struct.pack("<d", v) if type(v) is float else v) for v in row)
+            for row in rows]
 
 
 class TestRmseReport:
@@ -99,13 +130,33 @@ class TestRulaCompare:
         assert row["stature"] == 1.75
         assert set(comparison.area_means) == {"neck", "trunk", "legs",
                                               "upper_arm", "lower_arm", "wrist"}
-        assert comparison.angle_rows  # flat per-frame angle records
+        assert len(comparison.angle_rows)  # flat per-frame angle records
+
+    def test_columns_equal_the_per_row_reference(self, noisy_recording):
+        pre, post = noisy_recording.segments["pre"], noisy_recording.segments["post"]
+        swapped = [SegmentRecording({**segment.manifest, "stature": 1.6, "seed": 5},
+                                    segment.streams) for segment in (post, pre)]
+        pairs = [(pre, post), tuple(swapped)]
+        comparison = rula_compare_many(pairs)
+        want_pairs, want_areas, want_angles = _rula_compare_by_row(pairs)
+        assert comparison.pairs == want_pairs
+        assert comparison.area_means == want_areas
+        assert _bits(comparison.angle_rows.tolist()) == _bits(want_angles)
 
     def test_mismatched_pairing_rejected(self, noisy_recording, tmp_path):
         pre = noisy_recording.segments["pre"]
         other = run_scenario(default_handover_scenario(stature=1.6), seed=99)
         with pytest.raises(PairingError):
             rula_compare(pre, other.segments["post"])
+
+    @pytest.mark.parametrize("missing", ["stature", "seed"])
+    def test_manifest_without_stature_or_seed_rejected(self, noisy_recording, missing):
+        pre, post = (SegmentRecording({k: v for k, v in segment.manifest.items()
+                                       if k != missing}, segment.streams)
+                     for segment in (noisy_recording.segments["pre"],
+                                     noisy_recording.segments["post"]))
+        with pytest.raises(RecordingError, match=f"^recording manifest has no {missing}$"):
+            rula_compare(pre, post)
 
     def test_pair_recordings_by_stature_and_seed(self, tmp_path):
         for seed in (0, 1):
@@ -118,29 +169,44 @@ class TestRulaCompare:
 
     def test_shared_root_loads_each_segment_once(self, noisy_recording, tmp_path,
                                                  monkeypatch):
-        noisy_recording.save(tmp_path / "run")
+        # An 11-stature grid of pre/post runs under one root.
+        statures = [round(1.5 + 0.05 * i, 2) for i in range(11)]
+        for stature in statures:
+            for name, segment in noisy_recording.segments.items():
+                SegmentRecording({**segment.manifest, "stature": stature},
+                                 segment.streams).save(
+                    tmp_path / f"stature_{stature:.2f}" / name)
         load = SegmentRecording.load.__func__
         loaded = []
         collected = []
+        parsed = []
 
-        def counting_load(cls, directory, streams=STREAM_NAMES):
+        def counting_load(cls, directory, streams=STREAM_NAMES, manifest=None):
             loaded.append((directory, tuple(streams)))
-            return load(cls, directory, streams)
+            return load(cls, directory, streams, manifest)
 
         def counting_collect(root):
             collected.append(root)
             return collect_segments(root)
 
+        def counting_loads(text, loads=json.loads):
+            parsed.append(text)
+            return loads(text)
+
         monkeypatch.setattr(SegmentRecording, "load", classmethod(counting_load))
         monkeypatch.setattr(evaluate, "collect_segments", counting_collect)
+        monkeypatch.setattr(json, "loads", counting_loads)
         pairs = pair_recordings(tmp_path, str(tmp_path))
         assert collected == [tmp_path]
-        assert [(pre.manifest["segment"], post.manifest["segment"])
-                for pre, post in pairs] == [("pre", "post")]
-        assert sorted(loaded) == [(tmp_path / "run" / "post", ("rula",)),
-                                  (tmp_path / "run" / "pre", ("rula",))]
-        for segment in pairs[0]:
-            assert list(segment.streams) == ["rula"]
+        assert [(pre.manifest["stature"], pre.manifest["segment"], post.manifest["segment"])
+                for pre, post in pairs] == [(s, "pre", "post") for s in statures]
+        assert sorted(loaded) == sorted((tmp_path / f"stature_{s:.2f}" / name, ("rula",))
+                                        for s in statures for name in ("pre", "post"))
+        # Each manifest is parsed once, when the root is collected.
+        assert len(parsed) == 22
+        for pair in pairs:
+            for segment in pair:
+                assert list(segment.streams) == ["rula"]
 
     def test_write_comparison_files(self, noisy_recording, tmp_path):
         comparison = rula_compare(noisy_recording.segments["pre"],
@@ -189,6 +255,23 @@ class TestExport:
         records = json.loads(out.read_text())
         assert len(records) == 100
         assert {"frame", "grand", "status", "neck"} <= set(records[0])
+
+    @pytest.mark.parametrize("what", ["landmarks", "rula", "heatmap"])
+    def test_json_exports_keep_int_fields_as_ints(self, noisy_recording, tmp_path, what):
+        segment = noisy_recording.segments["pre"]
+        text = export(segment, what, "json", tmp_path / f"{what}.json").read_text()
+        assert text.startswith('[\n {\n  "frame": 0,\n')
+        records = json.loads(text)
+        stream = evaluate.EXPORT_STREAMS[what]
+        ints = ["frame"] if what == "heatmap" else [
+            name for name, conv in STREAM_FIELDS[stream] if conv is int]
+        assert len(ints) > (what == "rula") * 10
+        for record in records:
+            assert all(type(record[name]) is int for name in ints)
+        if what != "heatmap":  # the stream's rows as json.dumps writes them
+            want = [dict(zip(STREAM_COLUMNS[stream], row))
+                    for row in segment.streams[stream].tolist()]
+            assert text == json.dumps(want, indent=1) + "\n"
 
     def test_heatmap_of_neutral_recording_is_zero(self, tmp_path):
         recording = run_scenario(parse_scenario({

@@ -34,7 +34,7 @@ class TestRunScenario:
         recording = run_scenario(small_scenario(), seed=1)
         pre = recording.segments["pre"]
         for name in STREAM_NAMES:
-            assert pre.streams[name], f"stream {name} is empty"
+            assert len(pre.streams[name]), f"stream {name} is empty"
         assert pre.manifest["dropped_frames"] == 0
         assert pre.manifest["adaptation"]["class"] == "c2"
         assert pre.manifest["stats"]["prefactor_count"] == 1

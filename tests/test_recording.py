@@ -1,7 +1,8 @@
 """Recording write and read paths: digests, canonical order, landmark names,
-the row formatter and the row contract."""
+the row formatters and the row constructor."""
 
 import hashlib
+import itertools
 import json
 import random
 import struct
@@ -10,10 +11,12 @@ import warnings
 import numpy as np
 import pytest
 
+from ergofusion.evaluate import rula_compare
 from ergofusion.pipeline import run_scenario
 from ergofusion import recording
 from ergofusion.recording import (STREAM_COLUMNS, STREAM_FIELDS, STREAM_NAMES,
-                                  RecordingError, SegmentRecording, format_csv)
+                                  RecordingError, SegmentRecording, format_csv,
+                                  format_json, rows_table)
 from ergofusion.scenario import default_handover_scenario
 from ergofusion.skeleton import LANDMARK_NAMES, N_ALL
 
@@ -32,7 +35,13 @@ def criterion_9_run():
 
 def _copy(segment: SegmentRecording) -> SegmentRecording:
     return SegmentRecording(manifest=dict(segment.manifest),
-                            streams={n: list(rows) for n, rows in segment.streams.items()})
+                            streams={n: t.copy() for n, t in segment.streams.items()})
+
+
+def _bits(table) -> list[tuple]:
+    """A table's rows with each float as its bits, so NaN rows compare equal."""
+    return [tuple(struct.pack("<d", v) if type(v) is float else v for v in row)
+            for row in table.tolist()]
 
 
 def test_criterion_9_digests_are_pinned(criterion_9_run):
@@ -42,13 +51,18 @@ def test_criterion_9_digests_are_pinned(criterion_9_run):
 
 def test_sort_restores_digest_after_shuffle(criterion_9_run):
     for name, original in criterion_9_run.segments.items():
-        segment = _copy(original)
         rng = random.Random(7)
-        for rows in segment.streams.values():
-            rng.shuffle(rows)
-        assert segment.digest() != PINNED_DIGESTS[name]
-        segment.sort()
-        assert segment.digest() == PINNED_DIGESTS[name]
+        rows = {}
+        for stream, table in original.streams.items():
+            rows[stream] = table.tolist()
+            rng.shuffle(rows[stream])
+        unsorted = SegmentRecording(original.manifest, {
+            stream: rows_table(STREAM_FIELDS[stream], stream_rows)
+            for stream, stream_rows in rows.items()})
+        assert unsorted.digest() != PINNED_DIGESTS[name]
+        # from_rows puts each stream in SegmentRecording.sort order.
+        assert SegmentRecording.from_rows({}, rows).digest() == PINNED_DIGESTS[name]
+        assert SegmentRecording.sort(rows["rula"]) == original.streams["rula"].tolist()
 
 
 def test_save_records_the_digest_of_the_written_bytes(criterion_9_run, tmp_path):
@@ -64,14 +78,13 @@ def test_save_records_the_digest_of_the_written_bytes(criterion_9_run, tmp_path)
 
 
 def test_unknown_landmark_name_rejected():
-    segment = SegmentRecording(manifest={"frames": 1})
-    segment.append("fused_landmarks", (0, "tail", 0.0, 0.0, 0.0, "fused"))
+    segment = SegmentRecording.from_rows({"frames": 1}, {
+        "fused_landmarks": [(0, "tail", 0.0, 0.0, 0.0, "fused")],
+        "ground_truth": [(0, "nose", 0.0, 0.0, 0.0, 1), (0, "tail", 0.0, 0.0, 0.0, 1)],
+        "per_rig_landmarks": [(0, "S1", "nose", 0.0, 0.0, 0.0, 0.0, 2),
+                              (0, "S2", "fin", 0.0, 0.0, 0.0, 0.0, 2)]})
     with pytest.raises(RecordingError, match="tail"):
         segment.fused_positions()
-    segment.append("ground_truth", (0, "nose", 0.0, 0.0, 0.0, 1))
-    segment.append("ground_truth", (0, "tail", 0.0, 0.0, 0.0, 1))
-    segment.append("per_rig_landmarks", (0, "S1", "nose", 0.0, 0.0, 0.0, 0.0, 2))
-    segment.append("per_rig_landmarks", (0, "S2", "fin", 0.0, 0.0, 0.0, 0.0, 2))
     with pytest.raises(RecordingError, match=r"^unknown landmark name 'tail'$"):
         segment.ground_truth_positions()
     with pytest.raises(RecordingError, match=r"^unknown landmark name 'fin'$"):
@@ -88,18 +101,31 @@ def _positions_by_row(rows, key, n_frames):
 
 
 def test_positions_equal_the_per_row_reference(criterion_9_run):
-    for original in criterion_9_run.segments.values():
-        segment = _copy(original)
-        # Reversed rows meet the rigs as S3, S2, S1.
-        segment.streams["per_rig_landmarks"].reverse()
+    rng = random.Random(11)
+    for order, original in itertools.product(("sorted", "reversed", "shuffled"),
+                                             criterion_9_run.segments.values()):
+        rows = {}
+        for stream, table in original.streams.items():
+            rows[stream] = table.tolist()
+            if order == "reversed":
+                rows[stream].reverse()
+            elif order == "shuffled":
+                rng.shuffle(rows[stream])
+        # Tables built as the rows stand, without from_rows' sort.
+        segment = SegmentRecording(original.manifest, {
+            stream: rows_table(STREAM_FIELDS[stream], stream_rows)
+            for stream, stream_rows in rows.items()})
         n_frames = segment.manifest["frames"]
         for got, stream in ((segment.ground_truth_positions(), "ground_truth"),
                             (segment.fused_positions(), "fused_landmarks")):
-            want = _positions_by_row(segment.streams[stream], 1, n_frames)
+            want = _positions_by_row(rows[stream], 1, n_frames)
             assert got.tobytes() == want.tobytes()
-        rig_rows = segment.streams["per_rig_landmarks"]
+        rig_rows = rows["per_rig_landmarks"]
         rigs = segment.rig_positions()
-        assert list(rigs) == ["S3", "S2", "S1"]
+        # Rigs come in order of first appearance: reversed rows meet S3 first.
+        assert list(rigs) == list(dict.fromkeys(r[1] for r in rig_rows))
+        if order == "reversed":
+            assert list(rigs) == ["S3", "S2", "S1"]
         for rig, got in rigs.items():
             want = _positions_by_row([r for r in rig_rows if r[1] == rig], 2, n_frames)
             assert got.tobytes() == want.tobytes()
@@ -131,7 +157,7 @@ def test_formatter_keeps_the_legacy_strings():
     row = tuple(value for _, value, _ in LEGACY_STRINGS)
     header = ",".join(name for name, _ in fields)
     line = ",".join(text for _, _, text in LEGACY_STRINGS)
-    assert format_csv(fields, [row, row]) == f"{header}\n{line}\n{line}\n"
+    assert format_csv(fields, rows_table(fields, [row, row])) == f"{header}\n{line}\n{line}\n"
 
 
 EXTREME_FLOATS = (float("nan"), float("inf"), float("-inf"), 0.0, -0.0,
@@ -167,11 +193,10 @@ def _assert_round_trip(segment: SegmentRecording, first, second):
 def test_random_rows_round_trip_byte_identical(seed, tmp_path):
     rng = np.random.default_rng(seed)
     n_frames = int(rng.integers(1, 5))
-    segment = SegmentRecording(manifest={"frames": n_frames})
-    for stream, fields in STREAM_FIELDS.items():
-        segment.extend(stream, [
-            tuple(_random_value(rng, name, conv, n_frames) for name, conv in fields)
-            for _ in range(rng.integers(0, 12))])
+    segment = SegmentRecording.from_rows({"frames": n_frames}, {
+        stream: [tuple(_random_value(rng, name, conv, n_frames) for name, conv in fields)
+                 for _ in range(rng.integers(0, 12))]
+        for stream, fields in STREAM_FIELDS.items()})
     _assert_round_trip(segment, tmp_path / "first", tmp_path / "second")
 
 
@@ -182,29 +207,90 @@ def test_criterion_9_recording_round_trips_byte_identical(criterion_9_run, tmp_p
         assert segment.digest() == PINNED_DIGESTS[name]
 
 
-# -- the row contract ----------------------------------------------------------
+# -- JSON records ---------------------------------------------------------------
 
-def test_wrong_length_row_rejected_by_append_and_extend():
-    segment = SegmentRecording(manifest={"frames": 1})
+JSON_FLOATS = (float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 1e-300, 5e-324,
+               1.7976931348623157e308, 0.1, 1 / 3, 2.0 ** 60)
+JSON_STRINGS = ("", "fused", 'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f",
+                "caf\u00e9", "\u2028\ud83d\ude00", "100%", "%s", "\U0001f600")
+
+
+def _random_json_value(rng, conv: type):
+    if conv is int:
+        return int(rng.integers(-2 ** 63, 2 ** 63 - 1, endpoint=True))
+    if conv is str:
+        return "".join(rng.choice(JSON_STRINGS, size=rng.integers(0, 3)))
+    if rng.random() < 0.5:
+        return JSON_FLOATS[rng.integers(len(JSON_FLOATS))]
+    return float(rng.normal() * 10.0 ** rng.integers(-300, 300))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_format_json_equals_json_dumps(seed):
+    rng = np.random.default_rng(seed)
+    names = ["frame", 'q"uote', "caf\u00e9", "50%", "%(x)s", "tab\t"]
+    fields = tuple((names[i] if i < len(names) else f"f{i}", (int, float, str)[rng.integers(3)])
+                   for i in range(rng.integers(1, 9)))
+    rows = [tuple(_random_json_value(rng, conv) for _, conv in fields)
+            for _ in range(rng.integers(1, 30))]
+    records = [dict(zip((name for name, _ in fields), row)) for row in rows]
+    assert format_json(fields, rows_table(fields, rows)) == json.dumps(records, indent=1)
+
+
+def test_format_json_of_no_records():
+    fields = (("frame", int), ("x", float))
+    assert format_json(fields, rows_table(fields, [])) == json.dumps([], indent=1) == "[]"
+
+
+# -- the row constructor ---------------------------------------------------------
+
+def test_wrong_length_row_rejected_by_the_constructor():
     good = (0, "nose", 0.0, 0.0, 0.0, "aux")
-    with pytest.raises(RecordingError, match="expects 6 fields, got 5"):
-        segment.append("fused_landmarks", good[:5])
+    with pytest.raises(RecordingError,
+                       match="^stream 'fused_landmarks' expects 6 fields, got 5$"):
+        SegmentRecording.from_rows({}, {"fused_landmarks": [good[:5]]})
     with pytest.raises(RecordingError, match="expects 6 fields, got 7"):
-        segment.extend("fused_landmarks", [good, good + ("extra",)])
-    # A rejected batch adds none of its rows.
-    assert segment.streams["fused_landmarks"] == []
-    segment.extend("fused_landmarks", [good])
-    assert segment.streams["fused_landmarks"] == [good]
+        SegmentRecording.from_rows({}, {"fused_landmarks": [good, good + ("extra",)]})
+    with pytest.raises(RecordingError, match="unknown streams"):
+        SegmentRecording.from_rows({}, {"fused": [good]})
+    segment = SegmentRecording.from_rows({}, {"fused_landmarks": [good]})
+    assert segment.streams["fused_landmarks"].tolist() == [good]
+    assert all(len(segment.streams[name]) == 0 for name in STREAM_NAMES[:3])
 
 
-def test_non_integral_value_in_int_column_is_written_and_rejected_on_load(tmp_path):
-    segment = SegmentRecording(manifest={"frames": 1})
-    segment.append("ground_truth", (0, "nose", 0.0, 0.0, 0.0, 0.5))
+GOOD_TRUTH = (0, "nose", 0.5, -1.0, 2.0, 1)
+# (field index, value) that the field's type cannot hold exactly.
+UNFIT = [
+    (5, 0.5), (5, 1.5), (5, "3"), (5, 2 ** 63), (5, -2 ** 63 - 1), (5, float("nan")),
+    (5, float("inf")), (5, None), (0, "0"), (0, 0.25),
+    (2, "0.5"), (2, "nan"), (2, None), (2, 2 ** 60 + 1), (2, 10 ** 400), (2, np.longdouble(0.1) / 3),
+    (1, 3), (1, None), (1, b"nose"),
+]
+
+
+@pytest.mark.parametrize("index, value", UNFIT, ids=[repr(v)[:20] for _, v in UNFIT])
+def test_constructor_rejects_values_their_field_cannot_hold(index, value):
+    row = GOOD_TRUTH[:index] + (value,) + GOOD_TRUTH[index + 1:]
+    rows = [GOOD_TRUTH, row] if index else [row]
+    name, conv = STREAM_FIELDS["ground_truth"][index]
+    with pytest.raises(RecordingError,
+                       match=f"^stream 'ground_truth': {conv.__name__} field '{name}' "
+                             f"cannot hold "):
+        SegmentRecording.from_rows({"frames": 1}, {"ground_truth": rows})
+    assert rows[-1] == row  # the input is left as it was
+
+
+def test_constructor_keeps_values_their_field_holds_exactly(tmp_path):
+    rows = [(np.int64(0), np.str_("nose"), np.float32(0.5), 7, -0.0, True),
+            (0, "neck", float("nan"), 2 ** 53, np.float64(1e-300), np.int64(-2 ** 63))]
+    segment = SegmentRecording.from_rows({"frames": 1}, {"ground_truth": rows})
+    assert _bits(segment.streams["ground_truth"]) == _bits(rows_table(
+        STREAM_FIELDS["ground_truth"],
+        [(0, "neck", float("nan"), 2.0 ** 53, 1e-300, -2 ** 63),
+         (0, "nose", 0.5, 7.0, -0.0, 1)]))
     segment.save(tmp_path)
-    lines = (tmp_path / "ground_truth.csv").read_text().splitlines()
-    assert lines[1] == "0,nose,0,0,0,0.5"
-    with pytest.raises(RecordingError, match="ground_truth.*line 2"):
-        SegmentRecording.load(tmp_path)
+    assert (tmp_path / "ground_truth.csv").read_text().splitlines()[1:] == [
+        "0,neck,nan,9.00719925e+15,1e-300,-9223372036854775808", "0,nose,0.5,7,-0,1"]
 
 
 # -- partial loads ---------------------------------------------------------------
@@ -217,7 +303,10 @@ def saved_pre(criterion_9_run, tmp_path):
 def test_bare_load_parses_every_stream(criterion_9_run, saved_pre):
     loaded = SegmentRecording.load(saved_pre)
     assert list(loaded.streams) == list(STREAM_NAMES)
-    assert loaded.streams == SegmentRecording.load(saved_pre, STREAM_NAMES).streams
+    again = SegmentRecording.load(saved_pre, STREAM_NAMES)
+    for name in STREAM_NAMES:
+        assert loaded.streams[name].dtype == recording._DTYPES[name]
+        assert _bits(loaded.streams[name]) == _bits(again.streams[name])
     assert loaded.digest() == PINNED_DIGESTS["pre"]
 
 
@@ -226,9 +315,8 @@ def test_partial_load_parses_only_the_named_streams(saved_pre):
     partial = SegmentRecording.load(saved_pre, ("rula", "fused_landmarks"))
     assert sorted(partial.streams) == ["fused_landmarks", "rula"]
     for name in partial.streams:
-        assert partial.streams[name] == full.streams[name]
+        assert _bits(partial.streams[name]) == _bits(full.streams[name])
     assert partial.manifest == full.manifest
-    assert partial.rula_rows() == full.rula_rows()
     np.testing.assert_array_equal(partial.fused_positions(), full.fused_positions())
 
 
@@ -238,8 +326,6 @@ def test_unread_stream_raises_instead_of_reading_empty(saved_pre, unread):
     assert unread not in partial.streams
     with pytest.raises(RecordingError, match=f"stream '{unread}' was not loaded"):
         partial.streams[unread]
-    with pytest.raises(RecordingError, match=unread):
-        partial.append(unread, tuple(range(len(STREAM_FIELDS[unread]))))
 
 
 def test_typed_accessors_of_unread_streams_raise(saved_pre):
@@ -249,8 +335,9 @@ def test_typed_accessors_of_unread_streams_raise(saved_pre):
                              (partial.rig_positions, "per_rig_landmarks")):
         with pytest.raises(RecordingError, match=f"'{stream}' was not loaded"):
             accessor()
+    unread_rula = SegmentRecording.load(saved_pre, ("fused_landmarks",))
     with pytest.raises(RecordingError, match="'rula' was not loaded"):
-        SegmentRecording.load(saved_pre, ("fused_landmarks",)).rula_rows()
+        rula_compare(unread_rula, unread_rula)
 
 
 def test_digest_and_save_need_a_full_load(saved_pre, tmp_path):
@@ -284,11 +371,12 @@ def test_partial_load_skips_unread_rows_but_needs_every_file(saved_pre):
 def _outcome(parse, name, path, n_frames):
     """Parsed rows, each float as its bits, or the ``RecordingError`` text."""
     try:
-        rows = parse(name, path, n_frames)
+        table = parse(name, path, n_frames)
     except RecordingError as exc:
         return str(exc)
+    assert table.dtype == recording._DTYPES[name]
     return [tuple((type(v), struct.pack("<d", v) if type(v) is float else v)
-                  for v in row) for row in rows]
+                  for v in row) for row in table.tolist()]
 
 
 @pytest.fixture()
@@ -309,11 +397,10 @@ def per_line_calls(monkeypatch):
 def test_c_reader_reads_random_rows_as_the_per_line_parser(seed, tmp_path, per_line_calls):
     rng = np.random.default_rng(seed)
     n_frames = int(rng.integers(1, 5))
-    segment = SegmentRecording(manifest={"frames": n_frames})
-    for stream, fields in STREAM_FIELDS.items():
-        segment.extend(stream, [
-            tuple(_random_value(rng, name, conv, n_frames) for name, conv in fields)
-            for _ in range(rng.integers(1, 12))])
+    segment = SegmentRecording.from_rows({"frames": n_frames}, {
+        stream: [tuple(_random_value(rng, name, conv, n_frames) for name, conv in fields)
+                 for _ in range(rng.integers(1, 12))]
+        for stream, fields in STREAM_FIELDS.items()})
     segment.save(tmp_path)
     for name in STREAM_NAMES:
         path = tmp_path / f"{name}.csv"
@@ -382,13 +469,25 @@ CRAFTED_FILES.update({
 })
 
 
-@pytest.mark.parametrize("text", CRAFTED_FILES.values(), ids=CRAFTED_FILES)
-def test_c_reader_reads_crafted_lines_as_the_per_line_parser(text, tmp_path):
+# Crafted files whose outcome is pinned as well.
+CRAFTED_OUTCOMES = {
+    # Python reads it as an int; the table's int64 field cannot hold it.
+    "int beyond int64": "stream 'per_rig_landmarks' line 2: "
+                        "n_views 9223372036854775808 is outside int64",
+    "frame beyond int64": "stream 'per_rig_landmarks' line 2: "
+                          "frame 9223372036854775808 is outside [0, 2)",
+}
+
+
+@pytest.mark.parametrize("case", CRAFTED_FILES)
+def test_c_reader_reads_crafted_lines_as_the_per_line_parser(case, tmp_path):
     path = tmp_path / "per_rig_landmarks.csv"
-    path.write_bytes(text.encode())
+    path.write_bytes(CRAFTED_FILES[case].encode())
     parse = [_outcome(fn, "per_rig_landmarks", path, 2)
              for fn in (recording._parse_stream, recording._parse_lines)]
     assert parse[0] == parse[1]
+    if case in CRAFTED_OUTCOMES:
+        assert parse[0] == CRAFTED_OUTCOMES[case]
 
 
 def test_header_only_streams_load_empty_without_warning(tmp_path, per_line_calls):
@@ -396,5 +495,7 @@ def test_header_only_streams_load_empty_without_warning(tmp_path, per_line_calls
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         loaded = SegmentRecording.load(tmp_path)
-    assert dict(loaded.streams) == {name: [] for name in STREAM_NAMES}
+    for name in STREAM_NAMES:
+        assert loaded.streams[name].shape == (0,)
+        assert loaded.streams[name].dtype == recording._DTYPES[name]
     assert not per_line_calls
