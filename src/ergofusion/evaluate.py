@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-from .recording import (RecordingError, SegmentRecording, STREAM_FIELDS,
-                        columns_table, format_csv, format_json, rows_table)
+from .recording import (_INT64, RecordingError, SegmentRecording, STREAM_FIELDS,
+                        columns_table, format_csv, format_json)
 from .rula import AREA_FIELDS, STRESS_JOINTS, joint_stress_heatmap
 from .skeleton import LANDMARK_NAMES, N_FUSED
 
@@ -164,7 +165,21 @@ def _stress_joint_columns(rula: np.ndarray):
 
 
 def _pair_key(manifest: dict) -> tuple:
-    return (manifest.get("stature"), manifest.get("seed"))
+    """A manifest's (stature, seed), checked: a real number and an int64.
+
+    Raises ``RecordingError`` naming the field for a missing value, a
+    bool, or a value of another type.
+    """
+    stature, seed = manifest.get("stature"), manifest.get("seed")
+    for name, value in (("stature", stature), ("seed", seed)):
+        if value is None:
+            raise RecordingError(f"recording manifest has no {name}")
+    if isinstance(stature, bool) or not isinstance(stature, Real):
+        raise RecordingError(f"recording manifest stature must be a number, got {stature!r}")
+    if (isinstance(seed, bool) or not isinstance(seed, Integral)
+            or not _INT64.min <= seed <= _INT64.max):
+        raise RecordingError(f"recording manifest seed must be an int64, got {seed!r}")
+    return stature, seed
 
 
 def rula_compare(pre: SegmentRecording, post: SegmentRecording) -> RulaComparison:
@@ -185,9 +200,6 @@ def rula_compare_many(pairs: list[tuple[SegmentRecording, SegmentRecording]]) ->
             raise PairingError(
                 f"pre recording (stature, seed) {key} does not match post {post_key}")
         stature, seed = key
-        if stature is None or seed is None:
-            missing = "stature" if stature is None else "seed"
-            raise RecordingError(f"recording manifest has no {missing}")
         tables = pre.streams["rula"], post.streams["rula"]
         if not all(map(len, tables)):
             raise RecordingError("recording has no rula stream")
@@ -319,18 +331,19 @@ def write_comparison(comparison: RulaComparison, out_dir) -> dict[str, Path]:
 
     grand_fields = (("stature", float), ("seed", int), ("pre_mean_grand", float),
                     ("post_mean_grand", float))
-    grand_rows = [tuple(row[name] for name, _ in grand_fields) for row in comparison.pairs]
+    pairs = comparison.pairs
     paths["grand"] = _write_records(
-        grand_fields, rows_table(grand_fields, grand_rows), "csv",
-        out_dir / "grand_by_stature.csv")
+        grand_fields, columns_table(grand_fields, len(pairs), (
+            [row[name] for row in pairs] for name, _ in grand_fields)),
+        "csv", out_dir / "grand_by_stature.csv")
 
     area_fields = (("area", str), ("pre_mean", float), ("post_mean", float),
                    ("improvement", float))
-    area_rows = [(area, pre, post, pre - post)
-                 for area, (pre, post) in comparison.area_means.items()]
+    areas = comparison.area_means
+    pre, post = np.array(list(areas.values())).reshape(-1, 2).T
     paths["areas"] = _write_records(
-        area_fields, rows_table(area_fields, area_rows), "csv",
-        out_dir / "area_means.csv")
+        area_fields, columns_table(area_fields, len(areas), (list(areas), pre, post, pre - post)),
+        "csv", out_dir / "area_means.csv")
 
     paths["angles"] = _write_records(ANGLE_FIELDS, comparison.angle_rows, "csv",
                                      out_dir / "angle_distributions.csv")

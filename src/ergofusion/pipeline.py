@@ -13,7 +13,8 @@ The fusion node synchronizes per-camera messages by frame index,
 triangulates each rig's landmark set in one batched DLT solve, and
 applies the prefactored graph-Laplacian solve; the prefactorization
 happens exactly once per run (``prefactor_count`` is asserted in tests).
-Per-rig DLT residual quantiles go to the manifest stats. A scenario run
+Per-rig DLT residual quantiles go to the manifest stats. The recorder
+builds each stream's table from its messages' arrays. A scenario run
 produces a ``pre`` segment with the default delivery point and, when
 adaptation is enabled, a paired ``post`` segment re-run with the same
 seed and the adapted delivery so pre/post comparisons share their noise
@@ -24,7 +25,8 @@ from __future__ import annotations
 
 import time
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterator
 
 import numpy as np
@@ -36,7 +38,8 @@ from .bus import FrameSynchronizer, Message, Node, NodeGraph, run_serial, run_th
 from .cameras import CameraModel
 from .fusion import (build_topology, compute_anchors, compute_delta, fuse,
                      prefactor)
-from .recording import STREAM_NAMES, RunRecording, SegmentRecording
+from .recording import (STREAM_COLUMNS, STREAM_FIELDS, STREAM_NAMES, RunRecording,
+                        SegmentRecording, columns_table)
 from .rula import RulaAdjustments, RulaBreakdown, JointAngles, PostureStatus, \
     classify_posture, compute_joint_angles, rula_score
 from .scenario import ScenarioConfig
@@ -284,14 +287,41 @@ class AdaptationNode(Node):
                             message.timestamp, self.event))
 
 
+_LANDMARKS = np.array(LANDMARK_NAMES, dtype=object)
+_SOURCES = np.array(["fused"] * N_FUSED + ["aux"] * (N_ALL - N_FUSED), dtype=object)
+_STREAM_OF_TOPIC = {TOPIC_WORLD: "ground_truth", TOPIC_PER_RIG: "per_rig_landmarks",
+                    TOPIC_FUSED: "fused_landmarks", TOPIC_RULA: "rula"}
+_ANGLE_NAMES = {f.name for f in fields(JointAngles)}
+# The RulaRecord attribute each ``rula`` field after ``frame`` is read from.
+_RULA_ATTRS = tuple(attrgetter(
+    "status.status.value" if name == "status" else
+    f"{'angles' if name in _ANGLE_NAMES else 'breakdown'}.{name}")
+    for name in STREAM_COLUMNS["rula"][1:])
+
+
+def _landmark_table(stream: str, columns, visible=True) -> np.ndarray:
+    """A landmark stream's table, one row per message and landmark, sorted.
+
+    ``columns`` are in field order and broadcast to (messages, N_ALL):
+    (M, 1) per message, (N_ALL,) per landmark, (M, N_ALL) per row. Rows
+    are kept where ``visible`` (M, N_ALL) is true.
+    """
+    *columns, visible = np.broadcast_arrays(*columns, visible)
+    return SegmentRecording.sort(columns_table(
+        STREAM_FIELDS[stream], int(visible.sum()), (c[visible] for c in columns)))
+
+
 class RecorderNode(Node):
-    """Buffers every stream's rows and builds the recording from them at the end."""
+    """Keeps every recorded message and builds the stream tables at the end."""
 
     name = "recorder"
     publishes = ()
 
     def __init__(self, camera_ids):
-        self.rows: dict[str, list[tuple]] = {name: [] for name in STREAM_NAMES}
+        # Per stream, the (frame index, payload) of each message; one per
+        # rig estimate for ``per_rig_landmarks``.
+        self.received: dict[str, list[tuple[int, object]]] = {
+            name: [] for name in STREAM_NAMES}
         self.recording: SegmentRecording | None = None
         self.subscribes = (TOPIC_WORLD, TOPIC_PER_RIG, TOPIC_FUSED, TOPIC_RULA,
                            TOPIC_STATUS, TOPIC_ADAPTATION) + tuple(
@@ -301,44 +331,13 @@ class RecorderNode(Node):
 
     def handle(self, message, publish):
         topic, k, payload = message.topic, message.frame_index, message.payload
-        rows = self.rows
-        if topic == TOPIC_WORLD:
-            frame: LandmarkFrame = payload
-            reach_ok = int(frame.reach_ok)
-            rows["ground_truth"].extend([
-                (k, name, x, y, z, reach_ok)
-                for name, (x, y, z) in zip(LANDMARK_NAMES, frame.xyz.tolist())])
+        if topic == TOPIC_PER_RIG:
+            self.received["per_rig_landmarks"].extend(
+                (k, est) for est in payload.estimates.values())
+        elif topic in _STREAM_OF_TOPIC:
+            self.received[_STREAM_OF_TOPIC[topic]].append((k, payload))
         elif topic.startswith("observations/"):
-            obs: CameraObservations = payload
-            rows["observations"].extend([
-                (k, obs.camera_id, name, u, v)
-                for name, (u, v), seen in zip(LANDMARK_NAMES, obs.uv.tolist(),
-                                              obs.visible.tolist()) if seen])
-        elif topic == TOPIC_PER_RIG:
-            rows["per_rig_landmarks"].extend([
-                (k, rig_id, name, x, y, z, residual, 2)
-                for rig_id, est in payload.estimates.items()
-                for name, (x, y, z), residual, seen in zip(
-                    LANDMARK_NAMES, est.xyz.tolist(), est.residual.tolist(),
-                    est.visible.tolist()) if seen])
-        elif topic == TOPIC_FUSED:
-            fused: FusedLandmarks = payload
-            rows["fused_landmarks"].extend([
-                (k, name, x, y, z, "fused" if i < N_FUSED else "aux")
-                for i, (name, (x, y, z)) in enumerate(
-                    zip(LANDMARK_NAMES, fused.xyz.tolist()))])
-        elif topic == TOPIC_RULA:
-            r: RulaRecord = payload
-            a, b = r.angles, r.breakdown
-            rows["rula"].append((
-                k, a.upper_arm_left, a.upper_arm_right, a.lower_arm_left,
-                a.lower_arm_right, a.wrist_left, a.wrist_right, a.neck, a.trunk,
-                int(a.legs_supported), int(a.aux_present),
-                b.score_upper_arm, b.score_lower_arm, b.score_wrist,
-                b.score_wrist_twist, b.table_a,
-                b.score_neck, b.score_trunk, b.score_legs, b.table_b,
-                b.wrist_arm_score, b.neck_trunk_leg_score,
-                b.grand, b.action_level, r.status.status.value, b.side))
+            self.received["observations"].append((k, payload))
         elif topic == TOPIC_STATUS:
             status: PostureStatus = payload
             key = status.status.value
@@ -346,8 +345,52 @@ class RecorderNode(Node):
         elif topic == TOPIC_ADAPTATION:
             self.adaptation_event = payload
 
+    def _messages(self, stream: str) -> tuple[np.ndarray, list]:
+        """A stream's frame indices as an (M, 1) column, and its payloads."""
+        received = self.received[stream]
+        return (np.array([k for k, _ in received], dtype=np.int64).reshape(-1, 1),
+                [payload for _, payload in received])
+
     def finish(self, publish):
-        self.recording = SegmentRecording.from_rows({}, self.rows)
+        def stacked(arrays, *shape, dtype=float) -> np.ndarray:
+            return np.array(arrays, dtype).reshape(-1, N_ALL, *shape)
+
+        frame, truth = self._messages("ground_truth")
+        xyz = stacked([f.xyz for f in truth], 3)
+        reach_ok = np.array([f.reach_ok for f in truth], dtype=np.int64).reshape(-1, 1)
+        ground_truth = _landmark_table(
+            "ground_truth", (frame, _LANDMARKS, *np.moveaxis(xyz, -1, 0), reach_ok))
+
+        frame, views = self._messages("observations")
+        uv = stacked([obs.uv for obs in views], 2)
+        camera = np.array([obs.camera_id for obs in views], dtype=object).reshape(-1, 1)
+        observations = _landmark_table(
+            "observations", (frame, camera, _LANDMARKS, *np.moveaxis(uv, -1, 0)),
+            stacked([obs.visible for obs in views], dtype=bool))
+
+        frame, estimates = self._messages("per_rig_landmarks")
+        rig = np.array([est.rig_id for est in estimates], dtype=object).reshape(-1, 1)
+        xyz = stacked([est.xyz for est in estimates], 3)
+        per_rig = _landmark_table(
+            "per_rig_landmarks",
+            (frame, rig, _LANDMARKS, *np.moveaxis(xyz, -1, 0),
+             stacked([est.residual for est in estimates]), 2),
+            stacked([est.visible for est in estimates], dtype=bool))
+
+        frame, fused = self._messages("fused_landmarks")
+        xyz = stacked([f.xyz for f in fused], 3)
+        fused_landmarks = _landmark_table(
+            "fused_landmarks", (frame, _LANDMARKS, *np.moveaxis(xyz, -1, 0), _SOURCES))
+
+        frame, records = self._messages("rula")
+        rula = SegmentRecording.sort(columns_table(
+            STREAM_FIELDS["rula"], len(records),
+            (frame.ravel(), *(list(map(attr, records)) for attr in _RULA_ATTRS))))
+
+        self.recording = SegmentRecording({}, {
+            "ground_truth": ground_truth, "observations": observations,
+            "per_rig_landmarks": per_rig, "fused_landmarks": fused_landmarks,
+            "rula": rula})
 
 
 def _drive(frames, frame_rate: float) -> Iterator[Message]:

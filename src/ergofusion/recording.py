@@ -7,12 +7,12 @@ fixed field order (``STREAM_FIELDS``). In memory each stream is one numpy
 structured table of dtype ``_DTYPES[name]``: int64 and float64 fields,
 and ``object`` for str fields, so no string is cut to a fixed width.
 
-Rows enter only through ``SegmentRecording.from_rows``: it checks that
-each row has one value per field and that every value is held exactly
-by its field's type (numpy alone would truncate ``0.5`` in an int field
-and read ``"3"`` as 3), puts each stream in canonical (tuple) order and
-converts it once. ``rows_table`` is that check and conversion for any
-typed fields.
+Every table is built by ``columns_table`` from typed columns: the
+recorder (``pipeline.RecorderNode``) passes the arrays its messages
+carry, and ``SegmentRecording.sort`` puts each stream in canonical
+order. Outside input is checked where it enters: stream files by
+``_parse_stream`` on load, and manifest stature and seed when
+``evaluate`` pairs recordings.
 
 Each stream file is written through one %-template per stream
 (``format_csv``): ``%.9g`` (9 significant digits) for float columns and
@@ -50,7 +50,6 @@ import hashlib
 import json
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -113,8 +112,6 @@ class _LoadedStreams(dict):
 # (a fixed ``U<n>`` width could truncate it and costs n * 4 bytes a row).
 _NUMPY_TYPES = {int: np.int64, float: np.float64, str: object}
 _INT64 = np.iinfo(np.int64)
-# Value types a field holds as they are; other values are checked one by one.
-_PLAIN_TYPES = {int: {int, np.int64}, float: {float, np.float64}, str: {str}}
 
 
 def _table_dtype(fields: tuple[tuple[str, type], ...]) -> np.dtype:
@@ -125,54 +122,13 @@ def _table_dtype(fields: tuple[tuple[str, type], ...]) -> np.dtype:
 _DTYPES = {name: _table_dtype(fields) for name, fields in STREAM_FIELDS.items()}
 
 
-def _holds(conv: type, value) -> bool:
-    """Whether a ``conv`` field holds ``value`` exactly."""
-    if conv is str:
-        return isinstance(value, str)
-    try:
-        held = conv(_NUMPY_TYPES[conv](value))  # compared as a Python number: exactly
-    except (TypeError, ValueError, OverflowError):
-        return False
-    return held == value or (held != held and value != value)  # NaN
-
-
-def _column(what: str, name: str, conv: type, values: np.ndarray) -> np.ndarray:
-    """One field's ``object`` values as its typed column; each must fit exactly."""
-    if set(map(type, values)) <= _PLAIN_TYPES[conv]:
-        try:
-            return values.astype(_NUMPY_TYPES[conv], copy=False)
-        except OverflowError:  # an int beyond int64, named below
-            pass
-    for value in values:
-        if not _holds(conv, value):
-            raise RecordingError(
-                f"{what}: {conv.__name__} field {name!r} cannot hold {value!r}")
-    return values.astype(_NUMPY_TYPES[conv], copy=False)
-
-
-def rows_table(fields: tuple[tuple[str, type], ...], rows,
-               what: str = "records") -> np.ndarray:
-    """The structured table of tuple ``rows`` under typed ``fields``.
-
-    Raises ``RecordingError`` (prefixed with ``what``), and builds
-    nothing, for a row without one value per field or for a value its
-    field cannot hold exactly: a non-integral or non-numeric value or
-    one beyond int64 in an int field, a non-number or an int that float64
-    would round in a float field, a non-str in a str field.
-    """
-    n_fields = len(fields)
-    if set(map(len, rows)) - {n_fields}:
-        n = next(n for n in map(len, rows) if n != n_fields)
-        raise RecordingError(f"{what} expects {n_fields} fields, got {n}")
-    # Every value as it is, in an (n_rows, n_fields) object array.
-    values = np.fromiter(chain.from_iterable(rows), object,
-                         len(rows) * n_fields).reshape(len(rows), n_fields)
-    return columns_table(fields, len(rows), (
-        _column(what, name, conv, column) for (name, conv), column in zip(fields, values.T)))
-
-
 def columns_table(fields: tuple[tuple[str, type], ...], n: int, columns) -> np.ndarray:
-    """``n`` rows of typed ``fields`` from numpy columns (or scalars) in field order."""
+    """``n`` rows of typed ``fields`` from columns (or scalars) in field order.
+
+    The one table constructor. Each column is assigned as numpy converts
+    it, so callers pass values their field holds: typed arrays, or
+    Python values already checked.
+    """
     # Every field is overwritten; np.empty would first set each object to None.
     table = np.zeros(n, _table_dtype(fields))
     for (name, _), column in zip(fields, columns):
@@ -331,35 +287,24 @@ class SegmentRecording:
                 self.streams.setdefault(name, np.empty(0, _DTYPES[name]))
 
     @staticmethod
-    def sort(rows: list) -> list:
-        """``rows`` in canonical order (streams may fill from concurrent nodes).
+    def sort(table: np.ndarray) -> np.ndarray:
+        """``table`` in canonical order (streams may fill from concurrent nodes).
 
-        Rows are unique on their leading identity fields (frame, then
-        rig, camera or landmark names), so plain tuple order never
-        reaches the float columns. Rows that do not compare hold a value
-        of the wrong type and are returned as they are, for
-        ``rows_table`` to reject.
+        Rows are ordered by their leading int and str fields (frame, then
+        rig, camera or landmark names), which are unique per row, so this
+        is the rows' tuple order. Str fields are ranked by their sorted
+        distinct values.
         """
-        try:
-            return sorted(rows)
-        except TypeError:
-            return rows
-
-    @classmethod
-    def from_rows(cls, manifest: dict, rows: dict[str, list]) -> "SegmentRecording":
-        """A recording of tuple ``rows`` by stream name (absent streams are empty).
-
-        Each stream is sorted (``sort``) and converted once by
-        ``rows_table``; a wrong field count, a value its field cannot
-        hold exactly or an unknown stream name raises ``RecordingError``,
-        and nothing is built.
-        """
-        unknown = set(rows) - set(STREAM_FIELDS)
-        if unknown:
-            raise RecordingError(f"unknown streams {sorted(unknown)}")
-        return cls(manifest, {
-            name: rows_table(fields, cls.sort(rows.get(name, [])), f"stream {name!r}")
-            for name, fields in STREAM_FIELDS.items()})
+        keys = []
+        for name in table.dtype.names:
+            column = table[name]
+            if column.dtype.kind == "f":
+                break
+            if column.dtype.kind == "O":
+                rank = {value: i for i, value in enumerate(sorted(set(column)))}
+                column = np.fromiter(map(rank.__getitem__, column), np.int64, len(column))
+            keys.append(column)
+        return table[np.lexsort(keys[::-1])]
 
     # -- persistence -----------------------------------------------------
 

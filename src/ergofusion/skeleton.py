@@ -185,9 +185,6 @@ class LandmarkFrame:
     xyz: np.ndarray            # (N_ALL, 3), canonical LandmarkId order
     reach_ok: bool = True
 
-    def fused(self) -> np.ndarray:
-        return self.xyz[:N_FUSED]
-
     def get(self, lm: LandmarkId) -> np.ndarray:
         return self.xyz[LANDMARK_INDEX[lm]]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ergofusion.cameras import CameraModel, look_at_rotation
+from ergofusion.recording import STREAM_FIELDS, SegmentRecording, columns_table
 from ergofusion.triangulate import Observation2D
 
 
@@ -124,3 +125,15 @@ def random_visibility(rng: np.random.Generator, n_cameras: int,
         if not vis[i].any():
             vis[i, rng.integers(n_landmarks)] = True
     return vis
+
+
+def rows_table(fields, rows) -> np.ndarray:
+    """The table of tuple ``rows`` under typed ``fields``, in the rows' order."""
+    return columns_table(fields, len(rows), zip(*rows))
+
+
+def rows_recording(manifest: dict, rows: dict[str, list]) -> SegmentRecording:
+    """A recording of tuple rows by stream name, each stream sorted as recorded."""
+    return SegmentRecording(manifest, {
+        name: SegmentRecording.sort(rows_table(fields, rows.get(name, [])))
+        for name, fields in STREAM_FIELDS.items()})

@@ -176,6 +176,12 @@ class TestEvalRmse:
         err = capsys.readouterr().err
         assert "'ground_truth' line 4" in err and "abc" in err
 
+# Manifest stature/seed values that pairing rejects: not a number, a
+# non-integral seed or one beyond int64, and bools, which Python would
+# read as 1.
+BAD_PAIR_KEYS = [("stature", [1.75]), ("stature", "1.75"), ("seed", 3.5),
+                 ("seed", 2 ** 70), ("stature", True), ("seed", True)]
+
 
 class TestEvalRula:
     def test_paired_report(self, run_dir, tmp_path, capsys):
@@ -206,6 +212,24 @@ class TestEvalRula:
                      "--seed", "42", "--out", str(other)]) == 0
         assert main(["eval-rula", "--recording-pre", str(run_dir / "pre"),
                      "--recording-post", str(other / "post")]) == 2
+
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("field, value", BAD_PAIR_KEYS,
+                             ids=[f"{f}={json.dumps(v)}" for f, v in BAD_PAIR_KEYS])
+    def test_bad_manifest_stature_or_seed_exits_2(self, run_dir, tmp_path, capsys,
+                                                  field, value, out):
+        for segment in ("pre", "post"):
+            path = run_dir / segment / "manifest.json"
+            manifest = json.loads(path.read_text())
+            manifest[field] = value
+            path.write_text(json.dumps(manifest))
+        argv = command("eval-rula", run_dir, None)
+        report = tmp_path / "report"
+        assert main(argv + ["--out", str(report)] if out else argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: recording manifest {field} must be " in captured.err
+        assert captured.out == ""
+        assert not report.exists()
 
 
 class TestExport:

@@ -16,6 +16,8 @@ from ergofusion.rula import AREA_FIELDS, STRESS_JOINTS
 from ergofusion.scenario import default_handover_scenario, parse_scenario
 from ergofusion.skeleton import ALL_LANDMARKS, FUSED_LANDMARKS
 
+from helpers import rows_recording
+
 
 @pytest.fixture(scope="module")
 def noisy_recording():
@@ -42,7 +44,7 @@ def build_fixture_recording():
             dx = offsets[frame] if i == 0 else 0.0
             rows["per_rig_landmarks"].append(
                 (frame, "S1", lm.value, x + dx, y, z, 0.0, 2))
-    return SegmentRecording.from_rows(
+    return rows_recording(
         {"frames": 2, "stature": 1.75, "seed": 0, "segment": "pre"}, rows)
 
 

@@ -1,6 +1,7 @@
-"""Recording write and read paths: digests, canonical order, landmark names,
-the row formatters and the row constructor."""
+"""Recording write and read paths: digests, canonical order, the recorder's
+tables, landmark names and the row formatters."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -12,13 +13,20 @@ import numpy as np
 import pytest
 
 from ergofusion.evaluate import rula_compare
-from ergofusion.pipeline import run_scenario
+from ergofusion.bus import Message
+from ergofusion.pipeline import (FusedLandmarks, PerRigLandmarks, RecorderNode, RigEstimate,
+                                 RulaRecord, run_scenario)
+from ergofusion.rula import (STATUS_MESSAGES, JointAngles, PostureState, PostureStatus,
+                             RulaBreakdown)
 from ergofusion import recording
 from ergofusion.recording import (STREAM_COLUMNS, STREAM_FIELDS, STREAM_NAMES,
                                   RecordingError, SegmentRecording, format_csv,
-                                  format_json, rows_table)
+                                  format_json)
 from ergofusion.scenario import default_handover_scenario
-from ergofusion.skeleton import LANDMARK_NAMES, N_ALL
+from ergofusion.skeleton import (LANDMARK_NAMES, N_ALL, N_FUSED, CameraObservations,
+                                 LandmarkFrame, animate, build_skeleton)
+
+from helpers import rows_recording, rows_table
 
 # Serial-scheduler digests of the acceptance criterion-9 configuration.
 PINNED_DIGESTS = {
@@ -27,10 +35,12 @@ PINNED_DIGESTS = {
 }
 
 
+CRITERION_9_CONFIG = default_handover_scenario(stature=1.85, noise_sigma=0.002)
+
+
 @pytest.fixture(scope="module")
 def criterion_9_run():
-    config = default_handover_scenario(stature=1.85, noise_sigma=0.002)
-    return run_scenario(config, seed=123, scheduler="serial")
+    return run_scenario(CRITERION_9_CONFIG, seed=123, scheduler="serial")
 
 
 def _copy(segment: SegmentRecording) -> SegmentRecording:
@@ -38,10 +48,15 @@ def _copy(segment: SegmentRecording) -> SegmentRecording:
                             streams={n: t.copy() for n, t in segment.streams.items()})
 
 
-def _bits(table) -> list[tuple]:
-    """A table's rows with each float as its bits, so NaN rows compare equal."""
+def _row_bits(rows) -> list[tuple]:
+    """Rows with each float as its bits, so NaN rows compare equal."""
     return [tuple(struct.pack("<d", v) if type(v) is float else v for v in row)
-            for row in table.tolist()]
+            for row in rows]
+
+
+def _bits(table) -> list[tuple]:
+    """A table's rows with each float as its bits."""
+    return _row_bits(table.tolist())
 
 
 def test_criterion_9_digests_are_pinned(criterion_9_run):
@@ -50,19 +65,168 @@ def test_criterion_9_digests_are_pinned(criterion_9_run):
 
 
 def test_sort_restores_digest_after_shuffle(criterion_9_run):
+    rng = np.random.default_rng(7)
     for name, original in criterion_9_run.segments.items():
-        rng = random.Random(7)
-        rows = {}
-        for stream, table in original.streams.items():
-            rows[stream] = table.tolist()
-            rng.shuffle(rows[stream])
-        unsorted = SegmentRecording(original.manifest, {
-            stream: rows_table(STREAM_FIELDS[stream], stream_rows)
-            for stream, stream_rows in rows.items()})
-        assert unsorted.digest() != PINNED_DIGESTS[name]
-        # from_rows puts each stream in SegmentRecording.sort order.
-        assert SegmentRecording.from_rows({}, rows).digest() == PINNED_DIGESTS[name]
-        assert SegmentRecording.sort(rows["rula"]) == original.streams["rula"].tolist()
+        shuffled = {stream: table[rng.permutation(len(table))]
+                    for stream, table in original.streams.items()}
+        assert SegmentRecording(original.manifest, shuffled).digest() != PINNED_DIGESTS[name]
+        restored = SegmentRecording(original.manifest, {
+            stream: SegmentRecording.sort(table) for stream, table in shuffled.items()})
+        assert restored.digest() == PINNED_DIGESTS[name]
+        for stream in STREAM_NAMES:
+            assert _bits(restored.streams[stream]) == _bits(original.streams[stream])
+
+
+# Identity strings whose order is code-point order, not locale or numeric order.
+SORT_STRINGS = ("", "a", "A", "b", "B", "aB", "Ab", "a1", "1a", "10", "9", "_", "-",
+                "a_b", "a-b", "S1", "S10", "S2", "nose", "neck", "\u00e9", "\u00c9",
+                "\u00df", "\u00f8", "\u4e2d", "z\u00e9", "Z")
+
+
+def _identity_value(rng, conv: type):
+    if conv is int:
+        return int(rng.choice([-2 ** 62, -1, 0, 1, 2, 3, 2 ** 62]))
+    return "".join(rng.choice(SORT_STRINGS, size=rng.integers(0, 3)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_sort_orders_random_tables_as_their_tuples(seed):
+    rng = np.random.default_rng(seed)
+    for stream, fields in STREAM_FIELDS.items():
+        n_keys = next(i for i, (_, conv) in enumerate(fields) if conv is float)
+        # Identity values unique per row, as in every recorded stream.
+        keys = list(dict.fromkeys(
+            tuple(_identity_value(rng, conv) for _, conv in fields[:n_keys])
+            for _ in range(rng.integers(0, 40))))
+        rows = [key + tuple(_random_value(rng, name, conv, 1) for name, conv in fields[n_keys:])
+                for key in keys]
+        rng.shuffle(rows)
+        table = rows_table(fields, rows)
+        got = SegmentRecording.sort(table)
+        assert got.dtype == table.dtype
+        assert _bits(got) == _row_bits(sorted(table.tolist()))
+        empty = np.empty(0, recording._DTYPES[stream])
+        assert SegmentRecording.sort(empty).dtype == empty.dtype
+        assert len(SegmentRecording.sort(empty)) == 0
+
+
+# -- the recorder's tables ---------------------------------------------------------
+
+def test_recorded_streams_have_their_stream_dtypes(criterion_9_run):
+    for segment in criterion_9_run.segments.values():
+        for name in STREAM_NAMES:
+            assert segment.streams[name].dtype == recording._DTYPES[name]
+
+
+def test_recorded_ground_truth_is_the_animation_bit_for_bit(criterion_9_run):
+    config = CRITERION_9_CONFIG
+    for segment in criterion_9_run.segments.values():
+        truth = animate(build_skeleton(config.stature), config.script(),
+                        np.array(segment.manifest["delivery_point"]),
+                        config.resolve_stance(config.stature))
+        want = truth.positions()
+        got = segment.ground_truth_positions()
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _recorded_rows(messages) -> dict[str, list[tuple]]:
+    """Reference: the rows of ``messages`` built one tuple at a time, sorted."""
+    rows = {name: [] for name in STREAM_NAMES}
+    for message in messages:
+        topic, k, payload = message.topic, message.frame_index, message.payload
+        if topic == "world":
+            rows["ground_truth"] += [
+                (k, name, x, y, z, int(payload.reach_ok))
+                for name, (x, y, z) in zip(LANDMARK_NAMES, payload.xyz.tolist())]
+        elif topic.startswith("observations/"):
+            rows["observations"] += [
+                (k, payload.camera_id, name, u, v)
+                for name, (u, v), seen in zip(LANDMARK_NAMES, payload.uv.tolist(),
+                                              payload.visible.tolist()) if seen]
+        elif topic == "per_rig_landmarks":
+            rows["per_rig_landmarks"] += [
+                (k, rig_id, name, x, y, z, residual, 2)
+                for rig_id, est in payload.estimates.items()
+                for name, (x, y, z), residual, seen in zip(
+                    LANDMARK_NAMES, est.xyz.tolist(), est.residual.tolist(),
+                    est.visible.tolist()) if seen]
+        elif topic == "fused_landmarks":
+            rows["fused_landmarks"] += [
+                (k, name, x, y, z, "fused" if i < N_FUSED else "aux")
+                for i, (name, (x, y, z)) in enumerate(zip(LANDMARK_NAMES, payload.xyz.tolist()))]
+        elif topic == "rula":
+            a, b = payload.angles, payload.breakdown
+            rows["rula"].append((
+                k, a.upper_arm_left, a.upper_arm_right, a.lower_arm_left,
+                a.lower_arm_right, a.wrist_left, a.wrist_right, a.neck, a.trunk,
+                int(a.legs_supported), int(a.aux_present),
+                b.score_upper_arm, b.score_lower_arm, b.score_wrist,
+                b.score_wrist_twist, b.table_a,
+                b.score_neck, b.score_trunk, b.score_legs, b.table_b,
+                b.wrist_arm_score, b.neck_trunk_leg_score,
+                b.grand, b.action_level, payload.status.status.value, b.side))
+    return {name: sorted(stream_rows) for name, stream_rows in rows.items()}
+
+
+def _random_messages(rng) -> list[Message]:
+    """Recorder input for a few frames, with landmarks each camera or rig missed."""
+    cameras = ["C" + str(i) for i in rng.permutation(int(rng.integers(1, 5)))]
+    rigs = ["S" + str(i) for i in rng.permutation(int(rng.integers(1, 4)))]
+    states = list(PostureState)
+
+    def points():
+        return rng.normal(size=(N_ALL, 3))
+
+    def seen():
+        return rng.random(N_ALL) < 0.7
+
+    messages = []
+    for k in rng.permutation(int(rng.integers(0, 5))).tolist():
+        reach_ok = bool(rng.random() < 0.5)
+        messages.append(Message("world", k, 0.0, LandmarkFrame(k, points(), reach_ok)))
+        for camera in cameras:
+            visible = seen()
+            uv = np.where(visible[:, None], rng.normal(size=(N_ALL, 2)), np.nan)
+            messages.append(Message(f"observations/{camera}", k, 0.0,
+                                    CameraObservations(camera, k, uv, visible)))
+        messages.append(Message("per_rig_landmarks", k, 0.0, PerRigLandmarks({
+            rig: RigEstimate(rig, points(), seen(), rng.random(N_ALL)) for rig in rigs})))
+        messages.append(Message("fused_landmarks", k, 0.0, FusedLandmarks(points())))
+        angles = JointAngles(*rng.uniform(-180.0, 180.0, 8).tolist(),
+                             legs_supported=bool(rng.random() < 0.5),
+                             aux_present=bool(rng.random() < 0.5))
+        breakdown = RulaBreakdown(
+            **{f.name: int(rng.integers(1, 8)) for f in dataclasses.fields(RulaBreakdown)
+               if f.name != "side"}, side=str(rng.choice(["left", "right"])))
+        state = states[rng.integers(len(states))]
+        messages.append(Message("rula", k, 0.0, RulaRecord(
+            angles, breakdown, PostureStatus(state, STATUS_MESSAGES[state]))))
+    rng.shuffle(messages)  # as the threaded scheduler may deliver them
+    return messages
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_recorder_tables_equal_the_per_row_reference(seed):
+    messages = _random_messages(np.random.default_rng(seed))
+    recorder = RecorderNode([])
+    for message in messages:
+        recorder.handle(message, None)
+    recorder.finish(None)
+    want = _recorded_rows(messages)
+    for name in STREAM_NAMES:
+        table = recorder.recording.streams[name]
+        assert table.dtype == recording._DTYPES[name]
+        assert _bits(table) == _row_bits(want[name])
+
+
+def test_serial_and_threaded_tables_are_equal_bit_for_bit(criterion_9_run):
+    threaded = run_scenario(CRITERION_9_CONFIG, seed=123, scheduler="threads")
+    assert list(threaded.segments) == list(criterion_9_run.segments)
+    for name, segment in criterion_9_run.segments.items():
+        for stream in STREAM_NAMES:
+            assert _bits(threaded.segments[name].streams[stream]) == \
+                _bits(segment.streams[stream])
 
 
 def test_save_records_the_digest_of_the_written_bytes(criterion_9_run, tmp_path):
@@ -78,7 +242,7 @@ def test_save_records_the_digest_of_the_written_bytes(criterion_9_run, tmp_path)
 
 
 def test_unknown_landmark_name_rejected():
-    segment = SegmentRecording.from_rows({"frames": 1}, {
+    segment = rows_recording({"frames": 1}, {
         "fused_landmarks": [(0, "tail", 0.0, 0.0, 0.0, "fused")],
         "ground_truth": [(0, "nose", 0.0, 0.0, 0.0, 1), (0, "tail", 0.0, 0.0, 0.0, 1)],
         "per_rig_landmarks": [(0, "S1", "nose", 0.0, 0.0, 0.0, 0.0, 2),
@@ -111,7 +275,7 @@ def test_positions_equal_the_per_row_reference(criterion_9_run):
                 rows[stream].reverse()
             elif order == "shuffled":
                 rng.shuffle(rows[stream])
-        # Tables built as the rows stand, without from_rows' sort.
+        # Tables built as the rows stand, unsorted.
         segment = SegmentRecording(original.manifest, {
             stream: rows_table(STREAM_FIELDS[stream], stream_rows)
             for stream, stream_rows in rows.items()})
@@ -193,7 +357,7 @@ def _assert_round_trip(segment: SegmentRecording, first, second):
 def test_random_rows_round_trip_byte_identical(seed, tmp_path):
     rng = np.random.default_rng(seed)
     n_frames = int(rng.integers(1, 5))
-    segment = SegmentRecording.from_rows({"frames": n_frames}, {
+    segment = rows_recording({"frames": n_frames}, {
         stream: [tuple(_random_value(rng, name, conv, n_frames) for name, conv in fields)
                  for _ in range(rng.integers(0, 12))]
         for stream, fields in STREAM_FIELDS.items()})
@@ -240,57 +404,6 @@ def test_format_json_equals_json_dumps(seed):
 def test_format_json_of_no_records():
     fields = (("frame", int), ("x", float))
     assert format_json(fields, rows_table(fields, [])) == json.dumps([], indent=1) == "[]"
-
-
-# -- the row constructor ---------------------------------------------------------
-
-def test_wrong_length_row_rejected_by_the_constructor():
-    good = (0, "nose", 0.0, 0.0, 0.0, "aux")
-    with pytest.raises(RecordingError,
-                       match="^stream 'fused_landmarks' expects 6 fields, got 5$"):
-        SegmentRecording.from_rows({}, {"fused_landmarks": [good[:5]]})
-    with pytest.raises(RecordingError, match="expects 6 fields, got 7"):
-        SegmentRecording.from_rows({}, {"fused_landmarks": [good, good + ("extra",)]})
-    with pytest.raises(RecordingError, match="unknown streams"):
-        SegmentRecording.from_rows({}, {"fused": [good]})
-    segment = SegmentRecording.from_rows({}, {"fused_landmarks": [good]})
-    assert segment.streams["fused_landmarks"].tolist() == [good]
-    assert all(len(segment.streams[name]) == 0 for name in STREAM_NAMES[:3])
-
-
-GOOD_TRUTH = (0, "nose", 0.5, -1.0, 2.0, 1)
-# (field index, value) that the field's type cannot hold exactly.
-UNFIT = [
-    (5, 0.5), (5, 1.5), (5, "3"), (5, 2 ** 63), (5, -2 ** 63 - 1), (5, float("nan")),
-    (5, float("inf")), (5, None), (0, "0"), (0, 0.25),
-    (2, "0.5"), (2, "nan"), (2, None), (2, 2 ** 60 + 1), (2, 10 ** 400), (2, np.longdouble(0.1) / 3),
-    (1, 3), (1, None), (1, b"nose"),
-]
-
-
-@pytest.mark.parametrize("index, value", UNFIT, ids=[repr(v)[:20] for _, v in UNFIT])
-def test_constructor_rejects_values_their_field_cannot_hold(index, value):
-    row = GOOD_TRUTH[:index] + (value,) + GOOD_TRUTH[index + 1:]
-    rows = [GOOD_TRUTH, row] if index else [row]
-    name, conv = STREAM_FIELDS["ground_truth"][index]
-    with pytest.raises(RecordingError,
-                       match=f"^stream 'ground_truth': {conv.__name__} field '{name}' "
-                             f"cannot hold "):
-        SegmentRecording.from_rows({"frames": 1}, {"ground_truth": rows})
-    assert rows[-1] == row  # the input is left as it was
-
-
-def test_constructor_keeps_values_their_field_holds_exactly(tmp_path):
-    rows = [(np.int64(0), np.str_("nose"), np.float32(0.5), 7, -0.0, True),
-            (0, "neck", float("nan"), 2 ** 53, np.float64(1e-300), np.int64(-2 ** 63))]
-    segment = SegmentRecording.from_rows({"frames": 1}, {"ground_truth": rows})
-    assert _bits(segment.streams["ground_truth"]) == _bits(rows_table(
-        STREAM_FIELDS["ground_truth"],
-        [(0, "neck", float("nan"), 2.0 ** 53, 1e-300, -2 ** 63),
-         (0, "nose", 0.5, 7.0, -0.0, 1)]))
-    segment.save(tmp_path)
-    assert (tmp_path / "ground_truth.csv").read_text().splitlines()[1:] == [
-        "0,neck,nan,9.00719925e+15,1e-300,-9223372036854775808", "0,nose,0.5,7,-0,1"]
 
 
 # -- partial loads ---------------------------------------------------------------
@@ -397,7 +510,7 @@ def per_line_calls(monkeypatch):
 def test_c_reader_reads_random_rows_as_the_per_line_parser(seed, tmp_path, per_line_calls):
     rng = np.random.default_rng(seed)
     n_frames = int(rng.integers(1, 5))
-    segment = SegmentRecording.from_rows({"frames": n_frames}, {
+    segment = rows_recording({"frames": n_frames}, {
         stream: [tuple(_random_value(rng, name, conv, n_frames) for name, conv in fields)
                  for _ in range(rng.integers(1, 12))]
         for stream, fields in STREAM_FIELDS.items()})
