@@ -68,6 +68,10 @@ class NodeGraph:
         self.nodes = list(nodes)
         self.source_topics = tuple(source_topics)
         self._validate()
+        # Each topic's subscribers in node order, built once per graph.
+        topics = dict.fromkeys(t for node in self.nodes for t in node.subscribes)
+        self._subscribers = {t: tuple(n for n in self.nodes if t in n.subscribes)
+                             for t in topics}
 
     def _validate(self) -> None:
         publishers: dict[str, str] = {}
@@ -112,8 +116,8 @@ class NodeGraph:
         for i in range(len(self.nodes)):
             visit(i)
 
-    def subscribers(self, topic: str) -> list[Node]:
-        return [n for n in self.nodes if topic in n.subscribes]
+    def subscribers(self, topic: str) -> tuple[Node, ...]:
+        return self._subscribers.get(topic, ())
 
 
 def run_serial(graph: NodeGraph, source: Iterator[Message]) -> None:
@@ -148,15 +152,10 @@ def run_threaded(graph: NodeGraph, source: Iterator[Message]) -> None:
     """Run every node as its own thread with a bounded inbox."""
     inboxes: dict[str, queue.Queue] = {
         node.name: queue.Queue(maxsize=QUEUE_CAPACITY) for node in graph.nodes}
-    consumers: dict[str, list[str]] = {}
-    for node in graph.nodes:
-        for topic in node.subscribes:
-            consumers.setdefault(topic, []).append(node.name)
 
     def publish(item) -> None:
-        topic = item.topic
-        for name in consumers.get(topic, ()):
-            inboxes[name].put(item)
+        for node in graph.subscribers(item.topic):
+            inboxes[node.name].put(item)
 
     errors: list[BaseException] = []
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,12 +40,25 @@ class StaleSolverError(FusionError):
     """A prefactored solver was applied to data from a different topology."""
 
 
+@lru_cache(maxsize=256)
+def _visibility_summary(shape: tuple[int, ...],
+                        data: bytes) -> tuple[np.ndarray, bool, str]:
+    """A bool matrix's column counts, whether it is all true, and its hash.
+
+    Memoized: a run applies one visibility matrix to every frame.
+    """
+    visibility = np.frombuffer(data, dtype=bool).reshape(shape)
+    counts = visibility.sum(axis=0)
+    counts.setflags(write=False)
+    digest = hashlib.sha256()
+    digest.update(str(shape).encode())
+    digest.update(data)
+    return counts, bool(visibility.all()), digest.hexdigest()
+
+
 def _visibility_hash(visibility: np.ndarray) -> str:
     v = np.ascontiguousarray(visibility, dtype=bool)
-    digest = hashlib.sha256()
-    digest.update(str(v.shape).encode())
-    digest.update(v.tobytes())
-    return digest.hexdigest()
+    return _visibility_summary(v.shape, v.tobytes())[2]
 
 
 @dataclass(frozen=True)
@@ -108,10 +122,13 @@ class AnchorSet:
     camera_anchors: np.ndarray
     topology_hash: str
 
-    @property
+    @cached_property
     def configuration(self) -> np.ndarray:
-        """The stacked (N+M) x 3 anchor configuration, landmarks first."""
-        return np.vstack([self.landmark_anchors, self.camera_anchors])
+        """The stacked (N+M) x 3 anchor configuration, landmarks first.
+
+        Stacked once per anchor set: the per-frame delta and solve share it.
+        """
+        return np.concatenate((self.landmark_anchors, self.camera_anchors))
 
 
 def compute_anchors(estimates: np.ndarray, visibility: np.ndarray,
@@ -137,20 +154,24 @@ def compute_anchors(estimates: np.ndarray, visibility: np.ndarray,
     if cams.shape != (vis.shape[0], 3):
         raise FusionError(
             f"camera_positions must be ({vis.shape[0]}, 3), got {cams.shape}")
-    counts = vis.sum(axis=0)
-    if np.any(counts == 0):
+    counts, full, topology_hash = _visibility_summary(vis.shape, vis.tobytes())
+    if not counts.all():
         raise UncoveredLandmarkError(
             f"landmark(s) {np.flatnonzero(counts == 0).tolist()} have no estimate")
-    bad = vis & ~np.all(np.isfinite(est), axis=2)
-    if np.any(bad):
-        cam_idx, lm_idx = np.nonzero(bad)
-        raise InconsistentEstimatesError(
-            f"missing estimate where visibility claims coverage: "
-            f"camera/landmark pairs {list(zip(cam_idx.tolist(), lm_idx.tolist()))}")
-    summed = np.where(vis[:, :, None], est, 0.0).sum(axis=0)
-    return AnchorSet(landmark_anchors=summed / counts[:, None],
+    summed = (est if full else np.where(vis[:, :, None], est, 0.0)).sum(axis=0)
+    landmark_anchors = summed / counts[:, None]
+    # A non-finite estimate that visibility counts makes its anchor non-finite,
+    # so the per-estimate check runs only for a non-finite anchor.
+    if not np.isfinite(landmark_anchors).all():
+        bad = vis & ~np.isfinite(est).all(axis=2)
+        if bad.any():
+            cam_idx, lm_idx = np.nonzero(bad)
+            raise InconsistentEstimatesError(
+                f"missing estimate where visibility claims coverage: "
+                f"camera/landmark pairs {list(zip(cam_idx.tolist(), lm_idx.tolist()))}")
+    return AnchorSet(landmark_anchors=landmark_anchors,
                      camera_anchors=cams.copy(),
-                     topology_hash=_visibility_hash(vis))
+                     topology_hash=topology_hash)
 
 
 def compute_delta(topology: FusionTopology, configuration: np.ndarray) -> np.ndarray:
@@ -222,5 +243,4 @@ def fuse(solver: FusionSolver, delta: np.ndarray, anchors: AnchorSet) -> np.ndar
     d = np.asarray(delta, dtype=float)
     if d.shape != (k, 3):
         raise FusionError(f"delta must be ({k}, 3), got {d.shape}")
-    b = np.vstack([d, anchors.configuration])
-    return solver.prefactor @ b
+    return solver.prefactor @ np.concatenate((d, anchors.configuration))

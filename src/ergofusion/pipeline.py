@@ -10,15 +10,18 @@ Topology (one topic per edge label, single publisher each)::
     (recorder also subscribes world, observations, per_rig, fused)
 
 The fusion node synchronizes per-camera messages by frame index,
-triangulates each rig's landmark set in one batched DLT solve, and
-applies the prefactored graph-Laplacian solve; the prefactorization
-happens exactly once per run (``prefactor_count`` is asserted in tests).
-Per-rig DLT residual quantiles go to the manifest stats. The recorder
-builds each stream's table from its messages' arrays. A scenario run
-produces a ``pre`` segment with the default delivery point and, when
-adaptation is enabled, a paired ``post`` segment re-run with the same
-seed and the adapted delivery so pre/post comparisons share their noise
-realization.
+triangulates the visible landmarks of every rig in one batched DLT solve
+per frame (one ``triangulate_stereo`` call, each point with its rig's
+projection pair), scatters the results back per rig, and applies the
+prefactored graph-Laplacian solve; the prefactorization happens exactly
+once per run (``prefactor_count`` is asserted in tests). Per-rig DLT
+residual quantiles and the host time per source frame
+(``stats.frame_wall_ms``) go to the manifest stats, outside the digest.
+The recorder builds each stream's table from its messages' arrays. A
+scenario run produces a ``pre`` segment with the default delivery point
+and, when adaptation is enabled, a paired ``post`` segment re-run with
+the same seed and the adapted delivery so pre/post comparisons share
+their noise realization.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .cameras import CameraModel
 from .fusion import (build_topology, compute_anchors, compute_delta, fuse,
                      prefactor)
 from .recording import (STREAM_COLUMNS, STREAM_FIELDS, STREAM_NAMES, RunRecording,
-                        SegmentRecording, columns_table)
+                        SegmentRecording, columns_table, rank_keys)
 from .rula import RulaAdjustments, RulaBreakdown, JointAngles, PostureStatus, \
     classify_posture, compute_joint_angles, rula_score
 from .scenario import ScenarioConfig
@@ -104,6 +107,15 @@ class AdaptationEvent:
     params: RobotDeliveryParams
 
 
+def _uint32_words(n: int) -> list[int]:
+    """A non-negative int as SeedSequence reads it: 32-bit words, low first."""
+    words = [n & 0xFFFFFFFF]
+    while n > 0xFFFFFFFF:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
 class CameraNode(Node):
     """Projects ground-truth frames into one camera with seeded noise."""
 
@@ -112,25 +124,27 @@ class CameraNode(Node):
         self.name = f"camera:{camera.id}"
         self.camera = camera
         self.noise_sigma = noise_sigma
-        self.seed = seed
-        self.camera_index = camera_index
         self.subscribes = (TOPIC_WORLD,)
         self.publishes = (observation_topic(camera.id),)
+        # Noise keyed by (seed, camera, frame) only: identical across
+        # scheduler modes and across paired pre/post segments. These are
+        # the words default_rng((seed, camera_index, frame)) converts the
+        # ints to, so the stream is the same without converting each frame.
+        self._entropy = _uint32_words(seed) + _uint32_words(camera_index)
 
     def handle(self, message, publish):
         frame: LandmarkFrame = message.payload
-        # Noise keyed by (seed, camera, frame) only: identical across
-        # scheduler modes and across paired pre/post segments.
         rng = None
         if self.noise_sigma > 0:
-            rng = np.random.default_rng((self.seed, self.camera_index, frame.index))
+            rng = np.random.default_rng(
+                np.array(self._entropy + _uint32_words(frame.index), np.uint32))
         obs = observe(self.camera, frame, self.noise_sigma, rng)
         publish(Message(self.publishes[0], message.frame_index,
                         message.timestamp, obs))
 
 
 class FusionNode(Node):
-    """Synchronizes cameras, triangulates per rig, applies the fused solve."""
+    """Synchronizes cameras, triangulates all rigs at once, applies the fused solve."""
 
     name = "fusion"
 
@@ -141,6 +155,14 @@ class FusionNode(Node):
         self.subscribes = tuple(observation_topic(c) for c in camera_ids)
         self.publishes = (TOPIC_PER_RIG, TOPIC_FUSED)
         self.synchronizer = FrameSynchronizer(camera_ids)
+        self.rig_ids = [rig.id for rig in self.rigs]
+        lefts, rights = zip(*(rig.cameras for rig in self.rigs))
+        self.left_ids, self.right_ids = ([cam.id for cam in lefts],
+                                         [cam.id for cam in rights])
+        # Each point's left and right projection, rig-major over all
+        # landmarks, so that one DLT solve per frame covers every rig.
+        self.projections = tuple(np.repeat([cam.projection for cam in cams], N_ALL, axis=0)
+                                 for cams in (lefts, rights))
         self.rig_positions = np.array([rig.left.position for rig in self.rigs])
         # Static run-long topology: every rig covers every fused landmark.
         self.topology = build_topology(
@@ -164,50 +186,43 @@ class FusionNode(Node):
 
     def residual_stats(self) -> dict[str, dict[str, float] | None]:
         """Per rig: p50, p95 and max of every DLT residual so far (None if none)."""
-        stats = {}
-        for rig_id, buffer in self.residuals.items():
-            values = np.sort(np.asarray(buffer))
-            if not values.size:
-                stats[rig_id] = None
-                continue
-            # np.percentile's default (linear) quantiles; np.percentile
-            # itself would import numpy.ma, 1.4 MB of peak RSS.
-            p50, p95 = np.interp((0.5, 0.95), np.linspace(0.0, 1.0, values.size), values)
-            stats[rig_id] = {"p50": float(p50), "p95": float(p95),
-                             "max": float(values[-1])}
-        return stats
+        return {rig_id: _quantiles(buffer) for rig_id, buffer in self.residuals.items()}
 
     def _process(self, frame_index: int, bundle: dict, publish):
         t0 = time.perf_counter()
-        estimates = {}
         n_rigs = len(self.rigs)
+        left = [bundle[c] for c in self.left_ids]
+        right = [bundle[c] for c in self.right_ids]
+        # Rig-major (n_rigs * N_ALL,) points; solved where both cameras saw them.
+        visible = (np.concatenate([obs.visible for obs in left])
+                   & np.concatenate([obs.visible for obs in right]))
+        seen = np.flatnonzero(visible)
+        result = triangulate_stereo(np.concatenate([obs.uv for obs in left])[seen],
+                                    np.concatenate([obs.uv for obs in right])[seen],
+                                    self.projections[0][seen], self.projections[1][seen])
+        failed = np.flatnonzero(result.degenerate | result.at_infinity)
+        if failed.size:
+            j = failed[0]
+            rig, landmark = divmod(int(seen[j]), N_ALL)
+            cause = ("degenerate geometry (rank-deficient DLT system)"
+                     if result.degenerate[j] else "point at infinity")
+            raise PipelineError(
+                f"frame {frame_index}: rig {self.rig_ids[rig]} failed to "
+                f"triangulate {LANDMARK_NAMES[landmark]}: {cause}")
         est_xyz = np.full((n_rigs, N_ALL, 3), np.nan)
-        vis = np.zeros((n_rigs, N_ALL), dtype=bool)
-        for r, rig in enumerate(self.rigs):
-            left: CameraObservations = bundle[rig.left.id]
-            right: CameraObservations = bundle[rig.right.id]
-            both = left.visible & right.visible
-            idx = np.flatnonzero(both)
-            result = triangulate_stereo(left.uv[idx], right.uv[idx],
-                                        rig.left.projection, rig.right.projection)
-            failed = np.flatnonzero(result.degenerate | result.at_infinity)
-            if failed.size:
-                j = failed[0]
-                cause = ("degenerate geometry (rank-deficient DLT system)"
-                         if result.degenerate[j] else "point at infinity")
-                raise PipelineError(
-                    f"frame {frame_index}: rig {rig.id} failed to "
-                    f"triangulate {LANDMARK_NAMES[idx[j]]}: {cause}")
-            est_xyz[r, idx] = result.xyz
-            residual = np.full(N_ALL, np.nan)
-            residual[idx] = result.residual
-            self.residuals[rig.id].frombytes(result.residual.tobytes())
-            vis[r] = both
-            estimates[rig.id] = RigEstimate(rig_id=rig.id, xyz=est_xyz[r],
-                                            visible=both, residual=residual)
+        residual = np.full((n_rigs, N_ALL), np.nan)
+        est_xyz.reshape(-1, 3)[seen] = result.xyz
+        residual.reshape(-1)[seen] = result.residual
+        visible = visible.reshape(n_rigs, N_ALL)
+        estimates = {}
+        for rig_id, xyz, seen_by_rig, values in zip(self.rig_ids, est_xyz, visible,
+                                                   residual):
+            self.residuals[rig_id].frombytes(values[seen_by_rig].tobytes())
+            estimates[rig_id] = RigEstimate(rig_id=rig_id, xyz=xyz,
+                                            visible=seen_by_rig, residual=values)
 
-        fused_vis = vis[:, :N_FUSED]
-        if not np.array_equal(fused_vis, self.topology.adjacency):
+        fused_vis = visible[:, :N_FUSED]
+        if not fused_vis.all():
             missing = np.argwhere(self.topology.adjacency & ~fused_vis)
             raise PipelineError(
                 f"frame {frame_index}: visibility changed mid-run (topology is "
@@ -218,11 +233,11 @@ class FusionNode(Node):
 
         xyz = np.full((N_ALL, 3), np.nan)
         xyz[:N_FUSED] = solution[:N_FUSED]
-        aux_vis = vis[:, N_FUSED:]
+        aux_vis = visible[:, N_FUSED:]
         counts = aux_vis.sum(axis=0)
         summed = np.where(aux_vis[:, :, None], est_xyz[:, N_FUSED:], 0.0).sum(axis=0)
-        seen = counts > 0
-        xyz[N_FUSED:][seen] = summed[seen] / counts[seen, None]
+        aux_seen = counts > 0
+        xyz[N_FUSED:][aux_seen] = summed[aux_seen] / counts[aux_seen, None]
 
         self.processing_seconds += time.perf_counter() - t0
         self.frames += 1
@@ -230,6 +245,17 @@ class FusionNode(Node):
         publish(Message(TOPIC_PER_RIG, frame_index, ts, PerRigLandmarks(estimates)))
         publish(Message(TOPIC_FUSED, frame_index, ts,
                         FusedLandmarks(xyz=xyz)))
+
+
+def _quantiles(values) -> dict[str, float] | None:
+    """p50, p95 and max of ``values`` (None if empty)."""
+    values = np.sort(np.asarray(values))
+    if not values.size:
+        return None
+    # np.percentile's default (linear) quantiles; np.percentile itself
+    # would import numpy.ma, 1.4 MB of peak RSS.
+    p50, p95 = np.interp((0.5, 0.95), np.linspace(0.0, 1.0, values.size), values)
+    return {"p50": float(p50), "p95": float(p95), "max": float(values[-1])}
 
 
 class ErgonomicsNode(Node):
@@ -304,11 +330,18 @@ def _landmark_table(stream: str, columns, visible=True) -> np.ndarray:
 
     ``columns`` are in field order and broadcast to (messages, N_ALL):
     (M, 1) per message, (N_ALL,) per landmark, (M, N_ALL) per row. Rows
-    are kept where ``visible`` (M, N_ALL) is true.
+    are kept where ``visible`` (M, N_ALL) is true. The str identity
+    columns are ranked for the sort before they are broadcast.
     """
+    fields = STREAM_FIELDS[stream]
+    n_keys = next(i for i, (_, conv) in enumerate(fields) if conv is float)
+    ranks = [rank_keys(c) if conv is str else None
+             for c, (_, conv) in zip(columns[:n_keys], fields)]
     *columns, visible = np.broadcast_arrays(*columns, visible)
-    return SegmentRecording.sort(columns_table(
-        STREAM_FIELDS[stream], int(visible.sum()), (c[visible] for c in columns)))
+    table = columns_table(fields, int(visible.sum()), (c[visible] for c in columns))
+    return SegmentRecording.sort(table, [
+        table[name] if rank is None else np.broadcast_to(rank, visible.shape)[visible]
+        for (name, _), rank in zip(fields, ranks)])
 
 
 class RecorderNode(Node):
@@ -393,9 +426,17 @@ class RecorderNode(Node):
             "rula": rula})
 
 
-def _drive(frames, frame_rate: float) -> Iterator[Message]:
+def _drive(frames, frame_rate: float, wall_ms: array) -> Iterator[Message]:
+    """Feed the world frames, appending each one's host time to ``wall_ms``.
+
+    A frame's time runs from its yield until the scheduler asks for the
+    next one: under ``serial`` the whole graph's work on it, under
+    ``threads`` the hand-off to the camera nodes' inboxes.
+    """
     for frame in frames:
+        t0 = time.perf_counter()
         yield Message(TOPIC_WORLD, frame.index, frame.index / frame_rate, frame)
+        wall_ms.append(1000.0 * (time.perf_counter() - t0))
 
 
 def _run_segment(config: ScenarioConfig, segment: str, delivery: np.ndarray,
@@ -426,7 +467,8 @@ def _run_segment(config: ScenarioConfig, segment: str, delivery: np.ndarray,
         camera_nodes + [fusion_node, ergo_node, adapt_node, recorder],
         source_topics=(TOPIC_WORLD,))
     runner = run_serial if scheduler == "serial" else run_threaded
-    runner(graph, _drive(truth.frames, config.frame_rate))
+    frame_wall_ms = array("d")
+    runner(graph, _drive(truth.frames, config.frame_rate, frame_wall_ms))
 
     n_frames = len(truth.frames)
     processing = fusion_node.processing_seconds + ergo_node.processing_seconds
@@ -450,6 +492,7 @@ def _run_segment(config: ScenarioConfig, segment: str, delivery: np.ndarray,
         "stats": {
             "mean_frame_processing_ms":
                 1000.0 * processing / n_frames if n_frames else 0.0,
+            "frame_wall_ms": _quantiles(frame_wall_ms),
             "prefactor_count": fusion_node.prefactor_count,
             "dlt_residual": fusion_node.residual_stats(),
             "scheduler": scheduler,

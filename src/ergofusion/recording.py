@@ -274,6 +274,19 @@ def _parse_stream(name: str, path: Path, n_frames: float) -> np.ndarray:
     return table
 
 
+def rank_keys(column: np.ndarray) -> np.ndarray:
+    """``column`` as sort keys: int columns as they are, str ones ranked.
+
+    A str value's rank is its place among the column's sorted distinct
+    values (code-point order), so the ranks order as the values do.
+    """
+    if column.dtype.kind != "O":
+        return column
+    rank = {value: i for i, value in enumerate(sorted(set(column.flat)))}
+    return np.fromiter(map(rank.__getitem__, column.flat), np.int64,
+                       column.size).reshape(column.shape)
+
+
 @dataclass
 class SegmentRecording:
     """One segment's record streams, one structured table each, plus its manifest."""
@@ -287,23 +300,23 @@ class SegmentRecording:
                 self.streams.setdefault(name, np.empty(0, _DTYPES[name]))
 
     @staticmethod
-    def sort(table: np.ndarray) -> np.ndarray:
+    def sort(table: np.ndarray, keys=None) -> np.ndarray:
         """``table`` in canonical order (streams may fill from concurrent nodes).
 
         Rows are ordered by their leading int and str fields (frame, then
         rig, camera or landmark names), which are unique per row, so this
-        is the rows' tuple order. Str fields are ranked by their sorted
-        distinct values.
+        is the rows' tuple order. ``keys`` are those fields as int
+        columns in the same order (``rank_keys``); the recorder ranks
+        each str value once, before it is repeated over the rows. By
+        default they are ranked here.
         """
-        keys = []
-        for name in table.dtype.names:
-            column = table[name]
-            if column.dtype.kind == "f":
-                break
-            if column.dtype.kind == "O":
-                rank = {value: i for i, value in enumerate(sorted(set(column)))}
-                column = np.fromiter(map(rank.__getitem__, column), np.int64, len(column))
-            keys.append(column)
+        if keys is None:
+            keys = []
+            for name in table.dtype.names:
+                column = table[name]
+                if column.dtype.kind == "f":
+                    break
+                keys.append(rank_keys(column))
         return table[np.lexsort(keys[::-1])]
 
     # -- persistence -----------------------------------------------------

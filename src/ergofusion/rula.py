@@ -186,8 +186,24 @@ STATUS_MESSAGES = {
 }
 
 
-def _angle_between(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+# Hoisted out of the per-frame angle extraction.
+_UP = np.array([0.0, 0.0, 1.0])
+_FORWARD_FALLBACK = np.array([1.0, 0.0, 0.0])
+_L_SHOULDER, _R_SHOULDER, _L_ELBOW, _R_ELBOW, _L_WRIST, _R_WRIST, _L_HIP, _R_HIP, \
+    _L_ANKLE, _R_ANKLE, _MID_EAR = (LANDMARK_INDEX[lm] for lm in (
+        LandmarkId.LEFT_SHOULDER, LandmarkId.RIGHT_SHOULDER, LandmarkId.LEFT_ELBOW,
+        LandmarkId.RIGHT_ELBOW, LandmarkId.LEFT_WRIST, LandmarkId.RIGHT_WRIST,
+        LandmarkId.LEFT_HIP, LandmarkId.RIGHT_HIP, LandmarkId.LEFT_ANKLE,
+        LandmarkId.RIGHT_ANKLE, LandmarkId.MID_EAR))
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-D float vector, which is exactly this."""
+    return math.sqrt(v.dot(v))
+
+
+def _angle(a: np.ndarray, na: float, b: np.ndarray, nb: float) -> float:
+    """Degrees between ``a`` and ``b`` of norms ``na`` and ``nb``; 0 for a null vector."""
     if na < 1e-12 or nb < 1e-12:
         return 0.0
     c = float(a @ b) / (na * nb)
@@ -210,33 +226,33 @@ def compute_joint_angles(frame) -> JointAngles:
     xyz = frame.xyz if isinstance(frame, LandmarkFrame) else np.asarray(frame, dtype=float)
     if xyz.shape != (N_ALL, 3):
         raise RulaError(f"expected ({N_ALL}, 3) landmark array, got {xyz.shape}")
-    fused_ok = np.all(np.isfinite(xyz[:N_FUSED]), axis=1)
-    if not fused_ok.all():
+    if not np.isfinite(xyz[:N_FUSED]).all():
+        fused_ok = np.isfinite(xyz[:N_FUSED]).all(axis=1)
         missing = [LANDMARK_NAMES[i] for i in np.flatnonzero(~fused_ok)]
         raise IncompleteFrameError(f"missing fused landmarks: {missing}")
 
-    def at(lm: LandmarkId) -> np.ndarray:
-        return xyz[LANDMARK_INDEX[lm]]
-
-    hip_mid = (at(LandmarkId.LEFT_HIP) + at(LandmarkId.RIGHT_HIP)) / 2.0
-    sho_mid = (at(LandmarkId.LEFT_SHOULDER) + at(LandmarkId.RIGHT_SHOULDER)) / 2.0
+    hip_mid = (xyz[_L_HIP] + xyz[_R_HIP]) / 2.0
+    sho_mid = (xyz[_L_SHOULDER] + xyz[_R_SHOULDER]) / 2.0
     trunk_vec = sho_mid - hip_mid
-    up = np.array([0.0, 0.0, 1.0])
-    across = at(LandmarkId.LEFT_HIP) - at(LandmarkId.RIGHT_HIP)
-    forward = np.cross(across, up)
-    fn = np.linalg.norm(forward)
-    forward = forward / fn if fn > 1e-12 else np.array([1.0, 0.0, 0.0])
+    # Also the norm of -trunk_vec, bit for bit.
+    n_trunk = _norm(trunk_vec)
+    # np.cross(left hip - right hip, up) in numpy's operation order, up = (0, 0, 1).
+    a0, a1, a2 = (xyz[_L_HIP] - xyz[_R_HIP]).tolist()
+    forward = np.array([a1 * 1.0 - a2 * 0.0, a2 * 0.0 - a0 * 1.0, a0 * 0.0 - a1 * 0.0])
+    fn = _norm(forward)
+    forward = forward / fn if fn > 1e-12 else _FORWARD_FALLBACK
 
-    trunk = _angle_between(trunk_vec, up)
+    trunk = _angle(trunk_vec, n_trunk, _UP, 1.0)
     if trunk_vec @ forward < 0:
         trunk = -trunk
 
-    aux_present = bool(np.all(np.isfinite(xyz[LANDMARK_INDEX[LandmarkId.MID_EAR]])))
+    ear = xyz[_MID_EAR]
+    aux_present = all(map(math.isfinite, ear.tolist()))
     if aux_present:
-        neck_vec = xyz[LANDMARK_INDEX[LandmarkId.MID_EAR]] - sho_mid
-        neck = _angle_between(neck_vec, trunk_vec)
+        neck_vec = ear - sho_mid
+        neck = _angle(neck_vec, _norm(neck_vec), trunk_vec, n_trunk)
         # Sign by the forward component orthogonal to the trunk axis.
-        tn = trunk_vec / max(np.linalg.norm(trunk_vec), 1e-12)
+        tn = trunk_vec / max(n_trunk, 1e-12)
         if (neck_vec - (neck_vec @ tn) * tn) @ forward < 0:
             neck = -neck
     else:
@@ -244,25 +260,24 @@ def compute_joint_angles(frame) -> JointAngles:
 
     trunk_down = -trunk_vec
 
-    def upper_arm(sho: LandmarkId, elb: LandmarkId) -> float:
-        vec = at(elb) - at(sho)
-        ang = _angle_between(vec, trunk_down)
+    def upper_arm(sho: int, elb: int) -> float:
+        vec = xyz[elb] - xyz[sho]
+        ang = _angle(vec, _norm(vec), trunk_down, n_trunk)
         return ang if vec @ forward >= 0 else -ang
 
-    def lower_arm(sho: LandmarkId, elb: LandmarkId, wri: LandmarkId) -> float:
-        interior = _angle_between(at(sho) - at(elb), at(wri) - at(elb))
+    def lower_arm(sho: int, elb: int, wri: int) -> float:
+        upper, fore = xyz[sho] - xyz[elb], xyz[wri] - xyz[elb]
+        interior = _angle(upper, _norm(upper), fore, _norm(fore))
         return 180.0 - interior
 
-    legs = bool(at(LandmarkId.LEFT_ANKLE)[2] <= GROUND_CONTACT_M
-                and at(LandmarkId.RIGHT_ANKLE)[2] <= GROUND_CONTACT_M)
+    legs = bool(xyz[_L_ANKLE, 2] <= GROUND_CONTACT_M
+                and xyz[_R_ANKLE, 2] <= GROUND_CONTACT_M)
 
     return JointAngles(
-        upper_arm_left=upper_arm(LandmarkId.LEFT_SHOULDER, LandmarkId.LEFT_ELBOW),
-        upper_arm_right=upper_arm(LandmarkId.RIGHT_SHOULDER, LandmarkId.RIGHT_ELBOW),
-        lower_arm_left=lower_arm(LandmarkId.LEFT_SHOULDER, LandmarkId.LEFT_ELBOW,
-                                 LandmarkId.LEFT_WRIST),
-        lower_arm_right=lower_arm(LandmarkId.RIGHT_SHOULDER, LandmarkId.RIGHT_ELBOW,
-                                  LandmarkId.RIGHT_WRIST),
+        upper_arm_left=upper_arm(_L_SHOULDER, _L_ELBOW),
+        upper_arm_right=upper_arm(_R_SHOULDER, _R_ELBOW),
+        lower_arm_left=lower_arm(_L_SHOULDER, _L_ELBOW, _L_WRIST),
+        lower_arm_right=lower_arm(_R_SHOULDER, _R_ELBOW, _R_WRIST),
         wrist_left=0.0, wrist_right=0.0,
         neck=neck, trunk=trunk, legs_supported=legs, aux_present=aux_present)
 

@@ -402,11 +402,12 @@ def observe(camera, frame: LandmarkFrame, noise_sigma: float,
         raise SkeletonError("noise_sigma must be >= 0")
     if noise_sigma > 0 and rng is None:
         rng = np.random.default_rng()
+    # project_many returns a fresh uv array, so it is updated in place.
     uv, depth = camera.project_many(frame.xyz)
     visible = depth > 0
-    uv = uv.copy()
     if noise_sigma > 0:
         uv += rng.normal(0.0, noise_sigma, size=uv.shape)
-    uv[~visible] = np.nan
+    if not visible.all():
+        uv[~visible] = np.nan
     return CameraObservations(camera_id=camera.id, frame_index=frame.index,
                               uv=uv, visible=visible)

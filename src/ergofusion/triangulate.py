@@ -15,10 +15,12 @@ different distances condition the system equally; the recovered point is
 invariant to per-observation row scaling.
 
 ``triangulate_dlt`` solves one point from any number of views and raises
-on failure. ``triangulate_stereo`` solves many points seen by one camera
-pair with a single batched SVD and reports failures as masks; on every
-point it gives bitwise the same result as ``triangulate_dlt`` on that
-pair, which stays the reference.
+on failure. ``triangulate_stereo`` solves many two-view points with a
+single batched SVD and reports failures as masks. Its points share one
+camera pair, or each point brings its own pair as a row of two (k, 3, 4)
+projection stacks, so the points of every rig of a frame are solved in
+one call. On every point it gives bitwise the same result as
+``triangulate_dlt`` on that point's pair, which stays the reference.
 """
 
 from __future__ import annotations
@@ -155,28 +157,34 @@ def triangulate_stereo(uv_left, uv_right, projection_left,
                        projection_right) -> StereoTriangulation:
     """Triangulate k points, each seen once by both cameras of a pair.
 
-    ``uv_left`` and ``uv_right`` are (k, 2) normalized observations;
-    the projections are the two 3x4 camera matrices. Builds the (k, 4, 4)
-    stack of row-normalized DLT matrices (rows ordered as in
-    ``build_dlt_matrix``: left u, left v, right u, right v) and solves
-    it with one batched SVD. Failures do not raise; they are flagged in
-    the returned masks.
+    ``uv_left`` and ``uv_right`` are (k, 2) normalized observations. The
+    projections are either the two 3x4 camera matrices of one pair that
+    sees every point, or two (k, 3, 4) stacks holding each point's own
+    left and right matrices. Builds the (k, 4, 4) stack of row-normalized
+    DLT matrices (rows ordered as in ``build_dlt_matrix``: left u, left v,
+    right u, right v) and solves it with one batched SVD. Failures do not
+    raise; they are flagged in the returned masks.
     """
     uv_left = np.asarray(uv_left, dtype=float)
     uv_right = np.asarray(uv_right, dtype=float)
     if uv_left.ndim != 2 or uv_left.shape[1] != 2 or uv_right.shape != uv_left.shape:
         raise TriangulationError(
             f"uv arrays must both be (k, 2), got {uv_left.shape} and {uv_right.shape}")
-    proj = (np.asarray(projection_left, dtype=float),
-            np.asarray(projection_right, dtype=float))
-    if proj[0].shape != (3, 4) or proj[1].shape != (3, 4):
+    proj_left = np.asarray(projection_left, dtype=float)
+    proj_right = np.asarray(projection_right, dtype=float)
+    k = len(uv_left)
+    if proj_right.shape != proj_left.shape or proj_left.shape not in ((3, 4), (k, 3, 4)):
         raise TriangulationError(
-            f"projections must be 3x4, got {proj[0].shape} and {proj[1].shape}")
-    proj = np.stack(proj)
-    uv = np.stack((uv_left, uv_right), axis=1)
+            f"projections must both be 3x4 or ({k}, 3, 4), "
+            f"got {proj_left.shape} and {proj_right.shape}")
+    # (camera, 3, 4) for one pair, (k, camera, 3, 4) for one pair per point.
+    proj = np.concatenate((proj_left, proj_right), axis=-2).reshape(
+        *proj_left.shape[:-2], 2, 3, 4)
+    uv = np.concatenate((uv_left, uv_right), axis=1).reshape(k, 2, 2)
     # (k, camera, row, 4): u * k3 - k1 and v * k3 - k2 per camera.
-    a = (uv[..., None] * proj[:, 2:] - proj[:, :2]).reshape(-1, 4, 4)
-    norms = np.linalg.norm(a, axis=2)
+    a = (uv[..., None] * proj[..., 2:, :] - proj[..., :2, :]).reshape(-1, 4, 4)
+    # np.linalg.norm(a, axis=2), without its argument handling.
+    norms = np.sqrt(np.add.reduce(a * a, axis=2))
     degenerate = (norms < 1e-300).any(axis=1) | ~np.isfinite(uv).all(axis=(1, 2))
     if degenerate.any():
         # Keep the batched SVD finite; these points' results are discarded.

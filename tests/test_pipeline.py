@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
+from ergofusion.bus import Message
 from ergofusion.cameras import StereoRig
-from ergofusion.pipeline import PipelineError, run_scenario
+from ergofusion.fusion import compute_anchors, compute_delta, fuse
+from ergofusion.pipeline import (CameraNode, FusionNode, PipelineError,
+                                 observation_topic, run_scenario)
 from ergofusion.recording import STREAM_NAMES, SegmentRecording
 from ergofusion.scenario import (ScenarioConfig, default_handover_scenario,
                                  parse_scenario)
+from ergofusion.skeleton import (N_ALL, N_FUSED, CameraObservations, LandmarkFrame,
+                                 animate, build_skeleton, observe)
+from ergofusion.triangulate import triangulate_stereo
 
 
 def small_scenario(**kwargs):
@@ -158,3 +164,135 @@ class TestRecordingRoundTrip:
             truth_a = segment.ground_truth_positions()
             truth_b = reloaded.ground_truth_positions()
             assert np.nanmax(np.abs(truth_a - truth_b)) < 1e-8
+
+
+def scenario_frames(config, n):
+    truth = animate(build_skeleton(config.stature), config.script(), config.delivery,
+                    config.resolve_stance(config.stature))
+    return truth.frames[:n]
+
+
+def feed(node: FusionNode, bundle: dict, frame_index: int) -> list:
+    """Deliver one frame's camera messages; return what the node published."""
+    published = []
+    for camera_id, obs in bundle.items():
+        node.handle(Message(observation_topic(camera_id), frame_index, 0.0, obs),
+                    published.append)
+    return published
+
+
+def per_rig_reference(node: FusionNode, bundle: dict):
+    """The fusion step as first written: one triangulate_stereo call per rig.
+
+    Returns per rig (xyz, visible, residual, residuals appended to the
+    rig's buffer), and the fused (N_ALL, 3) landmarks.
+    """
+    rigs = node.rigs
+    est_xyz = np.full((len(rigs), N_ALL, 3), np.nan)
+    vis = np.zeros((len(rigs), N_ALL), dtype=bool)
+    per_rig = []
+    for r, rig in enumerate(rigs):
+        left, right = bundle[rig.left.id], bundle[rig.right.id]
+        both = left.visible & right.visible
+        idx = np.flatnonzero(both)
+        result = triangulate_stereo(left.uv[idx], right.uv[idx],
+                                    rig.left.projection, rig.right.projection)
+        assert not (result.degenerate | result.at_infinity).any()
+        est_xyz[r, idx] = result.xyz
+        residual = np.full(N_ALL, np.nan)
+        residual[idx] = result.residual
+        vis[r] = both
+        per_rig.append((est_xyz[r], both, residual, result.residual))
+    anchors = compute_anchors(est_xyz[:, :N_FUSED], vis[:, :N_FUSED], node.rig_positions)
+    delta = compute_delta(node.topology, anchors.configuration)
+    solution = fuse(node.solver, delta, anchors)
+    xyz = np.full((N_ALL, 3), np.nan)
+    xyz[:N_FUSED] = solution[:N_FUSED]
+    aux_vis = vis[:, N_FUSED:]
+    counts = aux_vis.sum(axis=0)
+    summed = np.where(aux_vis[:, :, None], est_xyz[:, N_FUSED:], 0.0).sum(axis=0)
+    seen = counts > 0
+    xyz[N_FUSED:][seen] = summed[seen] / counts[seen, None]
+    return per_rig, xyz
+
+
+class TestFusionNode:
+    """The node's one solve per frame against the per-rig reference loop."""
+
+    @pytest.mark.parametrize("seed, hide", [(0, 0.0), (1, 0.2), (2, 0.5), (3, 0.8),
+                                            (4, 1.0), (5, 0.5)])
+    def test_random_aux_visibility_equals_the_per_rig_reference(self, seed, hide):
+        rng = np.random.default_rng(600 + seed)
+        config = small_scenario(noise_sigma=0.002)
+        node = FusionNode(config.build_rigs(), config.frame_rate)
+        cameras = [cam for rig in node.rigs for cam in rig.cameras]
+        buffers = {rig.id: [] for rig in node.rigs}
+        for frame in scenario_frames(config, 30):
+            bundle = {}
+            for cam in cameras:
+                obs = observe(cam, frame, 0.002, rng)
+                # Each camera loses a random share of the auxiliary landmarks;
+                # half of them keep a finite uv where they are hidden.
+                visible = obs.visible.copy()
+                visible[N_FUSED:] &= rng.random(N_ALL - N_FUSED) >= hide
+                uv = obs.uv.copy()
+                if rng.random() < 0.5:
+                    uv[~visible] = np.nan
+                bundle[cam.id] = CameraObservations(cam.id, frame.index, uv, visible)
+            per_rig, fused = (m.payload for m in feed(node, bundle, frame.index))
+            want_rigs, want_xyz = per_rig_reference(node, bundle)
+            assert list(per_rig.estimates) == [rig.id for rig in node.rigs]
+            for rig, (xyz, visible, residual, values) in zip(node.rigs, want_rigs):
+                got = per_rig.estimates[rig.id]
+                assert got.rig_id == rig.id
+                assert got.xyz.tobytes() == xyz.tobytes()
+                assert got.visible.tobytes() == visible.tobytes()
+                assert got.residual.tobytes() == residual.tobytes()
+                buffers[rig.id].append(values)
+            assert fused.xyz.shape == (N_ALL, 3)
+            assert fused.xyz.tobytes() == want_xyz.tobytes()
+        for rig_id, buffer in node.residuals.items():
+            assert bytes(buffer) == np.concatenate(buffers[rig_id]).tobytes()
+
+    def test_first_failure_in_rig_order_is_reported(self):
+        config = small_scenario(noise_sigma=0.0)
+        node = FusionNode(config.build_rigs(), config.frame_rate)
+        frame = scenario_frames(config, 1)[0]
+        bundle = {cam.id: observe(cam, frame, 0.0)
+                  for rig in node.rigs for cam in rig.cameras}
+        # Equal uv in a pure-translation pair: parallel rays, a point at
+        # infinity. S2's nose comes before S3's left shoulder in rig order.
+        for rig_id, landmark in (("S3", 0), ("S2", 13)):
+            left, right = bundle[f"{rig_id}.L"], bundle[f"{rig_id}.R"]
+            right.uv[landmark] = left.uv[landmark]
+        with pytest.raises(PipelineError, match=r"^frame 0: rig S2 failed to "
+                                                r"triangulate nose: point at infinity$"):
+            feed(node, bundle, frame.index)
+
+
+class TestCameraNode:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 31, 2 ** 32 - 1, 2 ** 32,
+                                      2 ** 64 + 5, 12345678901234567890123])
+    def test_noise_is_the_int_tuple_stream(self, seed):
+        camera = small_scenario().build_rigs()[1].right
+        frame = scenario_frames(small_scenario(), 1)[0]
+        for camera_index in (0, 3):
+            node = CameraNode(camera, 0.002, seed, camera_index)
+            for index in (0, 9, 2 ** 32 + 1):
+                frame = LandmarkFrame(index, frame.xyz)
+                published = []
+                node.handle(Message("world", index, 0.0, frame), published.append)
+                want = observe(camera, frame, 0.002,
+                               np.random.default_rng((seed, camera_index, index)))
+                assert published[0].payload.uv.tobytes() == want.uv.tobytes()
+
+
+class TestFrameWallTime:
+    @pytest.mark.parametrize("scheduler", ["serial", "threads"])
+    def test_manifest_reports_frame_wall_quantiles(self, scheduler):
+        recording = run_scenario(small_scenario(), seed=3, scheduler=scheduler)
+        for segment in recording.segments.values():
+            wall = segment.manifest["stats"]["frame_wall_ms"]
+            assert list(wall) == ["p50", "p95", "max"]
+            assert all(isinstance(v, float) and np.isfinite(v) for v in wall.values())
+            assert 0.0 < wall["p50"] <= wall["p95"] <= wall["max"]

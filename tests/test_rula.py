@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from ergofusion.rula import (IncompleteFrameError, JointAngles,
                              classify_posture, compute_joint_angles,
                              joint_stress_heatmap, lower_arm_band, neck_band,
                              rula_score, trunk_band, upper_arm_band, wrist_band)
-from ergofusion.skeleton import (LANDMARK_INDEX, LandmarkId, MotionPhase,
+from ergofusion.skeleton import (LANDMARK_INDEX, N_FUSED, LandmarkId, MotionPhase,
                                  MotionScript, animate, build_skeleton)
 
 
@@ -250,6 +251,61 @@ class TestJointStressHeatmap:
         assert str(got.value) == str(expected.value)
 
 
+def reference_joint_angles(xyz) -> JointAngles:
+    """``compute_joint_angles`` as first written, with np.linalg.norm and np.cross."""
+    def at(lm: LandmarkId) -> np.ndarray:
+        return xyz[LANDMARK_INDEX[lm]]
+
+    def angle_between(a, b) -> float:
+        na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        if na < 1e-12 or nb < 1e-12:
+            return 0.0
+        c = float(a @ b) / (na * nb)
+        return math.degrees(math.acos(min(1.0, max(-1.0, c))))
+
+    hip_mid = (at(LandmarkId.LEFT_HIP) + at(LandmarkId.RIGHT_HIP)) / 2.0
+    sho_mid = (at(LandmarkId.LEFT_SHOULDER) + at(LandmarkId.RIGHT_SHOULDER)) / 2.0
+    trunk_vec = sho_mid - hip_mid
+    up = np.array([0.0, 0.0, 1.0])
+    across = at(LandmarkId.LEFT_HIP) - at(LandmarkId.RIGHT_HIP)
+    forward = np.cross(across, up)
+    fn = np.linalg.norm(forward)
+    forward = forward / fn if fn > 1e-12 else np.array([1.0, 0.0, 0.0])
+    trunk = angle_between(trunk_vec, up)
+    if trunk_vec @ forward < 0:
+        trunk = -trunk
+    aux_present = bool(np.all(np.isfinite(at(LandmarkId.MID_EAR))))
+    if aux_present:
+        neck_vec = at(LandmarkId.MID_EAR) - sho_mid
+        neck = angle_between(neck_vec, trunk_vec)
+        tn = trunk_vec / max(np.linalg.norm(trunk_vec), 1e-12)
+        if (neck_vec - (neck_vec @ tn) * tn) @ forward < 0:
+            neck = -neck
+    else:
+        neck = 0.0
+    trunk_down = -trunk_vec
+
+    def upper_arm(sho, elb) -> float:
+        vec = at(elb) - at(sho)
+        ang = angle_between(vec, trunk_down)
+        return ang if vec @ forward >= 0 else -ang
+
+    def lower_arm(sho, elb, wri) -> float:
+        return 180.0 - angle_between(at(sho) - at(elb), at(wri) - at(elb))
+
+    legs = bool(at(LandmarkId.LEFT_ANKLE)[2] <= 0.05
+                and at(LandmarkId.RIGHT_ANKLE)[2] <= 0.05)
+    return JointAngles(
+        upper_arm_left=upper_arm(LandmarkId.LEFT_SHOULDER, LandmarkId.LEFT_ELBOW),
+        upper_arm_right=upper_arm(LandmarkId.RIGHT_SHOULDER, LandmarkId.RIGHT_ELBOW),
+        lower_arm_left=lower_arm(LandmarkId.LEFT_SHOULDER, LandmarkId.LEFT_ELBOW,
+                                 LandmarkId.LEFT_WRIST),
+        lower_arm_right=lower_arm(LandmarkId.RIGHT_SHOULDER, LandmarkId.RIGHT_ELBOW,
+                                  LandmarkId.RIGHT_WRIST),
+        wrist_left=0.0, wrist_right=0.0,
+        neck=neck, trunk=trunk, legs_supported=legs, aux_present=aux_present)
+
+
 class TestComputeJointAngles:
     def test_upright_rest_pose_has_zero_flexion(self):
         a = compute_joint_angles(rest_frame())
@@ -310,6 +366,41 @@ class TestComputeJointAngles:
         a = compute_joint_angles(xyz)
         assert a.neck == 0.0
         assert not a.aux_present
+
+    def test_equals_the_norm_and_cross_reference_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        rest = rest_frame().xyz
+        hips = [LANDMARK_INDEX[LandmarkId.LEFT_HIP], LANDMARK_INDEX[LandmarkId.RIGHT_HIP]]
+        shoulders = [LANDMARK_INDEX[LandmarkId.LEFT_SHOULDER],
+                     LANDMARK_INDEX[LandmarkId.RIGHT_SHOULDER]]
+        elbow, wrist, ear = (LANDMARK_INDEX[lm] for lm in (
+            LandmarkId.RIGHT_ELBOW, LandmarkId.LEFT_WRIST, LandmarkId.MID_EAR))
+        for i in range(12_000):
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            spread = rng.choice([0.01, 0.3])
+            xyz = scale * (rest + rng.normal(0.0, spread, size=rest.shape))
+            case = i % 10
+            if case == 1:
+                xyz[N_FUSED:] = np.nan                  # no auxiliary rows
+            elif case == 2:
+                xyz[ear, rng.integers(3)] = np.nan      # a partly missing ear
+            elif case == 3:
+                xyz[elbow] = xyz[shoulders[1]]          # zero-length upper arm
+            elif case == 4:
+                xyz[wrist] = xyz[LANDMARK_INDEX[LandmarkId.LEFT_ELBOW]]
+            elif case == 5:
+                xyz[hips[0]] = xyz[hips[1]]             # no hip axis: fallback forward
+            elif case == 6:
+                xyz[hips[0], :2] = xyz[hips[1], :2]     # hip axis along up
+            elif case == 7:
+                xyz[shoulders] = xyz[hips]              # zero-length trunk
+            elif case == 8:
+                xyz[ear] = (xyz[shoulders[0]] + xyz[shoulders[1]]) / 2.0
+            elif case == 9:
+                xyz[elbow] = xyz[shoulders[1]] + 1e-13  # below the null threshold
+            got = dataclasses.astuple(compute_joint_angles(xyz))
+            want = dataclasses.astuple(reference_joint_angles(xyz))
+            assert np.array(got, float).tobytes() == np.array(want, float).tobytes(), i
 
     def test_angle_bounds_enforced(self):
         with pytest.raises(RulaError):
