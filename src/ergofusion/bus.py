@@ -124,14 +124,17 @@ def run_serial(graph: NodeGraph, source: Iterator[Message]) -> None:
     """Drain the whole graph on one thread, strictly FIFO."""
     pending: deque[Message | _Sentinel] = deque()
     publish = pending.append
+    # Per node, the subscribed topics whose sentinel has not arrived yet.
+    waiting = {node: set(node.subscribes) for node in graph.nodes}
 
     def drain() -> None:
         while pending:
             item = pending.popleft()
             if isinstance(item, _Sentinel):
                 for node in graph.subscribers(item.topic):
-                    done = _note_sentinel(node, item.topic)
-                    if done:
+                    topics = waiting[node]
+                    topics.discard(item.topic)
+                    if not topics:
                         node.finish(publish)
                         for topic in node.publishes:
                             pending.append(_Sentinel(topic))
@@ -139,7 +142,6 @@ def run_serial(graph: NodeGraph, source: Iterator[Message]) -> None:
             for node in graph.subscribers(item.topic):
                 node.handle(item, publish)
 
-    _reset_sentinel_state(graph)
     for message in source:
         pending.append(message)
         drain()
@@ -197,16 +199,6 @@ def run_threaded(graph: NodeGraph, source: Iterator[Message]) -> None:
         t.join()
     if errors:
         raise errors[0]
-
-
-def _reset_sentinel_state(graph: NodeGraph) -> None:
-    for node in graph.nodes:
-        node._sentinels_waiting = set(node.subscribes)
-
-
-def _note_sentinel(node: Node, topic: str) -> bool:
-    node._sentinels_waiting.discard(topic)
-    return not node._sentinels_waiting
 
 
 class FrameSynchronizer:

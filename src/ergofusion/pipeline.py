@@ -12,16 +12,16 @@ Topology (one topic per edge label, single publisher each)::
 The fusion node synchronizes per-camera messages by frame index,
 triangulates the visible landmarks of every rig in one batched DLT solve
 per frame (one ``triangulate_stereo`` call, each point with its rig's
-projection pair), scatters the results back per rig, and applies the
-prefactored graph-Laplacian solve; the prefactorization happens exactly
-once per run (``prefactor_count`` is asserted in tests). Per-rig DLT
-residual quantiles and the host time per source frame
+projection pair), scatters the results into (rigs, landmarks) arrays,
+and applies the prefactored graph-Laplacian solve; the prefactorization
+happens exactly once per run (``prefactor_count`` is asserted in tests).
+Per-rig DLT residual quantiles and the host time per source frame
 (``stats.frame_wall_ms``) go to the manifest stats, outside the digest.
-The recorder builds each stream's table from its messages' arrays. A
-scenario run produces a ``pre`` segment with the default delivery point
-and, when adaptation is enabled, a paired ``post`` segment re-run with
-the same seed and the adapted delivery so pre/post comparisons share
-their noise realization.
+The recorder builds each stream's table in canonical order. A scenario
+run produces a ``pre`` segment with the default delivery point and, when
+adaptation is enabled, a paired ``post`` segment re-run with the same
+seed and the adapted delivery so pre/post comparisons share their noise
+realization.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass, fields
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterator
 
 import numpy as np
@@ -42,7 +42,7 @@ from .cameras import CameraModel
 from .fusion import (build_topology, compute_anchors, compute_delta, fuse,
                      prefactor)
 from .recording import (STREAM_COLUMNS, STREAM_FIELDS, STREAM_NAMES, RunRecording,
-                        SegmentRecording, columns_table, rank_keys)
+                        SegmentRecording, columns_table)
 from .rula import RulaAdjustments, RulaBreakdown, JointAngles, PostureStatus, \
     classify_posture, compute_joint_angles, rula_score
 from .scenario import ScenarioConfig
@@ -71,18 +71,13 @@ def observation_topic(camera_id: str) -> str:
 
 
 @dataclass(frozen=True)
-class RigEstimate:
-    """One rig's triangulated landmarks for one frame (NaN where unseen)."""
-
-    rig_id: str
-    xyz: np.ndarray          # (N_ALL, 3)
-    visible: np.ndarray      # (N_ALL,) both cameras saw it
-    residual: np.ndarray     # (N_ALL,)
-
-
-@dataclass(frozen=True)
 class PerRigLandmarks:
-    estimates: dict[str, RigEstimate]
+    """Every rig's triangulated landmarks for one frame (NaN where unseen)."""
+
+    rig_ids: tuple[str, ...]
+    xyz: np.ndarray          # (n_rigs, N_ALL, 3)
+    visible: np.ndarray      # (n_rigs, N_ALL) both cameras saw it
+    residual: np.ndarray     # (n_rigs, N_ALL)
 
 
 @dataclass(frozen=True)
@@ -155,7 +150,7 @@ class FusionNode(Node):
         self.subscribes = tuple(observation_topic(c) for c in camera_ids)
         self.publishes = (TOPIC_PER_RIG, TOPIC_FUSED)
         self.synchronizer = FrameSynchronizer(camera_ids)
-        self.rig_ids = [rig.id for rig in self.rigs]
+        self.rig_ids = tuple(rig.id for rig in self.rigs)
         lefts, rights = zip(*(rig.cameras for rig in self.rigs))
         self.left_ids, self.right_ids = ([cam.id for cam in lefts],
                                          [cam.id for cam in rights])
@@ -170,7 +165,6 @@ class FusionNode(Node):
         self.solver = prefactor(self.topology)
         self.prefactor_count = 1
         self.processing_seconds = 0.0
-        self.frames = 0
         # Per rig, every DLT residual of the run in one contiguous buffer.
         self.residuals = {rig.id: array("d") for rig in self.rigs}
 
@@ -214,12 +208,8 @@ class FusionNode(Node):
         est_xyz.reshape(-1, 3)[seen] = result.xyz
         residual.reshape(-1)[seen] = result.residual
         visible = visible.reshape(n_rigs, N_ALL)
-        estimates = {}
-        for rig_id, xyz, seen_by_rig, values in zip(self.rig_ids, est_xyz, visible,
-                                                   residual):
+        for rig_id, seen_by_rig, values in zip(self.rig_ids, visible, residual):
             self.residuals[rig_id].frombytes(values[seen_by_rig].tobytes())
-            estimates[rig_id] = RigEstimate(rig_id=rig_id, xyz=xyz,
-                                            visible=seen_by_rig, residual=values)
 
         fused_vis = visible[:, :N_FUSED]
         if not fused_vis.all():
@@ -240,9 +230,9 @@ class FusionNode(Node):
         xyz[N_FUSED:][aux_seen] = summed[aux_seen] / counts[aux_seen, None]
 
         self.processing_seconds += time.perf_counter() - t0
-        self.frames += 1
         ts = frame_index / self.frame_rate
-        publish(Message(TOPIC_PER_RIG, frame_index, ts, PerRigLandmarks(estimates)))
+        publish(Message(TOPIC_PER_RIG, frame_index, ts, PerRigLandmarks(
+            self.rig_ids, est_xyz, visible, residual)))
         publish(Message(TOPIC_FUSED, frame_index, ts,
                         FusedLandmarks(xyz=xyz)))
 
@@ -313,6 +303,8 @@ class AdaptationNode(Node):
                             message.timestamp, self.event))
 
 
+# Landmark indices in code-point order of their names.
+_LANDMARK_ORDER = np.array(sorted(range(N_ALL), key=LANDMARK_NAMES.__getitem__))
 _LANDMARKS = np.array(LANDMARK_NAMES, dtype=object)
 _SOURCES = np.array(["fused"] * N_FUSED + ["aux"] * (N_ALL - N_FUSED), dtype=object)
 _STREAM_OF_TOPIC = {TOPIC_WORLD: "ground_truth", TOPIC_PER_RIG: "per_rig_landmarks",
@@ -325,34 +317,33 @@ _RULA_ATTRS = tuple(attrgetter(
     for name in STREAM_COLUMNS["rula"][1:])
 
 
-def _landmark_table(stream: str, columns, visible=True) -> np.ndarray:
-    """A landmark stream's table, one row per message and landmark, sorted.
+def _landmark_table(stream: str, columns, visible=True, blocks=None) -> np.ndarray:
+    """A landmark stream's table from blocks of N_ALL landmark rows.
 
-    ``columns`` are in field order and broadcast to (messages, N_ALL):
-    (M, 1) per message, (N_ALL,) per landmark, (M, N_ALL) per row. Rows
-    are kept where ``visible`` (M, N_ALL) is true. The str identity
-    columns are ranked for the sort before they are broadcast.
+    ``columns`` are in field order and broadcast to (B, N_ALL): (B, 1)
+    per block (a message, or one rig's estimates), (N_ALL,) per
+    landmark, (B, N_ALL) per row. Rows are kept where ``visible``
+    (B, N_ALL) is true. They come out with the blocks in ``blocks``
+    order (by default as given) and each block's landmarks by name.
     """
-    fields = STREAM_FIELDS[stream]
-    n_keys = next(i for i, (_, conv) in enumerate(fields) if conv is float)
-    ranks = [rank_keys(c) if conv is str else None
-             for c, (_, conv) in zip(columns[:n_keys], fields)]
     *columns, visible = np.broadcast_arrays(*columns, visible)
-    table = columns_table(fields, int(visible.sum()), (c[visible] for c in columns))
-    return SegmentRecording.sort(table, [
-        table[name] if rank is None else np.broadcast_to(rank, visible.shape)[visible]
-        for (name, _), rank in zip(fields, ranks)])
+    block = np.arange(len(visible)) if blocks is None else np.array(blocks, dtype=np.intp)
+    row, landmark = np.nonzero(visible[block[:, None], _LANDMARK_ORDER])
+    block, landmark = block[row], _LANDMARK_ORDER[landmark]
+    return columns_table(STREAM_FIELDS[stream], len(block),
+                         (c[block, landmark] for c in columns))
 
 
 class RecorderNode(Node):
-    """Keeps every recorded message and builds the stream tables at the end."""
+    """Keeps every recorded message and builds the stream tables at the end,
+    in ``SegmentRecording.sort``'s order: messages by frame, then camera id;
+    within a message, rigs by id and landmarks by name (code-point order)."""
 
     name = "recorder"
     publishes = ()
 
     def __init__(self, camera_ids):
-        # Per stream, the (frame index, payload) of each message; one per
-        # rig estimate for ``per_rig_landmarks``.
+        # Per stream, the (frame index, payload) of each message.
         self.received: dict[str, list[tuple[int, object]]] = {
             name: [] for name in STREAM_NAMES}
         self.recording: SegmentRecording | None = None
@@ -364,10 +355,7 @@ class RecorderNode(Node):
 
     def handle(self, message, publish):
         topic, k, payload = message.topic, message.frame_index, message.payload
-        if topic == TOPIC_PER_RIG:
-            self.received["per_rig_landmarks"].extend(
-                (k, est) for est in payload.estimates.values())
-        elif topic in _STREAM_OF_TOPIC:
+        if topic in _STREAM_OF_TOPIC:
             self.received[_STREAM_OF_TOPIC[topic]].append((k, payload))
         elif topic.startswith("observations/"):
             self.received["observations"].append((k, payload))
@@ -378,9 +366,12 @@ class RecorderNode(Node):
         elif topic == TOPIC_ADAPTATION:
             self.adaptation_event = payload
 
-    def _messages(self, stream: str) -> tuple[np.ndarray, list]:
-        """A stream's frame indices as an (M, 1) column, and its payloads."""
+    def _messages(self, stream: str, key=None) -> tuple[np.ndarray, list]:
+        """A stream's messages sorted by frame, then by ``key`` of their payload:
+        the frame indices as an (M, 1) column, and the payloads."""
         received = self.received[stream]
+        received.sort(key=itemgetter(0) if key is None else
+                      lambda item: (item[0], key(item[1])))
         return (np.array([k for k, _ in received], dtype=np.int64).reshape(-1, 1),
                 [payload for _, payload in received])
 
@@ -394,7 +385,7 @@ class RecorderNode(Node):
         ground_truth = _landmark_table(
             "ground_truth", (frame, _LANDMARKS, *np.moveaxis(xyz, -1, 0), reach_ok))
 
-        frame, views = self._messages("observations")
+        frame, views = self._messages("observations", attrgetter("camera_id"))
         uv = stacked([obs.uv for obs in views], 2)
         camera = np.array([obs.camera_id for obs in views], dtype=object).reshape(-1, 1)
         observations = _landmark_table(
@@ -402,13 +393,17 @@ class RecorderNode(Node):
             stacked([obs.visible for obs in views], dtype=bool))
 
         frame, estimates = self._messages("per_rig_landmarks")
-        rig = np.array([est.rig_id for est in estimates], dtype=object).reshape(-1, 1)
+        # One block per message and rig; a frame's blocks go in rig id order.
+        frame = np.repeat(frame, [len(est.rig_ids) for est in estimates], axis=0)
+        rig = [rig_id for est in estimates for rig_id in est.rig_ids]
+        keys = list(zip(frame.ravel().tolist(), rig))
         xyz = stacked([est.xyz for est in estimates], 3)
         per_rig = _landmark_table(
             "per_rig_landmarks",
-            (frame, rig, _LANDMARKS, *np.moveaxis(xyz, -1, 0),
-             stacked([est.residual for est in estimates]), 2),
-            stacked([est.visible for est in estimates], dtype=bool))
+            (frame, np.array(rig, dtype=object).reshape(-1, 1), _LANDMARKS,
+             *np.moveaxis(xyz, -1, 0), stacked([est.residual for est in estimates]), 2),
+            stacked([est.visible for est in estimates], dtype=bool),
+            blocks=sorted(range(len(keys)), key=keys.__getitem__))
 
         frame, fused = self._messages("fused_landmarks")
         xyz = stacked([f.xyz for f in fused], 3)
@@ -416,9 +411,9 @@ class RecorderNode(Node):
             "fused_landmarks", (frame, _LANDMARKS, *np.moveaxis(xyz, -1, 0), _SOURCES))
 
         frame, records = self._messages("rula")
-        rula = SegmentRecording.sort(columns_table(
+        rula = columns_table(
             STREAM_FIELDS["rula"], len(records),
-            (frame.ravel(), *(list(map(attr, records)) for attr in _RULA_ATTRS))))
+            (frame.ravel(), *(list(map(attr, records)) for attr in _RULA_ATTRS)))
 
         self.recording = SegmentRecording({}, {
             "ground_truth": ground_truth, "observations": observations,

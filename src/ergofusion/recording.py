@@ -9,8 +9,9 @@ and ``object`` for str fields, so no string is cut to a fixed width.
 
 Every table is built by ``columns_table`` from typed columns: the
 recorder (``pipeline.RecorderNode``) passes the arrays its messages
-carry, and ``SegmentRecording.sort`` puts each stream in canonical
-order. Outside input is checked where it enters: stream files by
+carry, gathered so that the rows come out in canonical order.
+``SegmentRecording.sort`` is the reference definition of that order
+(the rows' tuple order, names in code-point order). Outside input is checked where it enters: stream files by
 ``_parse_stream`` on load, and manifest stature and seed when
 ``evaluate`` pairs recordings.
 
@@ -274,19 +275,6 @@ def _parse_stream(name: str, path: Path, n_frames: float) -> np.ndarray:
     return table
 
 
-def rank_keys(column: np.ndarray) -> np.ndarray:
-    """``column`` as sort keys: int columns as they are, str ones ranked.
-
-    A str value's rank is its place among the column's sorted distinct
-    values (code-point order), so the ranks order as the values do.
-    """
-    if column.dtype.kind != "O":
-        return column
-    rank = {value: i for i, value in enumerate(sorted(set(column.flat)))}
-    return np.fromiter(map(rank.__getitem__, column.flat), np.int64,
-                       column.size).reshape(column.shape)
-
-
 @dataclass
 class SegmentRecording:
     """One segment's record streams, one structured table each, plus its manifest."""
@@ -300,23 +288,24 @@ class SegmentRecording:
                 self.streams.setdefault(name, np.empty(0, _DTYPES[name]))
 
     @staticmethod
-    def sort(table: np.ndarray, keys=None) -> np.ndarray:
-        """``table`` in canonical order (streams may fill from concurrent nodes).
+    def sort(table: np.ndarray) -> np.ndarray:
+        """``table`` in canonical order, the reference definition of it.
 
         Rows are ordered by their leading int and str fields (frame, then
-        rig, camera or landmark names), which are unique per row, so this
-        is the rows' tuple order. ``keys`` are those fields as int
-        columns in the same order (``rank_keys``); the recorder ranks
-        each str value once, before it is repeated over the rows. By
-        default they are ranked here.
+        rig, camera or landmark names, str in code-point order), which
+        are unique per row, so this is the rows' tuple order. The
+        recorder builds its tables in this order and never calls it.
         """
-        if keys is None:
-            keys = []
-            for name in table.dtype.names:
-                column = table[name]
-                if column.dtype.kind == "f":
-                    break
-                keys.append(rank_keys(column))
+        keys = []
+        for name in table.dtype.names:
+            column = table[name]
+            if column.dtype.kind == "f":
+                break
+            if column.dtype.kind == "O":
+                # A str value's rank among the distinct values orders as it does.
+                rank = {value: i for i, value in enumerate(sorted(set(column)))}
+                column = np.fromiter(map(rank.__getitem__, column), np.int64, len(column))
+            keys.append(column)
         return table[np.lexsort(keys[::-1])]
 
     # -- persistence -----------------------------------------------------

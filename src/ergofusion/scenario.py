@@ -40,7 +40,8 @@ import numpy as np
 import yaml
 
 from .adaptation import MIN_UPRIGHT_FRAMES
-from .cameras import StereoRig, look_at_rotation, rotation_from_axis_angle
+from .cameras import (GeometryError, StereoRig, look_at_rotation,
+                      rotation_from_axis_angle)
 from .rula import RulaAdjustments
 from .skeleton import (FRAME_RATE_HZ, MotionPhase, MotionScript, SEGMENT_RATIOS,
                        STATURE_RANGE)
@@ -54,6 +55,17 @@ MAX_RIGS = 8
 
 class ScenarioError(ValueError):
     """Invalid or incomplete scenario configuration."""
+
+
+def _number(value, field: str, conv: type = float):
+    """``value`` as a finite ``conv`` (float or int), or an error naming ``field``."""
+    try:
+        number = conv(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{field}: expected a number, got {value!r}") from exc
+    if conv is float and not math.isfinite(number):
+        raise ScenarioError(f"{field}: must be finite, got {value!r}")
+    return number
 
 
 def _vec3(value, field: str) -> np.ndarray:
@@ -98,7 +110,11 @@ def _parse_rig(entry: dict, index: int) -> RigSpec:
     if "rotation" in entry:
         rotation = rotation_from_axis_angle(_vec3(entry["rotation"], f"rig {rig_id} rotation"))
     elif "look_at" in entry:
-        rotation = look_at_rotation(position, _vec3(entry["look_at"], f"rig {rig_id} look_at"))
+        target = _vec3(entry["look_at"], f"rig {rig_id} look_at")
+        try:
+            rotation = look_at_rotation(position, target)
+        except GeometryError as exc:
+            raise ScenarioError(f"rig {rig_id} look_at: {exc}") from exc
     else:
         raise ScenarioError(f"rig {rig_id}: missing 'rotation' (or 'look_at')")
 
@@ -107,15 +123,15 @@ def _parse_rig(entry: dict, index: int) -> RigSpec:
     if "relative_translation" in entry:
         rel_t = _vec3(entry["relative_translation"], f"rig {rig_id} relative_translation")
     elif "baseline" in entry:
-        baseline = float(entry["baseline"])
-        if not (baseline > 0 and math.isfinite(baseline)):
+        baseline = _number(entry["baseline"], f"rig {rig_id} baseline")
+        if baseline <= 0:
             raise ScenarioError(f"rig {rig_id}: baseline must be a positive number")
         rel_t = np.array([-baseline, 0.0, 0.0])
     else:
         raise ScenarioError(f"rig {rig_id}: missing 'baseline' (or 'relative_translation')")
 
-    sigma = float(entry.get("noise_sigma", 0.0))
-    if sigma < 0 or not math.isfinite(sigma):
+    sigma = _number(entry.get("noise_sigma", 0.0), f"rig {rig_id} noise_sigma")
+    if sigma < 0:
         raise ScenarioError(f"rig {rig_id}: noise_sigma must be >= 0")
     return RigSpec(id=str(rig_id), position=position, rotation=rotation,
                    relative_rotation=rel_rot, relative_translation=rel_t,
@@ -128,7 +144,7 @@ def _parse_phase(entry: dict, index: int) -> MotionPhase:
     name = str(entry.get("name", f"phase{index}"))
     if "duration" not in entry:
         raise ScenarioError(f"phase {name}: missing required field 'duration'")
-    duration = float(entry["duration"])
+    duration = _number(entry["duration"], f"phase {name} duration")
     target = entry.get("target", "rest")
     if isinstance(target, str):
         if target == "rest":
@@ -231,15 +247,16 @@ def _parse_statures(value) -> tuple[float, ...]:
         missing = {"start", "stop", "step"} - set(value)
         if missing:
             raise ScenarioError(f"stature grid: missing {sorted(missing)}")
-        start, stop, step = (float(value[k]) for k in ("start", "stop", "step"))
+        start, stop, step = (_number(value[k], f"stature {k}")
+                             for k in ("start", "stop", "step"))
         if step <= 0 or stop < start:
             raise ScenarioError("stature grid: need step > 0 and stop >= start")
         count = int(round((stop - start) / step)) + 1
         statures = tuple(round(start + i * step, 9) for i in range(count))
     elif isinstance(value, (list, tuple)):
-        statures = tuple(float(v) for v in value)
+        statures = tuple(_number(v, "stature") for v in value)
     else:
-        statures = (float(value),)
+        statures = (_number(value, "stature"),)
     if not statures:
         raise ScenarioError("stature: empty grid")
     lo, hi = STATURE_RANGE
@@ -261,6 +278,9 @@ def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         raise ScenarioError("missing required field 'rigs' (need 1 to 8 rigs)")
     if "motion" not in data or not data["motion"]:
         raise ScenarioError("missing required field 'motion'")
+    for field in ("rigs", "motion"):
+        if not isinstance(data[field], (list, tuple)):
+            raise ScenarioError(f"{field}: expected a list of mappings, got {data[field]!r}")
 
     statures = _parse_statures(data["stature"])
     delivery = _vec3(data["delivery"], "delivery")
@@ -272,10 +292,10 @@ def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         raise ScenarioError(f"rigs: duplicate rig ids in {ids}")
 
     phases = tuple(_parse_phase(entry, i) for i, entry in enumerate(data["motion"]))
-    frame_rate = float(data.get("frame_rate", FRAME_RATE_HZ))
+    frame_rate = _number(data.get("frame_rate", FRAME_RATE_HZ), "frame_rate")
     if frame_rate <= 0:
         raise ScenarioError("frame_rate must be > 0")
-    warmup = float(data.get("warmup", 2.0))
+    warmup = _number(data.get("warmup", 2.0), "warmup")
     adapt = bool(data.get("adapt", True))
     total = sum(p.duration for p in phases)
     if adapt:
@@ -294,7 +314,7 @@ def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         raise ScenarioError(f"adjustments: unknown fields {sorted(unknown)}")
     try:
         adjustments = RulaAdjustments(**{k: int(v) for k, v in adj_data.items()})
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"adjustments: {exc}") from exc
 
     stance = data.get("stance", "auto")
@@ -307,7 +327,7 @@ def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
     return ScenarioConfig(
         name=str(data.get("name", name)),
         statures=statures,
-        seed=int(data.get("seed", 0)),
+        seed=_number(data.get("seed", 0), "seed", int),
         frame_rate=frame_rate,
         warmup=warmup,
         adapt=adapt,

@@ -68,6 +68,24 @@ def command(name: str, run_dir, out) -> list[str]:
 
 COMMANDS = ("eval-rmse", "eval-rula", "export-landmarks", "export-rula",
             "export-heatmap")
+# A scenario field set to a value loading must reject, and the name the
+# error gives it. Rig S2 stands at (2.4, 0.0, 1.6).
+BAD_FIELDS = [
+    ("look_at=position", ("rigs", 1, "look_at"), [2.4, 0.0, 1.6], "rig S2 look_at"),
+    ("look_at=above", ("rigs", 1, "look_at"), [2.4, 0.0, 2.6], "rig S2 look_at"),
+    ("look_at=below", ("rigs", 1, "look_at"), [2.4, 0.0, 0.6], "rig S2 look_at"),
+    ("stature=abc", ("stature",), "abc", "stature"),
+    ("seed=abc", ("seed",), "abc", "seed"),
+    ("frame_rate=abc", ("frame_rate",), "abc", "frame_rate"),
+    ("warmup=abc", ("warmup",), "abc", "warmup"),
+    ("baseline=abc", ("rigs", 0, "baseline"), "abc", "rig S1 baseline"),
+    ("noise_sigma=abc", ("rigs", 0, "noise_sigma"), "abc", "rig S1 noise_sigma"),
+    ("duration=abc", ("motion", 1, "duration"), "abc", "phase reach duration"),
+    ("frame_rate=nan", ("frame_rate",), float("nan"), "frame_rate"),
+    ("duration=inf", ("motion", 1, "duration"), float("inf"), "phase reach duration"),
+    ("seed=inf", ("seed",), float("inf"), "seed"),
+    ("rigs=5", ("rigs",), 5, "rigs"),
+]
 # A command and one stream it parses (eval-rmse is covered in TestEvalRmse).
 READ_STREAMS = [("eval-rula", "rula"), ("export-landmarks", "fused_landmarks"),
                 ("export-heatmap", "rula")]
@@ -102,6 +120,22 @@ class TestSimulate:
                      str(tmp_path / "x")])
         assert code == 2
         assert "position" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value, field", [case[1:] for case in BAD_FIELDS],
+                             ids=[case[0] for case in BAD_FIELDS])
+    def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, path, value, field):
+        broken = yaml.safe_load(yaml.safe_dump(SCENARIO))
+        *parents, key = path
+        owner = broken
+        for parent in parents:
+            owner = owner[parent]
+        owner[key] = value
+        scenario = tmp_path / "broken.yaml"
+        scenario.write_text(yaml.safe_dump(broken))
+        code = main(["simulate", "--scenario", str(scenario), "--out",
+                     str(tmp_path / "x")])
+        assert code == 2
+        assert field in capsys.readouterr().err
 
     def test_missing_scenario_file_exits_2(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", str(tmp_path / "none.yaml"),

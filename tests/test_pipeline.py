@@ -241,13 +241,13 @@ class TestFusionNode:
                 bundle[cam.id] = CameraObservations(cam.id, frame.index, uv, visible)
             per_rig, fused = (m.payload for m in feed(node, bundle, frame.index))
             want_rigs, want_xyz = per_rig_reference(node, bundle)
-            assert list(per_rig.estimates) == [rig.id for rig in node.rigs]
-            for rig, (xyz, visible, residual, values) in zip(node.rigs, want_rigs):
-                got = per_rig.estimates[rig.id]
-                assert got.rig_id == rig.id
-                assert got.xyz.tobytes() == xyz.tobytes()
-                assert got.visible.tobytes() == visible.tobytes()
-                assert got.residual.tobytes() == residual.tobytes()
+            assert per_rig.rig_ids == tuple(rig.id for rig in node.rigs)
+            assert per_rig.xyz.shape == (len(node.rigs), N_ALL, 3)
+            for r, (rig, (xyz, visible, residual, values)) in enumerate(
+                    zip(node.rigs, want_rigs)):
+                assert per_rig.xyz[r].tobytes() == xyz.tobytes()
+                assert per_rig.visible[r].tobytes() == visible.tobytes()
+                assert per_rig.residual[r].tobytes() == residual.tobytes()
                 buffers[rig.id].append(values)
             assert fused.xyz.shape == (N_ALL, 3)
             assert fused.xyz.tobytes() == want_xyz.tobytes()

@@ -14,8 +14,8 @@ import pytest
 
 from ergofusion.evaluate import rula_compare
 from ergofusion.bus import Message
-from ergofusion.pipeline import (FusedLandmarks, PerRigLandmarks, RecorderNode, RigEstimate,
-                                 RulaRecord, run_scenario)
+from ergofusion.pipeline import (FusedLandmarks, PerRigLandmarks, RecorderNode, RulaRecord,
+                                 run_scenario)
 from ergofusion.rula import (STATUS_MESSAGES, JointAngles, PostureState, PostureStatus,
                              RulaBreakdown)
 from ergofusion import recording
@@ -147,10 +147,11 @@ def _recorded_rows(messages) -> dict[str, list[tuple]]:
         elif topic == "per_rig_landmarks":
             rows["per_rig_landmarks"] += [
                 (k, rig_id, name, x, y, z, residual, 2)
-                for rig_id, est in payload.estimates.items()
+                for rig_id, xyz, residuals, visible in zip(
+                    payload.rig_ids, payload.xyz.tolist(), payload.residual.tolist(),
+                    payload.visible.tolist())
                 for name, (x, y, z), residual, seen in zip(
-                    LANDMARK_NAMES, est.xyz.tolist(), est.residual.tolist(),
-                    est.visible.tolist()) if seen]
+                    LANDMARK_NAMES, xyz, residuals, visible) if seen]
         elif topic == "fused_landmarks":
             rows["fused_landmarks"] += [
                 (k, name, x, y, z, "fused" if i < N_FUSED else "aux")
@@ -190,8 +191,9 @@ def _random_messages(rng) -> list[Message]:
             uv = np.where(visible[:, None], rng.normal(size=(N_ALL, 2)), np.nan)
             messages.append(Message(f"observations/{camera}", k, 0.0,
                                     CameraObservations(camera, k, uv, visible)))
-        messages.append(Message("per_rig_landmarks", k, 0.0, PerRigLandmarks({
-            rig: RigEstimate(rig, points(), seen(), rng.random(N_ALL)) for rig in rigs})))
+        xyz, visible, residual = zip(*((points(), seen(), rng.random(N_ALL)) for _ in rigs))
+        messages.append(Message("per_rig_landmarks", k, 0.0, PerRigLandmarks(
+            tuple(rigs), np.stack(xyz), np.stack(visible), np.stack(residual))))
         messages.append(Message("fused_landmarks", k, 0.0, FusedLandmarks(points())))
         angles = JointAngles(*rng.uniform(-180.0, 180.0, 8).tolist(),
                              legs_supported=bool(rng.random() < 0.5),
@@ -227,6 +229,25 @@ def test_serial_and_threaded_tables_are_equal_bit_for_bit(criterion_9_run):
         for stream in STREAM_NAMES:
             assert _bits(threaded.segments[name].streams[stream]) == \
                 _bits(segment.streams[stream])
+
+
+def test_rigs_listed_out_of_code_point_order_record_canonical_streams():
+    config = default_handover_scenario(noise_sigma=0.002)
+    # Rigs and their cameras ("S2.L", ..., "A.R") listed out of name order.
+    config = dataclasses.replace(config, rigs=tuple(
+        dataclasses.replace(spec, id=rig_id)
+        for spec, rig_id in zip(config.rigs, ("S2", "S10", "A"))))
+    runs = {scheduler: run_scenario(config, seed=5, scheduler=scheduler)
+            for scheduler in ("serial", "threads")}
+    serial, threaded = runs["serial"].segments, runs["threads"].segments
+    assert list(serial) == list(threaded) == ["pre", "post"]
+    for name, segment in serial.items():
+        assert list(dict.fromkeys(segment.streams["per_rig_landmarks"]["rig"])) == \
+            ["A", "S10", "S2"]
+        for stream in STREAM_NAMES:
+            table = segment.streams[stream]
+            assert _bits(table) == _bits(SegmentRecording.sort(table))
+            assert _bits(threaded[name].streams[stream]) == _bits(table)
 
 
 def test_save_records_the_digest_of_the_written_bytes(criterion_9_run, tmp_path):
