@@ -4,7 +4,9 @@ and real-time RULA ergonomics.
 Module map:
 
 - ``cameras``       projective camera models, stereo rigs, extrinsic composition
-- ``triangulate``   DLT assembly and SVD solve for one 3D landmark
+- ``triangulate``   DLT assembly and SVD solve: one point from any number
+                    of views, or every rig's stereo points of a frame in
+                    one batched solve
 - ``fusion``        bipartite camera/landmark graph, differential coordinates,
                     prefactored anchor-regularized least squares
 - ``skeleton``      stature-parameterized skeleton, reach-task animation,

@@ -15,13 +15,11 @@ from typing import Sequence
 import numpy as np
 
 from . import rula
-from .skeleton import LandmarkFrame, LandmarkId, LANDMARK_INDEX, SEGMENT_RATIOS
+from .skeleton import LandmarkId, LANDMARK_INDEX, SEGMENT_RATIOS
 
 # Stature class bounds (meters); boundary values belong to c2.
 C1_UPPER = 1.68
 C2_UPPER = 1.82
-
-REPRESENTATIVE_STATURE = {"c1": 1.60, "c2": 1.75, "c3": 1.90}
 
 # Shoulder height as a fraction of stature, from the skeleton's ratio table.
 SHOULDER_RATIO = 1.0 - SEGMENT_RATIOS["shoulder_to_head_top"]
@@ -44,21 +42,19 @@ class SingleAdaptationViolation(AdaptationError):
 
 @dataclass(frozen=True)
 class AnthropometricClass:
-    """One of the three stature bands driving robot adaptation."""
+    """One of the three stature bands driving robot adaptation, with the
+    stature whose shoulder height the adapted delivery point takes."""
 
     class_id: str
     lower: float
     upper: float
-
-    @property
-    def representative_stature(self) -> float:
-        return REPRESENTATIVE_STATURE[self.class_id]
+    representative_stature: float
 
 
 CLASSES = (
-    AnthropometricClass("c1", 0.0, C1_UPPER),
-    AnthropometricClass("c2", C1_UPPER, C2_UPPER),
-    AnthropometricClass("c3", C2_UPPER, float("inf")),
+    AnthropometricClass("c1", 0.0, C1_UPPER, 1.60),
+    AnthropometricClass("c2", C1_UPPER, C2_UPPER, 1.75),
+    AnthropometricClass("c3", C2_UPPER, float("inf"), 1.90),
 )
 
 
@@ -89,13 +85,15 @@ def _chain_height(xyz: np.ndarray) -> float:
             + float(np.linalg.norm(head - shoulder)))
 
 
-def estimate_height(frames: Sequence[LandmarkFrame]) -> float:
+def estimate_height(frames: Sequence[np.ndarray]) -> float:
     """Estimate operator stature from fused landmark frames.
 
-    Only upright frames (trunk flexion below ``UPRIGHT_TRUNK_DEG``, head
-    marker present) contribute; each contributes the summed segment
-    chain ankles -> hips -> shoulders -> head top, and the median over
-    frames rejects per-frame fusion noise.
+    ``frames`` are (15, 3) float arrays in canonical landmark order, as
+    the fusion node publishes them (``FusedLandmarks.xyz``). Only upright
+    frames (trunk flexion below ``UPRIGHT_TRUNK_DEG``, head marker
+    present) contribute; each contributes the summed segment chain
+    ankles -> hips -> shoulders -> head top, and the median over frames
+    rejects per-frame fusion noise.
 
     Raises
     ------
@@ -103,8 +101,7 @@ def estimate_height(frames: Sequence[LandmarkFrame]) -> float:
         With fewer than ``MIN_UPRIGHT_FRAMES`` upright frames.
     """
     samples = []
-    for frame in frames:
-        xyz = frame.xyz if isinstance(frame, LandmarkFrame) else np.asarray(frame, dtype=float)
+    for xyz in frames:
         if not np.all(np.isfinite(xyz[LANDMARK_INDEX[LandmarkId.HEAD_TOP]])):
             continue
         angles = rula.compute_joint_angles(xyz)

@@ -182,11 +182,6 @@ def _pair_key(manifest: dict) -> tuple:
     return stature, seed
 
 
-def rula_compare(pre: SegmentRecording, post: SegmentRecording) -> RulaComparison:
-    """Compare one paired pre/post recording."""
-    return rula_compare_many([(pre, post)])
-
-
 def rula_compare_many(pairs: list[tuple[SegmentRecording, SegmentRecording]]) -> RulaComparison:
     """Compare paired recordings; every pair must share stature and seed."""
     if not pairs:

@@ -43,9 +43,9 @@ from .fusion import (build_topology, compute_anchors, compute_delta, fuse,
                      prefactor)
 from .recording import (STREAM_COLUMNS, STREAM_FIELDS, STREAM_NAMES, RunRecording,
                         SegmentRecording, columns_table)
-from .rula import RulaAdjustments, RulaBreakdown, JointAngles, PostureStatus, \
-    classify_posture, compute_joint_angles, rula_score
-from .scenario import ScenarioConfig
+from .rula import (RulaAdjustments, RulaBreakdown, JointAngles, PostureStatus,
+                   classify_posture, compute_joint_angles, rula_score)
+from .scenario import ScenarioConfig, ScenarioError
 from .skeleton import (LANDMARK_NAMES, CameraObservations, LandmarkFrame,
                        N_ALL, N_FUSED, animate, build_skeleton, observe)
 # triangulate_dlt is the single-point reference for triangulate_stereo and
@@ -309,12 +309,6 @@ _LANDMARKS = np.array(LANDMARK_NAMES, dtype=object)
 _SOURCES = np.array(["fused"] * N_FUSED + ["aux"] * (N_ALL - N_FUSED), dtype=object)
 _STREAM_OF_TOPIC = {TOPIC_WORLD: "ground_truth", TOPIC_PER_RIG: "per_rig_landmarks",
                     TOPIC_FUSED: "fused_landmarks", TOPIC_RULA: "rula"}
-_ANGLE_NAMES = {f.name for f in fields(JointAngles)}
-# The RulaRecord attribute each ``rula`` field after ``frame`` is read from.
-_RULA_ATTRS = tuple(attrgetter(
-    "status.status.value" if name == "status" else
-    f"{'angles' if name in _ANGLE_NAMES else 'breakdown'}.{name}")
-    for name in STREAM_COLUMNS["rula"][1:])
 
 
 def _landmark_table(stream: str, columns, visible=True, blocks=None) -> np.ndarray:
@@ -332,6 +326,21 @@ def _landmark_table(stream: str, columns, visible=True, blocks=None) -> np.ndarr
     block, landmark = block[row], _LANDMARK_ORDER[landmark]
     return columns_table(STREAM_FIELDS[stream], len(block),
                          (c[block, landmark] for c in columns))
+
+
+def rula_table(frames: np.ndarray, records: list[RulaRecord]) -> np.ndarray:
+    """The ``rula`` stream of ``records``, one row each at ``frames``.
+
+    Each column after ``frame`` is the records' joint-angle or breakdown
+    field of its name; ``status`` is the posture status value.
+    """
+    angle_names = {field.name for field in fields(JointAngles)}
+    angles = [record.angles for record in records]
+    breakdowns = [record.breakdown for record in records]
+    columns = ([record.status.status.value for record in records] if name == "status"
+               else list(map(attrgetter(name), angles if name in angle_names else breakdowns))
+               for name in STREAM_COLUMNS["rula"][1:])
+    return columns_table(STREAM_FIELDS["rula"], len(records), (frames, *columns))
 
 
 class RecorderNode(Node):
@@ -411,9 +420,7 @@ class RecorderNode(Node):
             "fused_landmarks", (frame, _LANDMARKS, *np.moveaxis(xyz, -1, 0), _SOURCES))
 
         frame, records = self._messages("rula")
-        rula = columns_table(
-            STREAM_FIELDS["rula"], len(records),
-            (frame.ravel(), *(list(map(attr, records)) for attr in _RULA_ATTRS)))
+        rula = rula_table(frame.ravel(), records)
 
         self.recording = SegmentRecording({}, {
             "ground_truth": ground_truth, "observations": observations,
@@ -513,7 +520,7 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None,
     if seed is None:
         seed = config.seed
     if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
+        raise ScenarioError(f"seed: must be a non-negative integer, got {seed}")
 
     pre, event = _run_segment(config, "pre", config.delivery, seed, scheduler,
                               adapt_enabled=config.adapt)

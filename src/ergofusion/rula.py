@@ -20,13 +20,12 @@ tenths of a degree rather than exactly zero, so "upright" tolerates
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
-from .skeleton import (LandmarkFrame, LandmarkId, LANDMARK_INDEX, LANDMARK_NAMES,
-                       N_ALL, N_FUSED)
+from .skeleton import LandmarkId, LANDMARK_INDEX, LANDMARK_NAMES, N_ALL, N_FUSED
 
 # Posture scores combine through the standard worksheet tables.
 # TABLE_A[upper_arm-1][lower_arm-1][wrist-1][wrist_twist-1]
@@ -117,9 +116,7 @@ class JointAngles:
     aux_present: bool = True
 
     def __post_init__(self):
-        for name in ("upper_arm_left", "upper_arm_right", "lower_arm_left",
-                     "lower_arm_right", "wrist_left", "wrist_right",
-                     "neck", "trunk"):
+        for name in STRESS_JOINTS:
             v = getattr(self, name)
             if not (math.isfinite(v) and -180.0 <= v <= 180.0):
                 raise RulaError(f"{name}={v!r} outside [-180, 180]")
@@ -138,9 +135,9 @@ class RulaAdjustments:
     def __post_init__(self):
         if self.wrist_twist not in (1, 2):
             raise RulaError("wrist_twist must be 1 or 2")
-        for name in ("muscle_use_a", "force_a", "muscle_use_b", "force_b"):
-            if getattr(self, name) < 0:
-                raise RulaError(f"{name} must be >= 0")
+        for field in fields(self):
+            if field.name != "wrist_twist" and getattr(self, field.name) < 0:
+                raise RulaError(f"{field.name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -156,10 +153,6 @@ class RulaBreakdown:
     score_trunk: int
     score_legs: int
     table_b: int
-    muscle_use_a: int
-    force_a: int
-    muscle_use_b: int
-    force_b: int
     wrist_arm_score: int
     neck_trunk_leg_score: int
     grand: int
@@ -210,20 +203,18 @@ def _angle(a: np.ndarray, na: float, b: np.ndarray, nb: float) -> float:
     return math.degrees(math.acos(min(1.0, max(-1.0, c))))
 
 
-def compute_joint_angles(frame) -> JointAngles:
+def compute_joint_angles(xyz: np.ndarray) -> JointAngles:
     """Extract RULA joint angles from one frame of 3D landmarks.
 
-    Accepts a :class:`~ergofusion.skeleton.LandmarkFrame` or a plain
-    (15, 3) array in canonical landmark order; the three auxiliary head
-    rows may be NaN, in which case neck flexion is reported as 0 with
-    ``aux_present=False``.
+    ``xyz`` is a (15, 3) float array in canonical landmark order; the
+    three auxiliary head rows may be NaN, in which case neck flexion is
+    reported as 0 with ``aux_present=False``.
 
     Raises
     ------
     IncompleteFrameError
         If any of the twelve fused landmarks is missing (NaN).
     """
-    xyz = frame.xyz if isinstance(frame, LandmarkFrame) else np.asarray(frame, dtype=float)
     if xyz.shape != (N_ALL, 3):
         raise RulaError(f"expected ({N_ALL}, 3) landmark array, got {xyz.shape}")
     if not np.isfinite(xyz[:N_FUSED]).all():
@@ -371,8 +362,6 @@ def rula_score(angles: JointAngles,
         score_upper_arm=s_ua, score_lower_arm=s_la, score_wrist=s_wr,
         score_wrist_twist=s_tw, table_a=ta,
         score_neck=s_neck, score_trunk=s_trunk, score_legs=s_legs, table_b=tb,
-        muscle_use_a=adj.muscle_use_a, force_a=adj.force_a,
-        muscle_use_b=adj.muscle_use_b, force_b=adj.force_b,
         wrist_arm_score=wrist_arm, neck_trunk_leg_score=neck_trunk_leg,
         grand=grand, action_level=action, side=side)
 

@@ -33,15 +33,15 @@ working distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .adaptation import MIN_UPRIGHT_FRAMES
-from .cameras import (GeometryError, StereoRig, look_at_rotation,
-                      rotation_from_axis_angle)
+from .adaptation import MIN_UPRIGHT_FRAMES, SHOULDER_RATIO
+from .cameras import (GeometryError, StereoRig, axis_angle_from_rotation,
+                      look_at_rotation, rotation_from_axis_angle)
 from .rula import RulaAdjustments
 from .skeleton import (FRAME_RATE_HZ, MotionPhase, MotionScript, SEGMENT_RATIOS,
                        STATURE_RANGE)
@@ -215,13 +215,7 @@ class ScenarioConfig:
             "delivery": [float(v) for v in self.delivery],
             "stance": self.stance if isinstance(self.stance, str)
                       else [float(v) for v in np.asarray(self.stance, dtype=float)],
-            "adjustments": {
-                "muscle_use_a": self.adjustments.muscle_use_a,
-                "force_a": self.adjustments.force_a,
-                "muscle_use_b": self.adjustments.muscle_use_b,
-                "force_b": self.adjustments.force_b,
-                "wrist_twist": self.adjustments.wrist_twist,
-            },
+            "adjustments": asdict(self.adjustments),
             "motion": [{"name": p.name, "duration": p.duration,
                         "target": ("rest" if p.target is None
                                    else p.target if isinstance(p.target, str)
@@ -229,17 +223,13 @@ class ScenarioConfig:
                        for p in self.phases],
             "rigs": [{"id": r.id,
                       "position": [float(v) for v in r.position],
-                      "rotation": [float(v) for v in _axis_angle(r.rotation)],
-                      "relative_rotation": [float(v) for v in _axis_angle(r.relative_rotation)],
+                      "rotation": [float(v) for v in axis_angle_from_rotation(r.rotation)],
+                      "relative_rotation":
+                          [float(v) for v in axis_angle_from_rotation(r.relative_rotation)],
                       "relative_translation": [float(v) for v in r.relative_translation],
                       "noise_sigma": r.noise_sigma}
                      for r in self.rigs],
         }
-
-
-def _axis_angle(rotation: np.ndarray) -> np.ndarray:
-    from .cameras import axis_angle_from_rotation
-    return axis_angle_from_rotation(rotation)
 
 
 def _parse_statures(value) -> tuple[float, ...]:
@@ -308,8 +298,9 @@ def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
             raise ScenarioError("warmup exceeds the scripted motion duration")
 
     adj_data = data.get("adjustments", {}) or {}
-    unknown = set(adj_data) - {"muscle_use_a", "force_a", "muscle_use_b",
-                               "force_b", "wrist_twist"}
+    if not isinstance(adj_data, dict):
+        raise ScenarioError(f"adjustments: expected a mapping, got {adj_data!r}")
+    unknown = set(adj_data) - {field.name for field in fields(RulaAdjustments)}
     if unknown:
         raise ScenarioError(f"adjustments: unknown fields {sorted(unknown)}")
     try:
@@ -352,7 +343,7 @@ def load_scenario(path) -> ScenarioConfig:
 # -- programmatic defaults used by the evaluation experiments --------------
 
 DEFAULT_DELIVERY_X = 0.90
-DEFAULT_DELIVERY_Z = (1.0 - SEGMENT_RATIOS["shoulder_to_head_top"]) * 1.75
+DEFAULT_DELIVERY_Z = SHOULDER_RATIO * 1.75
 
 _DEFAULT_RIGS = (
     {"id": "S1", "position": [2.1, -1.2, 1.6], "look_at": [0.45, 0.0, 1.0],
@@ -362,14 +353,21 @@ _DEFAULT_RIGS = (
     {"id": "S3", "position": [2.1, 1.2, 1.6], "look_at": [0.45, 0.0, 1.0],
      "baseline": 0.5},
 )
+# The handover task's phases at duration scale 1: (name, seconds, target).
+_HANDOVER_PHASES = (("rest", 2.0, "rest"), ("reach", 2.0, "delivery"),
+                    ("hold", 4.0, "delivery"), ("return", 2.0, "rest"))
 
 
-def default_handover_scenario(stature=1.75, noise_sigma=0.001, seed=0,
-                              adapt=True) -> ScenarioConfig:
-    """The standard 10 s tool-handover task (rest, reach, hold, return)."""
-    rigs = []
-    for spec in _DEFAULT_RIGS:
-        rigs.append(dict(spec, noise_sigma=noise_sigma))
+def default_handover_scenario(stature=1.75, noise_sigma=0.001, seed=0, adapt=True,
+                              duration_scale=1.0) -> ScenarioConfig:
+    """The tool-handover task (rest, reach, hold, return), 10 s long times
+    ``duration_scale``.
+
+    ``noise_sigma`` is one value for every rig or one per rig. The
+    accuracy experiment runs it with ``noise_sigma=(0.002, 0.002, 0.004)``,
+    ``adapt=False`` and ``duration_scale=5.0``: 500 frames at 10 Hz.
+    """
+    sigmas = np.broadcast_to(noise_sigma, len(_DEFAULT_RIGS))
     return parse_scenario({
         "name": "desk_handover",
         "stature": stature,
@@ -379,40 +377,8 @@ def default_handover_scenario(stature=1.75, noise_sigma=0.001, seed=0,
         "delivery": [DEFAULT_DELIVERY_X, 0.0, DEFAULT_DELIVERY_Z],
         "stance": "auto",
         "adjustments": {"muscle_use_b": 1, "force_b": 1},
-        "motion": [
-            {"name": "rest", "duration": 2.0, "target": "rest"},
-            {"name": "reach", "duration": 2.0, "target": "delivery"},
-            {"name": "hold", "duration": 4.0, "target": "delivery"},
-            {"name": "return", "duration": 2.0, "target": "rest"},
-        ],
-        "rigs": rigs,
-    })
-
-
-def default_rmse_scenario(stature=1.75, sigmas=(0.002, 0.002, 0.004),
-                          seed=0, duration_scale=5.0) -> ScenarioConfig:
-    """Accuracy-evaluation scenario: unequal rig noise, no adaptation.
-
-    The default duration scale stretches the handover task to 50 s
-    (500 frames at 10 Hz).
-    """
-    if len(sigmas) != len(_DEFAULT_RIGS):
-        raise ScenarioError(f"need {len(_DEFAULT_RIGS)} noise sigmas, got {len(sigmas)}")
-    rigs = [dict(spec, noise_sigma=float(sig))
-            for spec, sig in zip(_DEFAULT_RIGS, sigmas)]
-    return parse_scenario({
-        "name": "desk_rmse",
-        "stature": stature,
-        "seed": seed,
-        "warmup": 2.0,
-        "adapt": False,
-        "delivery": [DEFAULT_DELIVERY_X, 0.0, DEFAULT_DELIVERY_Z],
-        "stance": "auto",
-        "motion": [
-            {"name": "rest", "duration": 2.0 * duration_scale, "target": "rest"},
-            {"name": "reach", "duration": 2.0 * duration_scale, "target": "delivery"},
-            {"name": "hold", "duration": 4.0 * duration_scale, "target": "delivery"},
-            {"name": "return", "duration": 2.0 * duration_scale, "target": "rest"},
-        ],
-        "rigs": rigs,
+        "motion": [{"name": name, "duration": seconds * duration_scale, "target": target}
+                   for name, seconds, target in _HANDOVER_PHASES],
+        "rigs": [dict(spec, noise_sigma=float(sigma))
+                 for spec, sigma in zip(_DEFAULT_RIGS, sigmas)],
     })

@@ -396,12 +396,13 @@ def observe(camera, frame: LandmarkFrame, noise_sigma: float,
     """Project one frame into one camera and add per-coordinate noise.
 
     Landmarks at non-positive depth are marked not visible (uv NaN).
-    Pass a seeded ``rng`` for reproducible noise.
+    A positive ``noise_sigma`` needs ``rng``, a seeded generator, so that
+    the noise is reproducible.
     """
     if noise_sigma < 0:
         raise SkeletonError("noise_sigma must be >= 0")
     if noise_sigma > 0 and rng is None:
-        rng = np.random.default_rng()
+        raise SkeletonError("noise_sigma > 0 needs a seeded rng")
     # project_many returns a fresh uv array, so it is updated in place.
     uv, depth = camera.project_many(frame.xyz)
     visible = depth > 0

@@ -13,7 +13,8 @@ from ergofusion.skeleton import (MotionPhase, MotionScript, animate,
 
 def upright_frames(stature=1.75, seconds=3.0):
     script = MotionScript(phases=(MotionPhase("rest", seconds, None),))
-    return animate(build_skeleton(stature), script, np.zeros(3)).frames
+    return [frame.xyz for frame in animate(build_skeleton(stature), script,
+                                           np.zeros(3)).frames]
 
 
 class TestClassifyHeight:
@@ -64,7 +65,7 @@ class TestEstimateHeight:
             MotionPhase("hold", 2.8, (0.35, 0.0, 0.2))))
         frames = animate(profile, script, np.zeros(3)).frames
         with pytest.raises(InsufficientDataError):
-            estimate_height(frames)
+            estimate_height([frame.xyz for frame in frames])
 
 
 class TestAdaptRobot:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -85,13 +86,66 @@ BAD_FIELDS = [
     ("duration=inf", ("motion", 1, "duration"), float("inf"), "phase reach duration"),
     ("seed=inf", ("seed",), float("inf"), "seed"),
     ("rigs=5", ("rigs",), 5, "rigs"),
+    ("seed=-1", ("seed",), -1, "seed"),
+    ("adjustments=5", ("adjustments",), 5, "adjustments"),
 ]
 # A command and one stream it parses (eval-rmse is covered in TestEvalRmse).
 READ_STREAMS = [("eval-rula", "rula"), ("export-landmarks", "fused_landmarks"),
                 ("export-heatmap", "rula")]
 
 
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+# Serial-scheduler digests of each committed scenario at its file seed,
+# by segment directory under ``--out``.
+SCENARIO_DIGESTS = {
+    "desk_handover": {
+        "pre": "bab8e27d611bc958e5bcf22ee2b9311cd18bb6151d80d47a273760d93b61781c",
+        "post": "f7d0c26f8e83cc43c4783cd1b700c0201a4ceefecf3fa4b33363c3383de0344a",
+    },
+    "desk_rmse": {
+        "pre": "02d66ab47875b5b633b6fb5cea8a56ecd738dbafddb174905c69963d033ae3ed",
+    },
+    "stature_grid": {
+        "stature_1.50/pre": "0e6d7df0530af2fb4ee65d47233bcdb719be0edba7d38660d394b132f24e614c",
+        "stature_1.50/post": "2be17f0135c700f81b961baeb80247fc5c7f2ad5262ba57afa662c7807e610c0",
+        "stature_1.55/pre": "62e3d6122430ef5fbda630b1cf87fedf5d1b6689bcb28788f3330b1f618646ac",
+        "stature_1.55/post": "6f4c96907dd497b4b13cc3f012cc57303549f41590e9dd091cfd833c28058c08",
+        "stature_1.60/pre": "626daf7d30190ac3425033ef5d32ccd03d2ba7d04ed5bdb5bedef911809f7496",
+        "stature_1.60/post": "0310fe8b14803346755538877a9e14e992ea46204b765447aa509743b8a822bb",
+        "stature_1.65/pre": "3bd0175f047351f8ea0b537fee5ed4fb9d115ef8cb292bff904a25117d0ee1b0",
+        "stature_1.65/post": "378446d358259f10817bad9ba1efb849ae8d9cfdd72d0b75a2333ca5ec56a61d",
+        "stature_1.70/pre": "56bba2129aa08c94c6c3e2884f23400ccbdbf00f400933133d9937602efdad4d",
+        "stature_1.70/post": "274cfde856060e063357f00cf6a3f98ff165974de8d43ecd59be57a3e3832917",
+        "stature_1.75/pre": "bab8e27d611bc958e5bcf22ee2b9311cd18bb6151d80d47a273760d93b61781c",
+        "stature_1.75/post": "f7d0c26f8e83cc43c4783cd1b700c0201a4ceefecf3fa4b33363c3383de0344a",
+        "stature_1.80/pre": "439f77344829f6975ea4ae6f377f2db841d480f8b953b4b0040a72256a3b822b",
+        "stature_1.80/post": "705d3c171aa1fea32ee197b3ed5b1ee2e3537d9ad5ecedde20eb7c86edf3f5a8",
+        "stature_1.85/pre": "cd87439211e897acf84a29cc38ec73b580e21c54a33510951a52f2178529d784",
+        "stature_1.85/post": "f44dccdb6e02af1ba8e91b6499b459277680f1109fb06e304ba55446ced8a15a",
+        "stature_1.90/pre": "36f019abeabd9b1f642f5a6993f27df1033fad5211bec14dbbf306307aaae4a4",
+        "stature_1.90/post": "ead0b213c302e6fa3709b7f8ab37adbfce77d31574980972760bb1949ed32c68",
+        "stature_1.95/pre": "ec92913b61aa2b975ba7782c8030dde9ed8995759054b5a6998d29f1547f7ded",
+        "stature_1.95/post": "3f917a0f175ba54bd861067c52d985977d2e6bcb10cfbdc5c1e87c11a4be95af",
+        "stature_2.00/pre": "0af626362fa9816e573509b58612c1e165a4e53c9b0f1f00221c06e3c0ff99d7",
+        "stature_2.00/post": "55a5ce65c2157c488af1deb3787aa9850ef58b83b178c234add7735c7a836d15",
+    },
+}
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("name", sorted(SCENARIO_DIGESTS))
+    def test_committed_scenario_digests_are_pinned(self, tmp_path, capsys, name):
+        out = tmp_path / name
+        assert main(["simulate", "--scenario", str(SCENARIO_DIR / f"{name}.yaml"),
+                     "--out", str(out)]) == 0
+        digests = {manifest.parent.relative_to(out).as_posix():
+                   json.loads(manifest.read_text())["digest"]
+                   for manifest in out.rglob("manifest.json")}
+        assert digests == SCENARIO_DIGESTS[name]
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.rsplit("digest=", 1)[1] for line in printed] == [
+            digest[:12] for digest in SCENARIO_DIGESTS[name].values()]
+
     def test_creates_recording_with_six_streams(self, run_dir):
         for segment in ("pre", "post"):
             files = sorted(p.name for p in (run_dir / segment).iterdir())
@@ -136,6 +190,13 @@ class TestSimulate:
                      str(tmp_path / "x")])
         assert code == 2
         assert field in capsys.readouterr().err
+
+    def test_negative_seed_option_exits_2_naming_it(self, tmp_path, capsys, scenario_file):
+        code = main(["simulate", "--scenario", str(scenario_file), "--seed", "-1",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "error: seed: must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_missing_scenario_file_exits_2(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", str(tmp_path / "none.yaml"),

@@ -7,8 +7,8 @@ import pytest
 
 from ergofusion import evaluate
 from ergofusion.evaluate import (PairingError, collect_segments, export,
-                                 pair_recordings, rmse_report, rula_compare,
-                                 rula_compare_many, write_comparison)
+                                 pair_recordings, rmse_report, rula_compare_many,
+                                 write_comparison)
 from ergofusion.pipeline import run_scenario
 from ergofusion.recording import (STREAM_COLUMNS, STREAM_FIELDS, STREAM_NAMES,
                                   RecordingError, SegmentRecording)
@@ -118,15 +118,15 @@ class TestRmseReport:
 class TestRulaCompare:
     def test_self_comparison_has_zero_deltas(self, noisy_recording):
         pre = noisy_recording.segments["pre"]
-        comparison = rula_compare(pre, pre)
+        comparison = rula_compare_many([(pre, pre)])
         for area, (before, after) in comparison.area_means.items():
             assert before == after
         for stature, (a, b) in comparison.mean_grand_by_stature().items():
             assert a == b
 
     def test_pre_post_comparison_reports_rows(self, noisy_recording):
-        comparison = rula_compare(noisy_recording.segments["pre"],
-                                  noisy_recording.segments["post"])
+        comparison = rula_compare_many([(noisy_recording.segments["pre"],
+                                         noisy_recording.segments["post"])])
         assert len(comparison.pairs) == 1
         row = comparison.pairs[0]
         assert row["stature"] == 1.75
@@ -149,7 +149,7 @@ class TestRulaCompare:
         pre = noisy_recording.segments["pre"]
         other = run_scenario(default_handover_scenario(stature=1.6), seed=99)
         with pytest.raises(PairingError):
-            rula_compare(pre, other.segments["post"])
+            rula_compare_many([(pre, other.segments["post"])])
 
     @pytest.mark.parametrize("missing", ["stature", "seed"])
     def test_manifest_without_stature_or_seed_rejected(self, noisy_recording, missing):
@@ -158,7 +158,7 @@ class TestRulaCompare:
                      for segment in (noisy_recording.segments["pre"],
                                      noisy_recording.segments["post"]))
         with pytest.raises(RecordingError, match=f"^recording manifest has no {missing}$"):
-            rula_compare(pre, post)
+            rula_compare_many([(pre, post)])
 
     def test_pair_recordings_by_stature_and_seed(self, tmp_path):
         for seed in (0, 1):
@@ -211,8 +211,8 @@ class TestRulaCompare:
                 assert list(segment.streams) == ["rula"]
 
     def test_write_comparison_files(self, noisy_recording, tmp_path):
-        comparison = rula_compare(noisy_recording.segments["pre"],
-                                  noisy_recording.segments["post"])
+        comparison = rula_compare_many([(noisy_recording.segments["pre"],
+                                         noisy_recording.segments["post"])])
         paths = write_comparison(comparison, tmp_path / "report")
         for key in ("grand", "areas", "angles"):
             assert paths[key].exists()
@@ -304,8 +304,8 @@ class TestExport:
         before = SegmentRecording.load(tmp_path / "run" / "pre").digest()
         segment = SegmentRecording.load(tmp_path / "run" / "pre")
         rmse_report(segment)
-        rula_compare(segment, SegmentRecording.load(tmp_path / "run" / "post")
-                     if (tmp_path / "run" / "post").exists() else segment)
+        rula_compare_many([(segment, SegmentRecording.load(tmp_path / "run" / "post")
+                            if (tmp_path / "run" / "post").exists() else segment)])
         export(segment, "rula", "csv", tmp_path / "out.csv")
         after = SegmentRecording.load(tmp_path / "run" / "pre").digest()
         assert before == after

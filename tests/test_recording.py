@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ergofusion.evaluate import rula_compare
+from ergofusion.evaluate import rula_compare_many
 from ergofusion.bus import Message
 from ergofusion.pipeline import (FusedLandmarks, PerRigLandmarks, RecorderNode, RulaRecord,
                                  run_scenario)
@@ -471,7 +471,7 @@ def test_typed_accessors_of_unread_streams_raise(saved_pre):
             accessor()
     unread_rula = SegmentRecording.load(saved_pre, ("fused_landmarks",))
     with pytest.raises(RecordingError, match="'rula' was not loaded"):
-        rula_compare(unread_rula, unread_rula)
+        rula_compare_many([(unread_rula, unread_rula)])
 
 
 def test_digest_and_save_need_a_full_load(saved_pre, tmp_path):

@@ -308,7 +308,7 @@ def reference_joint_angles(xyz) -> JointAngles:
 
 class TestComputeJointAngles:
     def test_upright_rest_pose_has_zero_flexion(self):
-        a = compute_joint_angles(rest_frame())
+        a = compute_joint_angles(rest_frame().xyz)
         for value in (a.upper_arm_left, a.upper_arm_right, a.lower_arm_left,
                       a.lower_arm_right, a.neck, a.trunk):
             assert abs(value) < 1e-6
@@ -332,7 +332,7 @@ class TestComputeJointAngles:
                                rng.uniform(0.3, 1.6)])
             script = MotionScript(phases=(MotionPhase("reach", 1.0, tuple(target)),))
             frame = animate(profile, script, np.zeros(3)).frames[-1]
-            a = compute_joint_angles(frame)
+            a = compute_joint_angles(frame.xyz)
             xyz = frame.xyz
 
             def at(lm):

@@ -91,7 +91,7 @@ class TestAnimate:
         sh_y = -profile.segment_lengths["shoulder_width"] / 2.0
         target = np.array([0.25, sh_y, profile.shoulder_height])
         seq = animate(profile, reach_script(), target)
-        angles = compute_joint_angles(seq.frames[-1])
+        angles = compute_joint_angles(seq.frames[-1].xyz)
         assert angles.upper_arm_right < 45.0
         assert abs(angles.trunk) < 5.0
 
@@ -99,7 +99,7 @@ class TestAnimate:
         profile = build_skeleton(STATURE)
         target = np.array([0.35, 0.0, profile.knee_height])
         seq = animate(profile, reach_script(), target)
-        angles = compute_joint_angles(seq.frames[-1])
+        angles = compute_joint_angles(seq.frames[-1].xyz)
         assert 20.0 < angles.trunk <= 60.0
 
     def test_unreachable_target_saturates_and_flags(self):
@@ -217,3 +217,7 @@ class TestCapture:
     def test_negative_sigma_rejected(self):
         with pytest.raises(SkeletonError):
             observe(make_rig().left, self._frame(), -0.1)
+
+    def test_noise_without_a_seeded_rng_rejected(self):
+        with pytest.raises(SkeletonError, match="seeded rng"):
+            observe(make_rig().left, self._frame(), 0.001)
