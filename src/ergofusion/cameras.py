@@ -187,10 +187,6 @@ class StereoRig:
     def cameras(self) -> tuple[CameraModel, CameraModel]:
         return (self.left, self.right)
 
-    @property
-    def baseline(self) -> float:
-        return float(np.linalg.norm(self.left.position - self.right.position))
-
 
 def rotation_from_axis_angle(axis_angle) -> np.ndarray:
     """Rodrigues' formula: axis-angle 3-vector (radians) to rotation matrix."""

@@ -37,7 +37,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a scenario and record it")
     sim.add_argument("--scenario", required=True, help="scenario YAML file")
     sim.add_argument("--seed", type=int, default=None,
-                     help="override the scenario seed (a non-negative integer)")
+                     help="override the scenario seed "
+                          "(a non-negative integer up to 2**63-1)")
     sim.add_argument("--out", default=None,
                      help=f"output directory (default ${OUT_ENV}/<scenario name>)")
     sim.add_argument("--scheduler", choices=SCHEDULERS, default="serial",

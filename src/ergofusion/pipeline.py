@@ -41,8 +41,8 @@ from .bus import FrameSynchronizer, Message, Node, NodeGraph, run_serial, run_th
 from .cameras import CameraModel
 from .fusion import (build_topology, compute_anchors, compute_delta, fuse,
                      prefactor)
-from .recording import (STREAM_COLUMNS, STREAM_FIELDS, STREAM_NAMES, RunRecording,
-                        SegmentRecording, columns_table)
+from .recording import (_INT64, STREAM_COLUMNS, STREAM_FIELDS, STREAM_NAMES,
+                        RunRecording, SegmentRecording, columns_table)
 from .rula import (RulaAdjustments, RulaBreakdown, JointAngles, PostureStatus,
                    classify_posture, compute_joint_angles, rula_score)
 from .scenario import ScenarioConfig, ScenarioError
@@ -519,8 +519,9 @@ def run_scenario(config: ScenarioConfig, seed: int | None = None,
         raise ValueError(f"scheduler must be one of {SCHEDULERS}, got {scheduler!r}")
     if seed is None:
         seed = config.seed
-    if seed < 0:
-        raise ScenarioError(f"seed: must be a non-negative integer, got {seed}")
+    if not 0 <= seed <= _INT64.max:
+        raise ScenarioError(
+            f"seed: must be a non-negative integer up to 2**63-1, got {seed}")
 
     pre, event = _run_segment(config, "pre", config.delivery, seed, scheduler,
                               adapt_enabled=config.adapt)

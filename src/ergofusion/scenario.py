@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .adaptation import MIN_UPRIGHT_FRAMES, SHOULDER_RATIO
+from .adaptation import MIN_UPRIGHT_FRAMES
 from .cameras import (GeometryError, StereoRig, axis_angle_from_rotation,
                       look_at_rotation, rotation_from_axis_angle)
 from .rula import RulaAdjustments
@@ -58,13 +58,17 @@ class ScenarioError(ValueError):
 
 
 def _number(value, field: str, conv: type = float):
-    """``value`` as a finite ``conv`` (float or int), or an error naming ``field``."""
+    """``value`` as a finite float or a whole int, or an error naming ``field``."""
+    if isinstance(value, bool):         # Python would read it as 0 or 1
+        raise ScenarioError(f"{field}: expected a number, got {value!r}")
     try:
         number = conv(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{field}: expected a number, got {value!r}") from exc
     if conv is float and not math.isfinite(number):
         raise ScenarioError(f"{field}: must be finite, got {value!r}")
+    if conv is int and number != value:
+        raise ScenarioError(f"{field}: expected an integer, got {value!r}")
     return number
 
 
@@ -304,7 +308,8 @@ def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
     if unknown:
         raise ScenarioError(f"adjustments: unknown fields {sorted(unknown)}")
     try:
-        adjustments = RulaAdjustments(**{k: int(v) for k, v in adj_data.items()})
+        adjustments = RulaAdjustments(**{k: _number(v, f"adjustments {k}", int)
+                                         for k, v in adj_data.items()})
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"adjustments: {exc}") from exc
 
@@ -338,47 +343,3 @@ def load_scenario(path) -> ScenarioConfig:
     except yaml.YAMLError as exc:
         raise ScenarioError(f"cannot parse {path}: {exc}") from exc
     return parse_scenario(data, name=path.stem)
-
-
-# -- programmatic defaults used by the evaluation experiments --------------
-
-DEFAULT_DELIVERY_X = 0.90
-DEFAULT_DELIVERY_Z = SHOULDER_RATIO * 1.75
-
-_DEFAULT_RIGS = (
-    {"id": "S1", "position": [2.1, -1.2, 1.6], "look_at": [0.45, 0.0, 1.0],
-     "baseline": 0.5},
-    {"id": "S2", "position": [2.4, 0.0, 1.6], "look_at": [0.45, 0.0, 1.0],
-     "baseline": 0.5},
-    {"id": "S3", "position": [2.1, 1.2, 1.6], "look_at": [0.45, 0.0, 1.0],
-     "baseline": 0.5},
-)
-# The handover task's phases at duration scale 1: (name, seconds, target).
-_HANDOVER_PHASES = (("rest", 2.0, "rest"), ("reach", 2.0, "delivery"),
-                    ("hold", 4.0, "delivery"), ("return", 2.0, "rest"))
-
-
-def default_handover_scenario(stature=1.75, noise_sigma=0.001, seed=0, adapt=True,
-                              duration_scale=1.0) -> ScenarioConfig:
-    """The tool-handover task (rest, reach, hold, return), 10 s long times
-    ``duration_scale``.
-
-    ``noise_sigma`` is one value for every rig or one per rig. The
-    accuracy experiment runs it with ``noise_sigma=(0.002, 0.002, 0.004)``,
-    ``adapt=False`` and ``duration_scale=5.0``: 500 frames at 10 Hz.
-    """
-    sigmas = np.broadcast_to(noise_sigma, len(_DEFAULT_RIGS))
-    return parse_scenario({
-        "name": "desk_handover",
-        "stature": stature,
-        "seed": seed,
-        "warmup": 2.0,
-        "adapt": adapt,
-        "delivery": [DEFAULT_DELIVERY_X, 0.0, DEFAULT_DELIVERY_Z],
-        "stance": "auto",
-        "adjustments": {"muscle_use_b": 1, "force_b": 1},
-        "motion": [{"name": name, "duration": seconds * duration_scale, "target": target}
-                   for name, seconds, target in _HANDOVER_PHASES],
-        "rigs": [dict(spec, noise_sigma=float(sigma))
-                 for spec, sigma in zip(_DEFAULT_RIGS, sigmas)],
-    })

@@ -1,4 +1,5 @@
-"""Shared test utilities: random geometry and independent solvers.
+"""Shared test utilities: committed scenarios, random geometry and
+independent solvers.
 
 The solvers here deliberately avoid the code paths used by the package
 (no SVD for the triangulation oracle, no normal-equations prefactor for
@@ -8,11 +9,36 @@ the math, not the implementation.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
+import yaml
 
 from ergofusion.cameras import CameraModel, look_at_rotation
 from ergofusion.recording import STREAM_FIELDS, SegmentRecording, columns_table
+from ergofusion.scenario import ScenarioConfig, parse_scenario
 from ergofusion.triangulate import Observation2D
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def committed_scenario(stem: str = "desk_handover", /, noise_sigma=None,
+                       duration_scale: float = 1.0, **fields) -> ScenarioConfig:
+    """``scenarios/<stem>.yaml`` with some fields replaced, validated as a file.
+
+    ``noise_sigma`` is one value for every rig or one per rig,
+    ``duration_scale`` multiplies every phase duration, and each other
+    keyword replaces that top-level key.
+    """
+    data = yaml.safe_load((SCENARIO_DIR / f"{stem}.yaml").read_text())
+    if noise_sigma is not None:
+        sigmas = np.broadcast_to(noise_sigma, len(data["rigs"]))
+        for rig, sigma in zip(data["rigs"], sigmas):
+            rig["noise_sigma"] = float(sigma)
+    for phase in data["motion"]:
+        phase["duration"] *= duration_scale
+    data.update(fields)
+    return parse_scenario(data, name=stem)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -15,11 +15,10 @@ from ergofusion.evaluate import rmse_report, rula_compare_many
 from ergofusion.fusion import AnchorSet, build_topology, fuse, prefactor
 from ergofusion.pipeline import run_scenario
 from ergofusion.rula import RulaAdjustments, rula_score
-from ergofusion.scenario import default_handover_scenario
 from ergofusion.triangulate import build_dlt_matrix, triangulate_dlt
 
-from helpers import (noisy_observations, random_camera_ring, random_visibility,
-                     triangulation_oracle)
+from helpers import (committed_scenario, noisy_observations, random_camera_ring,
+                     random_visibility, triangulation_oracle)
 from test_rula import TestMonotonicity as _Monotonicity
 from test_rula import TestSideHandling as _SideHandling
 from test_rula import angles
@@ -27,9 +26,6 @@ from test_rula import angles
 STATURE_GRID = tuple(round(1.50 + 0.05 * i, 2) for i in range(11))
 GRID_SEEDS = (0, 1, 2, 3, 4)
 RMSE_SEEDS = tuple(range(20))
-# The accuracy experiment: the handover task stretched to 500 frames,
-# unequal rig noise (S3 twice as noisy), no adaptation.
-RMSE_TASK = {"noise_sigma": (0.002, 0.002, 0.004), "adapt": False}
 
 
 def report(index: int, name: str, ok: bool, detail: str) -> None:
@@ -38,12 +34,13 @@ def report(index: int, name: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def grid_experiment():
-    """Paired pre/post runs over the stature grid, five seeds each."""
+    """Paired pre/post runs over ``stature_grid.yaml``, five seeds each."""
     t0 = time.perf_counter()
+    configs = committed_scenario("stature_grid").expand_statures()
+    assert tuple(config.stature for config in configs) == STATURE_GRID
     pairs = []
-    for stature in STATURE_GRID:
+    for config in configs:
         for seed in GRID_SEEDS:
-            config = default_handover_scenario(stature=stature)
             recording = run_scenario(config, seed=seed)
             pairs.append((recording.segments["pre"], recording.segments["post"]))
     comparison = rula_compare_many(pairs)
@@ -52,11 +49,12 @@ def grid_experiment():
 
 @pytest.fixture(scope="module")
 def rmse_experiment():
-    """The unequal-noise accuracy experiment: 500 frames x 20 seeds."""
+    """``desk_rmse.yaml``, the unequal-noise accuracy experiment: 500 frames
+    x 20 seeds."""
     t0 = time.perf_counter()
+    config = committed_scenario("desk_rmse")
     tables = []
     for seed in RMSE_SEEDS:
-        config = default_handover_scenario(seed=seed, duration_scale=5.0, **RMSE_TASK)
         recording = run_scenario(config, seed=seed)
         tables.append(rmse_report(recording.segments["pre"]).rmse)
     return np.array(tables), time.perf_counter() - t0
@@ -64,7 +62,7 @@ def rmse_experiment():
 
 def test_criterion_1_exact_reconstruction():
     t0 = time.perf_counter()
-    config = default_handover_scenario(noise_sigma=0.0, adapt=False)
+    config = committed_scenario(noise_sigma=0.0, adapt=False)
     recording = run_scenario(config, seed=0)
     segment = recording.segments["pre"]
     assert segment.manifest["frames"] == 100
@@ -201,7 +199,7 @@ def test_criterion_7_worksheet_fixtures_and_properties():
 
 
 def test_criterion_8_real_time_budget():
-    config = default_handover_scenario(duration_scale=10.0, **RMSE_TASK)   # 1000 frames
+    config = committed_scenario("desk_rmse", duration_scale=2.0)   # 1000 frames
     recording = run_scenario(config, seed=0)
     stats = recording.segments["pre"].manifest["stats"]
     mean_ms = stats["mean_frame_processing_ms"]
@@ -217,7 +215,7 @@ def test_criterion_8_real_time_budget():
 
 
 def test_criterion_9_deterministic_recordings():
-    config = default_handover_scenario(stature=1.85, noise_sigma=0.002)
+    config = committed_scenario(stature=1.85, noise_sigma=0.002)
     digests = {}
     for scheduler in ("serial", "threads"):
         runs = [run_scenario(config, seed=123, scheduler=scheduler)

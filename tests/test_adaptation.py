@@ -6,9 +6,10 @@ from ergofusion.adaptation import (AdaptationError, InsufficientDataError,
                                    SingleAdaptationViolation, adapt_robot,
                                    classify_height, estimate_height)
 from ergofusion.pipeline import run_scenario
-from ergofusion.scenario import default_handover_scenario
 from ergofusion.skeleton import (MotionPhase, MotionScript, animate,
                                  build_skeleton)
+
+from helpers import committed_scenario
 
 
 def upright_frames(stature=1.75, seconds=3.0):
@@ -47,7 +48,7 @@ class TestEstimateHeight:
         assert abs(estimate - 1.75) < 1e-6
 
     def test_estimate_from_noisy_pipeline_run(self):
-        config = default_handover_scenario(stature=1.75, noise_sigma=0.002)
+        config = committed_scenario(stature=1.75, noise_sigma=0.002)
         recording = run_scenario(config, seed=11)
         estimated = recording.segments["pre"].manifest["adaptation"]["estimated_height"]
         assert abs(estimated - 1.75) < 0.02

@@ -1,10 +1,11 @@
 import json
-from pathlib import Path
 
 import pytest
 import yaml
 
 from ergofusion.cli import main
+
+from helpers import SCENARIO_DIR
 
 SCENARIO = {
     "name": "cli_case",
@@ -88,13 +89,17 @@ BAD_FIELDS = [
     ("rigs=5", ("rigs",), 5, "rigs"),
     ("seed=-1", ("seed",), -1, "seed"),
     ("adjustments=5", ("adjustments",), 5, "adjustments"),
+    ("seed=2.5", ("seed",), 2.5, "seed"),
+    ("seed=2**70", ("seed",), 2 ** 70, "seed"),
+    ("seed=true", ("seed",), True, "seed"),
+    ("adjustments muscle_use_b=1.5", ("adjustments", "muscle_use_b"), 1.5,
+     "adjustments muscle_use_b"),
 ]
 # A command and one stream it parses (eval-rmse is covered in TestEvalRmse).
 READ_STREAMS = [("eval-rula", "rula"), ("export-landmarks", "fused_landmarks"),
                 ("export-heatmap", "rula")]
 
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 # Serial-scheduler digests of each committed scenario at its file seed,
 # by segment directory under ``--out``.
 SCENARIO_DIGESTS = {
@@ -133,6 +138,10 @@ SCENARIO_DIGESTS = {
 
 
 class TestSimulate:
+    def test_every_committed_scenario_is_pinned(self):
+        committed = {path.stem for path in SCENARIO_DIR.glob("*.yaml")}
+        assert set(SCENARIO_DIGESTS) == committed
+
     @pytest.mark.parametrize("name", sorted(SCENARIO_DIGESTS))
     def test_committed_scenario_digests_are_pinned(self, tmp_path, capsys, name):
         out = tmp_path / name
@@ -196,6 +205,15 @@ class TestSimulate:
                      "--out", str(tmp_path / "x")])
         assert code == 2
         assert "error: seed: must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_seed_option_beyond_int64_exits_2_naming_it(self, tmp_path, capsys,
+                                                        scenario_file):
+        code = main(["simulate", "--scenario", str(scenario_file),
+                     "--seed", str(2 ** 70), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "error: seed: must be a non-negative integer up to 2**63-1, got " \
+            f"{2 ** 70}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_missing_scenario_file_exits_2(self, tmp_path, capsys):

@@ -13,15 +13,15 @@ from ergofusion.pipeline import run_scenario
 from ergofusion.recording import (STREAM_COLUMNS, STREAM_FIELDS, STREAM_NAMES,
                                   RecordingError, SegmentRecording)
 from ergofusion.rula import AREA_FIELDS, STRESS_JOINTS
-from ergofusion.scenario import default_handover_scenario, parse_scenario
+from ergofusion.scenario import parse_scenario
 from ergofusion.skeleton import ALL_LANDMARKS, FUSED_LANDMARKS
 
-from helpers import rows_recording
+from helpers import committed_scenario, rows_recording
 
 
 @pytest.fixture(scope="module")
 def noisy_recording():
-    return run_scenario(default_handover_scenario(noise_sigma=0.002), seed=8)
+    return run_scenario(committed_scenario(noise_sigma=0.002), seed=8)
 
 
 def build_fixture_recording():
@@ -87,8 +87,8 @@ class TestRmseReport:
         np.testing.assert_allclose(report.fusion, 0.0, atol=1e-12)
 
     def test_zero_noise_recording_is_exact(self):
-        recording = run_scenario(default_handover_scenario(noise_sigma=0.0,
-                                                           adapt=False), seed=0)
+        recording = run_scenario(committed_scenario(noise_sigma=0.0, adapt=False),
+                                 seed=0)
         report = rmse_report(recording.segments["pre"])
         assert report.rmse.max() < 1e-6
 
@@ -147,7 +147,7 @@ class TestRulaCompare:
 
     def test_mismatched_pairing_rejected(self, noisy_recording, tmp_path):
         pre = noisy_recording.segments["pre"]
-        other = run_scenario(default_handover_scenario(stature=1.6), seed=99)
+        other = run_scenario(committed_scenario(stature=1.6), seed=99)
         with pytest.raises(PairingError):
             rula_compare_many([(pre, other.segments["post"])])
 
@@ -162,7 +162,7 @@ class TestRulaCompare:
 
     def test_pair_recordings_by_stature_and_seed(self, tmp_path):
         for seed in (0, 1):
-            rec = run_scenario(default_handover_scenario(stature=1.6), seed=seed)
+            rec = run_scenario(committed_scenario(stature=1.6), seed=seed)
             rec.save(tmp_path / f"seed{seed}")
         pairs = pair_recordings(tmp_path, tmp_path)
         # Every pre pairs with a post... pre roots also contain post
@@ -298,8 +298,7 @@ class TestExport:
             export(noisy_recording.segments["pre"], "rula", "xml", tmp_path / "x")
 
     def test_evaluations_do_not_mutate_recordings(self, tmp_path):
-        recording = run_scenario(default_handover_scenario(noise_sigma=0.001),
-                                 seed=3)
+        recording = run_scenario(committed_scenario(noise_sigma=0.001), seed=3)
         recording.save(tmp_path / "run")
         before = SegmentRecording.load(tmp_path / "run" / "pre").digest()
         segment = SegmentRecording.load(tmp_path / "run" / "pre")

@@ -1,26 +1,24 @@
 import numpy as np
 import pytest
 
+from ergofusion.adaptation import CLASSES, SHOULDER_RATIO
 from ergofusion.bus import Message
 from ergofusion.cameras import StereoRig
 from ergofusion.fusion import compute_anchors, compute_delta, fuse
 from ergofusion.pipeline import (CameraNode, FusionNode, PipelineError,
                                  observation_topic, run_scenario)
 from ergofusion.recording import STREAM_NAMES, SegmentRecording
-from ergofusion.scenario import (ScenarioConfig, default_handover_scenario,
-                                 parse_scenario)
+from ergofusion.scenario import ScenarioConfig, parse_scenario
 from ergofusion.skeleton import (N_ALL, N_FUSED, CameraObservations, LandmarkFrame,
                                  animate, build_skeleton, observe)
 from ergofusion.triangulate import triangulate_stereo
 
-
-def small_scenario(**kwargs):
-    return default_handover_scenario(**kwargs)
+from helpers import committed_scenario
 
 
 class TestRunScenario:
     def test_frame_counts_per_segment(self):
-        recording = run_scenario(small_scenario(), seed=0)
+        recording = run_scenario(committed_scenario(), seed=0)
         assert set(recording.segments) == {"pre", "post"}
         for segment in recording.segments.values():
             assert segment.manifest["frames"] == 100
@@ -28,7 +26,7 @@ class TestRunScenario:
             assert frames == set(range(100))
 
     def test_zero_noise_matches_ground_truth(self):
-        recording = run_scenario(small_scenario(noise_sigma=0.0), seed=0)
+        recording = run_scenario(committed_scenario(noise_sigma=0.0), seed=0)
         for segment in recording.segments.values():
             truth = segment.ground_truth_positions()
             fused = segment.fused_positions()
@@ -37,7 +35,7 @@ class TestRunScenario:
             assert np.nanmax(np.abs(truth[:, 12:] - fused[:, 12:])) < 1e-6
 
     def test_streams_are_complete(self):
-        recording = run_scenario(small_scenario(), seed=1)
+        recording = run_scenario(committed_scenario(), seed=1)
         pre = recording.segments["pre"]
         for name in STREAM_NAMES:
             assert len(pre.streams[name]), f"stream {name} is empty"
@@ -52,7 +50,7 @@ class TestRunScenario:
             assert rig_stats["p50"] <= rig_stats["p95"] <= rig_stats["max"]
 
     def test_adaptation_changes_post_delivery(self):
-        recording = run_scenario(small_scenario(stature=1.55), seed=2)
+        recording = run_scenario(committed_scenario(stature=1.55), seed=2)
         pre = recording.segments["pre"].manifest
         post = recording.segments["post"].manifest
         assert pre["adaptation"]["class"] == "c1"
@@ -60,7 +58,7 @@ class TestRunScenario:
         assert pre["delivery_point"][2] == pytest.approx(1.4315, abs=1e-9)
 
     def test_adapt_disabled_yields_single_segment(self):
-        config = small_scenario(adapt=False)
+        config = committed_scenario(adapt=False)
         recording = run_scenario(config, seed=0)
         assert set(recording.segments) == {"pre"}
         assert recording.segments["pre"].manifest["adaptation"] is None
@@ -69,7 +67,7 @@ class TestRunScenario:
         from dataclasses import replace
 
         from ergofusion.scenario import ScenarioError
-        grid = replace(small_scenario(), statures=(1.5, 1.6))
+        grid = replace(committed_scenario(), statures=(1.5, 1.6))
         with pytest.raises(ScenarioError):
             run_scenario(grid, seed=0)
         singles = grid.expand_statures()
@@ -77,39 +75,44 @@ class TestRunScenario:
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
-            run_scenario(small_scenario(), seed=-1)
+            run_scenario(committed_scenario(), seed=-1)
 
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ValueError):
-            run_scenario(small_scenario(), seed=0, scheduler="fibers")
+            run_scenario(committed_scenario(), seed=0, scheduler="fibers")
 
 
 class TestDeterminism:
     def test_same_seed_same_digest(self):
-        config = small_scenario(stature=1.85, noise_sigma=0.002)
+        config = committed_scenario(stature=1.85, noise_sigma=0.002)
         a = run_scenario(config, seed=5)
         b = run_scenario(config, seed=5)
         for name in a.segments:
             assert a.segments[name].digest() == b.segments[name].digest()
 
     def test_different_seeds_differ(self):
-        config = small_scenario(noise_sigma=0.002)
+        config = committed_scenario(noise_sigma=0.002)
         a = run_scenario(config, seed=5)
         b = run_scenario(config, seed=6)
         assert a.segments["pre"].digest() != b.segments["pre"].digest()
 
     def test_schedulers_agree(self):
-        config = small_scenario(stature=1.7, noise_sigma=0.001)
+        config = committed_scenario(stature=1.7, noise_sigma=0.001)
         serial = run_scenario(config, seed=3, scheduler="serial")
         threaded = run_scenario(config, seed=3, scheduler="threads")
         for name in serial.segments:
             assert serial.segments[name].digest() == threaded.segments[name].digest()
 
     def test_pre_and_post_share_noise_realization(self):
-        # Identical geometry (c2 operator keeps its delivery) plus paired
-        # seeding means identical recordings across segments.
-        config = small_scenario(stature=1.75, noise_sigma=0.002)
+        # Identical geometry (the delivery is already the c2 class's, so a
+        # c2 operator keeps it) plus paired seeding means identical
+        # recordings across segments.
+        delivery_z = SHOULDER_RATIO * CLASSES[1].representative_stature
+        config = committed_scenario(stature=1.75, noise_sigma=0.002,
+                                    delivery=[0.90, 0.0, delivery_z])
         recording = run_scenario(config, seed=9)
+        pre, post = (recording.segments[name].manifest for name in ("pre", "post"))
+        assert post["delivery_point"] == pre["delivery_point"]
         assert (recording.segments["pre"].digest()
                 == recording.segments["post"].digest())
 
@@ -148,12 +151,12 @@ class TestPipelineFailureModes:
         with pytest.raises(PipelineError,
                            match=r"frame 0: rig S2 failed to triangulate left_shoulder: "
                                  r"degenerate geometry"):
-            run_scenario(small_scenario(noise_sigma=0.0), seed=0)
+            run_scenario(committed_scenario(noise_sigma=0.0), seed=0)
 
 
 class TestRecordingRoundTrip:
     def test_save_load_preserves_streams_and_digest(self, tmp_path):
-        recording = run_scenario(small_scenario(noise_sigma=0.001), seed=4)
+        recording = run_scenario(committed_scenario(noise_sigma=0.001), seed=4)
         recording.save(tmp_path / "run")
         saved = sorted(p.name for p in (tmp_path / "run").iterdir())
         assert saved == sorted(recording.segments)
@@ -223,7 +226,7 @@ class TestFusionNode:
                                             (4, 1.0), (5, 0.5)])
     def test_random_aux_visibility_equals_the_per_rig_reference(self, seed, hide):
         rng = np.random.default_rng(600 + seed)
-        config = small_scenario(noise_sigma=0.002)
+        config = committed_scenario(noise_sigma=0.002)
         node = FusionNode(config.build_rigs(), config.frame_rate)
         cameras = [cam for rig in node.rigs for cam in rig.cameras]
         buffers = {rig.id: [] for rig in node.rigs}
@@ -255,7 +258,7 @@ class TestFusionNode:
             assert bytes(buffer) == np.concatenate(buffers[rig_id]).tobytes()
 
     def test_first_failure_in_rig_order_is_reported(self):
-        config = small_scenario(noise_sigma=0.0)
+        config = committed_scenario(noise_sigma=0.0)
         node = FusionNode(config.build_rigs(), config.frame_rate)
         frame = scenario_frames(config, 1)[0]
         bundle = {cam.id: observe(cam, frame, 0.0)
@@ -274,8 +277,8 @@ class TestCameraNode:
     @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 31, 2 ** 32 - 1, 2 ** 32,
                                       2 ** 64 + 5, 12345678901234567890123])
     def test_noise_is_the_int_tuple_stream(self, seed):
-        camera = small_scenario().build_rigs()[1].right
-        frame = scenario_frames(small_scenario(), 1)[0]
+        camera = committed_scenario().build_rigs()[1].right
+        frame = scenario_frames(committed_scenario(), 1)[0]
         for camera_index in (0, 3):
             node = CameraNode(camera, 0.002, seed, camera_index)
             for index in (0, 9, 2 ** 32 + 1):
@@ -290,7 +293,7 @@ class TestCameraNode:
 class TestFrameWallTime:
     @pytest.mark.parametrize("scheduler", ["serial", "threads"])
     def test_manifest_reports_frame_wall_quantiles(self, scheduler):
-        recording = run_scenario(small_scenario(), seed=3, scheduler=scheduler)
+        recording = run_scenario(committed_scenario(), seed=3, scheduler=scheduler)
         for segment in recording.segments.values():
             wall = segment.manifest["stats"]["frame_wall_ms"]
             assert list(wall) == ["p50", "p95", "max"]

@@ -22,20 +22,19 @@ from ergofusion import recording
 from ergofusion.recording import (STREAM_COLUMNS, STREAM_FIELDS, STREAM_NAMES,
                                   RecordingError, SegmentRecording, format_csv,
                                   format_json)
-from ergofusion.scenario import default_handover_scenario
 from ergofusion.skeleton import (LANDMARK_NAMES, N_ALL, N_FUSED, CameraObservations,
                                  LandmarkFrame, animate, build_skeleton)
 
-from helpers import rows_recording, rows_table
+from helpers import committed_scenario, rows_recording, rows_table
 
 # Serial-scheduler digests of the acceptance criterion-9 configuration.
 PINNED_DIGESTS = {
-    "pre": "ac3976e7e93c097343957317fd2ba24665d31740bb707605d00d0e2f70a641f6",
+    "pre": "1664d8ea9d18fa9f448187b6749777537ce4d972e71654d3a38ccaed12b19ffd",
     "post": "40240be5a80ccd41407aa4e9a8f0ffdc2ef0b7c55c28514399d0ee16b7bbe44e",
 }
 
 
-CRITERION_9_CONFIG = default_handover_scenario(stature=1.85, noise_sigma=0.002)
+CRITERION_9_CONFIG = committed_scenario(stature=1.85, noise_sigma=0.002)
 
 
 @pytest.fixture(scope="module")
@@ -232,7 +231,7 @@ def test_serial_and_threaded_tables_are_equal_bit_for_bit(criterion_9_run):
 
 
 def test_rigs_listed_out_of_code_point_order_record_canonical_streams():
-    config = default_handover_scenario(noise_sigma=0.002)
+    config = committed_scenario(noise_sigma=0.002)
     # Rigs and their cameras ("S2.L", ..., "A.R") listed out of name order.
     config = dataclasses.replace(config, rigs=tuple(
         dataclasses.replace(spec, id=rig_id)

@@ -1,14 +1,9 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 import yaml
 
-from ergofusion.scenario import (ScenarioError, default_handover_scenario,
-                                 load_scenario, parse_scenario)
+from ergofusion.scenario import ScenarioError, load_scenario, parse_scenario
 from ergofusion.skeleton import SEGMENT_RATIOS, build_skeleton
-
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 VALID = {
     "name": "unit",
@@ -163,31 +158,3 @@ class TestSerialization:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ScenarioError, match="not found"):
             load_scenario(tmp_path / "nope.yaml")
-
-
-class TestDefaultScenarios:
-    def test_handover_defaults(self):
-        config = default_handover_scenario()
-        assert config.adapt
-        assert len(config.rigs) == 3
-        assert config.script().n_frames == 100
-        # Default delivery height equals the mid-class shoulder height.
-        assert config.delivery[2] == pytest.approx(1.4315, abs=1e-9)
-
-    def test_rmse_scenario_shape(self):
-        config = default_handover_scenario(noise_sigma=(0.002, 0.002, 0.004),
-                                           adapt=False, duration_scale=5.0)
-        assert not config.adapt
-        assert config.script().n_frames == 500
-        assert [r.noise_sigma for r in config.rigs] == [0.002, 0.002, 0.004]
-
-    @pytest.mark.parametrize("name, kwargs", [
-        ("desk_handover", {}),
-        ("desk_rmse", {"noise_sigma": (0.002, 0.002, 0.004), "adapt": False,
-                       "duration_scale": 5.0})])
-    def test_builder_writes_the_committed_task(self, name, kwargs):
-        committed = load_scenario(SCENARIO_DIR / f"{name}.yaml").to_dict()
-        built = default_handover_scenario(**kwargs).to_dict()
-        for key in ("stature", "seed", "frame_rate", "warmup", "adapt", "stance",
-                    "motion", "rigs"):
-            assert built[key] == committed[key], key
