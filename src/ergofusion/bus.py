@@ -32,7 +32,7 @@ class BusError(ValueError):
     """Invalid node-graph wiring."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """One record on a topic; ``timestamp`` is simulation time (seconds)."""
 
@@ -228,21 +228,23 @@ class FrameSynchronizer:
         if camera_id not in self.camera_ids:
             raise BusError(f"unknown camera id {camera_id!r}")
         self._pending.setdefault(frame_index, {})[camera_id] = payload
-        self._progress[camera_id] = max(self._progress[camera_id], frame_index)
-        return self._flush(min(self._progress.values()))
+        self._progress[camera_id] = progress = max(self._progress[camera_id], frame_index)
+        return self._flush(progress)
 
     def finish(self) -> list[tuple[int, dict[str, object]]]:
         """End of stream: drop stragglers, release any complete remainder."""
         return self._flush(None)
 
-    def _flush(self, slowest: int | None) -> list[tuple[int, dict[str, object]]]:
-        released = []
-        while self._pending:
-            head = min(self._pending)
-            if len(self._pending[head]) == len(self.camera_ids):
-                released.append((head, self._pending.pop(head)))
-            elif slowest is None or slowest - head >= self.lag:
-                self._pending.pop(head)
+    def _flush(self, latest: int | None) -> list[tuple[int, dict[str, object]]]:
+        # ``latest`` (None at end of stream) bounds the slowest camera's progress.
+        released, pending = [], self._pending
+        while pending:
+            head = min(pending)
+            if len(pending[head]) == len(self.camera_ids):
+                released.append((head, pending.pop(head)))
+            elif latest is None or (latest - head >= self.lag and
+                                    min(self._progress.values()) - head >= self.lag):
+                del pending[head]
                 self.dropped += 1
             else:
                 break

@@ -68,9 +68,9 @@ def _as_vec3(t, name: str) -> np.ndarray:
 class CameraModel:
     """One projective camera: world->camera extrinsics plus derived fields.
 
-    ``projection`` is the 3x4 stack [rotation | translation] and
-    ``position`` the camera center in world coordinates; both are
-    derived at construction and kept consistent by immutability.
+    ``projection`` is the 3x4 stack [rotation | translation], ``position``
+    the camera center in world coordinates and ``rotation_t`` the transposed
+    rotation, all derived at construction and kept consistent by immutability.
     """
 
     id: str
@@ -78,6 +78,7 @@ class CameraModel:
     translation: np.ndarray
     projection: np.ndarray = field(init=False, repr=False)
     position: np.ndarray = field(init=False, repr=False)
+    rotation_t: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         r = require_rotation(self.rotation, f"camera {self.id} rotation")
@@ -86,10 +87,9 @@ class CameraModel:
         object.__setattr__(self, "translation", t)
         object.__setattr__(self, "projection", np.hstack([r, t[:, None]]))
         object.__setattr__(self, "position", -r.T @ t)
-        self.rotation.setflags(write=False)
-        self.translation.setflags(write=False)
-        self.projection.setflags(write=False)
-        self.position.setflags(write=False)
+        object.__setattr__(self, "rotation_t", r.T)
+        for array in (r, t, self.projection, self.position, self.rotation_t):
+            array.setflags(write=False)
 
     @classmethod
     def from_pose(cls, cam_id: str, rotation: np.ndarray,
@@ -125,9 +125,10 @@ class CameraModel:
     def project_many(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Project an (N, 3) array; returns ((N, 2) uv, (N,) depth)."""
         pts = np.asarray(points, dtype=float)
-        x = pts @ self.rotation.T + self.translation
+        x = pts @ self.rotation_t + self.translation
         depth = x[:, 2]
-        safe = np.where(np.abs(depth) < DEGENERATE_DEPTH, np.nan, depth)
+        safe = (depth if depth.min(initial=np.inf) >= DEGENERATE_DEPTH  # all in front
+                else np.where(np.abs(depth) < DEGENERATE_DEPTH, np.nan, depth))
         return x[:, :2] / safe[:, None], depth
 
 

@@ -56,11 +56,6 @@ def _visibility_summary(shape: tuple[int, ...],
     return counts, bool(visibility.all()), digest.hexdigest()
 
 
-def _visibility_hash(visibility: np.ndarray) -> str:
-    v = np.ascontiguousarray(visibility, dtype=bool)
-    return _visibility_summary(v.shape, v.tobytes())[2]
-
-
 @dataclass(frozen=True)
 class FusionTopology:
     """Bipartite visibility graph and its row-normalized Laplacian.
@@ -111,7 +106,8 @@ def build_topology(visibility: np.ndarray) -> FusionTopology:
     deg = adj.sum(axis=1)
     lap = np.eye(n + m) - adj / deg[:, None]
     return FusionTopology(n_landmarks=n, n_cameras=m, adjacency=vis,
-                          laplacian=lap, topology_hash=_visibility_hash(vis))
+                          laplacian=lap,
+                          topology_hash=_visibility_summary(vis.shape, vis.tobytes())[2])
 
 
 @dataclass(frozen=True)
@@ -158,20 +154,29 @@ def compute_anchors(estimates: np.ndarray, visibility: np.ndarray,
     if not counts.all():
         raise UncoveredLandmarkError(
             f"landmark(s) {np.flatnonzero(counts == 0).tolist()} have no estimate")
-    summed = (est if full else np.where(vis[:, :, None], est, 0.0)).sum(axis=0)
-    landmark_anchors = summed / counts[:, None]
-    # A non-finite estimate that visibility counts makes its anchor non-finite,
-    # so the per-estimate check runs only for a non-finite anchor.
-    if not np.isfinite(landmark_anchors).all():
-        bad = vis & ~np.isfinite(est).all(axis=2)
+    return AnchorSet(landmark_anchors=landmark_means(est, vis, counts, full),
+                     camera_anchors=cams.copy(),
+                     topology_hash=topology_hash)
+
+
+def landmark_means(estimates: np.ndarray, visibility: np.ndarray,
+                   counts: np.ndarray, full: bool) -> np.ndarray:
+    """``compute_anchors``'s (N, 3) means, on checked arrays: ``counts`` is
+    ``visibility.sum(axis=0)``, NaN where zero (so is that mean), and ``full``
+    says whether ``visibility`` is all true."""
+    summed = (estimates if full
+              else np.where(visibility[:, :, None], estimates, 0.0)).sum(axis=0)
+    means = summed / counts[:, None]
+    # A non-finite estimate that visibility counts makes its mean non-finite,
+    # so the per-estimate check runs only for a non-finite mean.
+    if not np.isfinite(means).all():
+        bad = visibility & ~np.isfinite(estimates).all(axis=2)
         if bad.any():
             cam_idx, lm_idx = np.nonzero(bad)
             raise InconsistentEstimatesError(
                 f"missing estimate where visibility claims coverage: "
                 f"camera/landmark pairs {list(zip(cam_idx.tolist(), lm_idx.tolist()))}")
-    return AnchorSet(landmark_anchors=landmark_anchors,
-                     camera_anchors=cams.copy(),
-                     topology_hash=topology_hash)
+    return means
 
 
 def compute_delta(topology: FusionTopology, configuration: np.ndarray) -> np.ndarray:
@@ -185,7 +190,12 @@ def compute_delta(topology: FusionTopology, configuration: np.ndarray) -> np.nda
     if conf.shape != (topology.n_nodes, 3):
         raise FusionError(
             f"configuration must be ({topology.n_nodes}, 3), got {conf.shape}")
-    return topology.laplacian @ conf
+    return differential(topology.laplacian, conf)
+
+
+def differential(laplacian: np.ndarray, configuration: np.ndarray) -> np.ndarray:
+    """``compute_delta``'s product L @ configuration, on checked arrays."""
+    return laplacian @ configuration
 
 
 @dataclass(frozen=True)
@@ -243,4 +253,9 @@ def fuse(solver: FusionSolver, delta: np.ndarray, anchors: AnchorSet) -> np.ndar
     d = np.asarray(delta, dtype=float)
     if d.shape != (k, 3):
         raise FusionError(f"delta must be ({k}, 3), got {d.shape}")
-    return solver.prefactor @ np.concatenate((d, anchors.configuration))
+    return solve(solver.prefactor, d, anchors.configuration)
+
+
+def solve(prefactor: np.ndarray, delta: np.ndarray, configuration: np.ndarray) -> np.ndarray:
+    """``fuse``'s product prefactor @ [delta; configuration], on checked arrays."""
+    return prefactor @ np.concatenate((delta, configuration))

@@ -9,12 +9,12 @@ Topology (one topic per edge label, single publisher each)::
     adaptation --adaptation--> recorder
     (recorder also subscribes world, observations, per_rig, fused)
 
-The fusion node synchronizes per-camera messages by frame index,
-triangulates the visible landmarks of every rig in one batched DLT solve
-per frame (one ``triangulate_stereo`` call, each point with its rig's
-projection pair), scatters the results into (rigs, landmarks) arrays,
-and applies the prefactored graph-Laplacian solve; the prefactorization
-happens exactly once per run (``prefactor_count`` is asserted in tests).
+The fusion node synchronizes per-camera messages by frame index and
+solves every rig's landmarks in one fixed-shape DLT pass per frame (one
+``solve_pairs`` call on projection stacks built once per run), masking
+afterwards the points a rig did not see in both cameras. It applies the
+graph-Laplacian solve, prefactored exactly once per run
+(``prefactor_count`` is asserted in tests); only value checks stay per frame.
 Per-rig DLT residual quantiles and the host time per source frame
 (``stats.frame_wall_ms``) go to the manifest stats, outside the digest.
 The recorder builds each stream's table in canonical order. A scenario
@@ -39,8 +39,10 @@ from .adaptation import (AnthropometricClass, RobotDeliveryParams, adapt_robot,
                          classify_height, estimate_height)
 from .bus import FrameSynchronizer, Message, Node, NodeGraph, run_serial, run_threaded
 from .cameras import CameraModel
-from .fusion import (build_topology, compute_anchors, compute_delta, fuse,
-                     prefactor)
+from .fusion import build_topology, differential, landmark_means, prefactor, solve
+# Not called here (they check arguments the node checks once per run, then
+# call the three above), but perfbench/tracing.py wraps them by name.
+from .fusion import compute_anchors, compute_delta, fuse  # noqa: F401
 from .recording import (_INT64, STREAM_COLUMNS, STREAM_FIELDS, STREAM_NAMES,
                         RunRecording, SegmentRecording, columns_table)
 from .rula import (RulaAdjustments, RulaBreakdown, JointAngles, PostureStatus,
@@ -48,9 +50,9 @@ from .rula import (RulaAdjustments, RulaBreakdown, JointAngles, PostureStatus,
 from .scenario import ScenarioConfig, ScenarioError
 from .skeleton import (LANDMARK_NAMES, CameraObservations, LandmarkFrame,
                        N_ALL, N_FUSED, animate, build_skeleton, observe)
-# triangulate_dlt is the single-point reference for triangulate_stereo and
-# is not called here; perfbench/tracing.py wraps pipeline.triangulate_dlt.
-from .triangulate import triangulate_dlt, triangulate_stereo  # noqa: F401
+# triangulate_dlt is the single-point reference for solve_pairs and is not
+# called here; perfbench/tracing.py wraps pipeline.triangulate_dlt.
+from .triangulate import solve_pairs, triangulate_dlt  # noqa: F401
 
 TOPIC_WORLD = "world"
 TOPIC_PER_RIG = "per_rig_landmarks"
@@ -146,18 +148,16 @@ class FusionNode(Node):
     def __init__(self, rigs, frame_rate: float):
         self.rigs = list(rigs)
         self.frame_rate = frame_rate
-        camera_ids = [cam.id for rig in self.rigs for cam in rig.cameras]
-        self.subscribes = tuple(observation_topic(c) for c in camera_ids)
+        self.camera_ids = [cam.id for rig in self.rigs for cam in rig.cameras]
+        self.subscribes = tuple(observation_topic(c) for c in self.camera_ids)
         self.publishes = (TOPIC_PER_RIG, TOPIC_FUSED)
-        self.synchronizer = FrameSynchronizer(camera_ids)
+        self.synchronizer = FrameSynchronizer(self.camera_ids)
         self.rig_ids = tuple(rig.id for rig in self.rigs)
-        lefts, rights = zip(*(rig.cameras for rig in self.rigs))
-        self.left_ids, self.right_ids = ([cam.id for cam in lefts],
-                                         [cam.id for cam in rights])
-        # Each point's left and right projection, rig-major over all
-        # landmarks, so that one DLT solve per frame covers every rig.
-        self.projections = tuple(np.repeat([cam.projection for cam in cams], N_ALL, axis=0)
-                                 for cams in (lefts, rights))
+        # Each point's left and right projection rows 3 and 1-2, rig-major
+        # over all landmarks, so that one DLT solve per frame covers every rig.
+        projections = np.repeat([[cam.projection for cam in rig.cameras]
+                                 for rig in self.rigs], N_ALL, axis=0)
+        self.k3, self.k12 = projections[:, :, 2:].copy(), projections[:, :, :2].copy()
         self.rig_positions = np.array([rig.left.position for rig in self.rigs])
         # Static run-long topology: every rig covers every fused landmark.
         self.topology = build_topology(
@@ -165,8 +165,8 @@ class FusionNode(Node):
         self.solver = prefactor(self.topology)
         self.prefactor_count = 1
         self.processing_seconds = 0.0
-        # Per rig, every DLT residual of the run in one contiguous buffer.
-        self.residuals = {rig.id: array("d") for rig in self.rigs}
+        # Every frame's (rigs, N_ALL) DLT residuals, NaN where a rig saw no point.
+        self.residuals = array("d")
 
     def handle(self, message, publish):
         obs: CameraObservations = message.payload
@@ -180,54 +180,48 @@ class FusionNode(Node):
 
     def residual_stats(self) -> dict[str, dict[str, float] | None]:
         """Per rig: p50, p95 and max of every DLT residual so far (None if none)."""
-        return {rig_id: _quantiles(buffer) for rig_id, buffer in self.residuals.items()}
+        frames = np.array(self.residuals).reshape(-1, len(self.rigs), N_ALL)
+        return {rig_id: _quantiles(values[~np.isnan(values)])
+                for rig_id, values in zip(self.rig_ids, frames.transpose(1, 0, 2))}
 
     def _process(self, frame_index: int, bundle: dict, publish):
         t0 = time.perf_counter()
         n_rigs = len(self.rigs)
-        left = [bundle[c] for c in self.left_ids]
-        right = [bundle[c] for c in self.right_ids]
-        # Rig-major (n_rigs * N_ALL,) points; solved where both cameras saw them.
-        visible = (np.concatenate([obs.visible for obs in left])
-                   & np.concatenate([obs.visible for obs in right]))
-        seen = np.flatnonzero(visible)
-        result = triangulate_stereo(np.concatenate([obs.uv for obs in left])[seen],
-                                    np.concatenate([obs.uv for obs in right])[seen],
-                                    self.projections[0][seen], self.projections[1][seen])
-        failed = np.flatnonzero(result.degenerate | result.at_infinity)
+        views = [bundle[c] for c in self.camera_ids]
+        uv = np.array([obs.uv for obs in views]).reshape(n_rigs, 2, N_ALL, 2)
+        seen = np.array([obs.visible for obs in views]).reshape(n_rigs, 2, N_ALL)
+        visible = seen[:, 0] & seen[:, 1]
+        # Every rig-major point is solved; those a rig did not see in both
+        # cameras are masked afterwards and never fail the frame.
+        result = solve_pairs(uv.transpose(0, 2, 1, 3).reshape(-1, 2, 2), self.k3, self.k12)
+        failed = np.flatnonzero((result.degenerate | result.at_infinity) & visible.ravel())
         if failed.size:
-            j = failed[0]
-            rig, landmark = divmod(int(seen[j]), N_ALL)
+            rig, landmark = divmod(int(failed[0]), N_ALL)
             cause = ("degenerate geometry (rank-deficient DLT system)"
-                     if result.degenerate[j] else "point at infinity")
+                     if result.degenerate[failed[0]] else "point at infinity")
             raise PipelineError(
                 f"frame {frame_index}: rig {self.rig_ids[rig]} failed to "
                 f"triangulate {LANDMARK_NAMES[landmark]}: {cause}")
-        est_xyz = np.full((n_rigs, N_ALL, 3), np.nan)
-        residual = np.full((n_rigs, N_ALL), np.nan)
-        est_xyz.reshape(-1, 3)[seen] = result.xyz
-        residual.reshape(-1)[seen] = result.residual
-        visible = visible.reshape(n_rigs, N_ALL)
-        for rig_id, seen_by_rig, values in zip(self.rig_ids, visible, residual):
-            self.residuals[rig_id].frombytes(values[seen_by_rig].tobytes())
+        est_xyz = result.xyz.reshape(n_rigs, N_ALL, 3)
+        residual = result.residual.reshape(n_rigs, N_ALL)
+        hidden = ~visible
+        est_xyz[hidden] = np.nan
+        residual[hidden] = np.nan
+        self.residuals.frombytes(residual.tobytes())
 
-        fused_vis = visible[:, :N_FUSED]
-        if not fused_vis.all():
-            missing = np.argwhere(self.topology.adjacency & ~fused_vis)
+        if not visible[:, :N_FUSED].all():
+            missing = np.argwhere(self.topology.adjacency & hidden[:, :N_FUSED])
             raise PipelineError(
                 f"frame {frame_index}: visibility changed mid-run (topology is "
                 f"fixed); missing rig/landmark pairs {missing.tolist()}")
-        anchors = compute_anchors(est_xyz[:, :N_FUSED], fused_vis, self.rig_positions)
-        delta = compute_delta(self.topology, anchors.configuration)
-        solution = fuse(self.solver, delta, anchors)
-
-        xyz = np.full((N_ALL, 3), np.nan)
-        xyz[:N_FUSED] = solution[:N_FUSED]
-        aux_vis = visible[:, N_FUSED:]
-        counts = aux_vis.sum(axis=0)
-        summed = np.where(aux_vis[:, :, None], est_xyz[:, N_FUSED:], 0.0).sum(axis=0)
-        aux_seen = counts > 0
-        xyz[N_FUSED:][aux_seen] = summed[aux_seen] / counts[aux_seen, None]
+        # Every landmark's mean over the rigs that saw it: the fused anchors,
+        # and the auxiliary head markers as published (NaN where none did).
+        counts = visible.sum(axis=0)
+        means = landmark_means(est_xyz, visible, np.where(counts > 0, counts, np.nan), False)
+        configuration = np.concatenate((means[:N_FUSED], self.rig_positions))
+        solution = solve(self.solver.prefactor,
+                         differential(self.topology.laplacian, configuration), configuration)
+        xyz = np.concatenate((solution[:N_FUSED], means[N_FUSED:]))
 
         self.processing_seconds += time.perf_counter() - t0
         ts = frame_index / self.frame_rate

@@ -290,7 +290,9 @@ def parse_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
     if frame_rate <= 0:
         raise ScenarioError("frame_rate must be > 0")
     warmup = _number(data.get("warmup", 2.0), "warmup")
-    adapt = bool(data.get("adapt", True))
+    adapt = data.get("adapt", True)
+    if not isinstance(adapt, bool):
+        raise ScenarioError(f"adapt: must be true or false, got {adapt!r}")
     total = sum(p.duration for p in phases)
     if adapt:
         need = MIN_UPRIGHT_FRAMES / frame_rate

@@ -21,6 +21,8 @@ camera pair, or each point brings its own pair as a row of two (k, 3, 4)
 projection stacks, so the points of every rig of a frame are solved in
 one call. On every point it gives bitwise the same result as
 ``triangulate_dlt`` on that point's pair, which stays the reference.
+``solve_pairs`` is its arithmetic without the argument checks, for
+callers whose stacks are checked once per run.
 """
 
 from __future__ import annotations
@@ -178,11 +180,16 @@ def triangulate_stereo(uv_left, uv_right, projection_left,
             f"projections must both be 3x4 or ({k}, 3, 4), "
             f"got {proj_left.shape} and {proj_right.shape}")
     # (camera, 3, 4) for one pair, (k, camera, 3, 4) for one pair per point.
-    proj = np.concatenate((proj_left, proj_right), axis=-2).reshape(
-        *proj_left.shape[:-2], 2, 3, 4)
-    uv = np.concatenate((uv_left, uv_right), axis=1).reshape(k, 2, 2)
+    proj = np.stack((proj_left, proj_right), axis=-3)
+    uv = np.stack((uv_left, uv_right), axis=1)
+    return solve_pairs(uv, proj[..., 2:, :], proj[..., :2, :])
+
+
+def solve_pairs(uv, k3, k12) -> StereoTriangulation:
+    """``triangulate_stereo`` on checked arrays: the (k, camera, 2) ``uv`` and
+    each camera's projection rows 3 and 1-2, (..., 2, 1, 4) and (..., 2, 2, 4)."""
     # (k, camera, row, 4): u * k3 - k1 and v * k3 - k2 per camera.
-    a = (uv[..., None] * proj[..., 2:, :] - proj[..., :2, :]).reshape(-1, 4, 4)
+    a = (uv[..., None] * k3 - k12).reshape(-1, 4, 4)
     # np.linalg.norm(a, axis=2), without its argument handling.
     norms = np.sqrt(np.add.reduce(a * a, axis=2))
     degenerate = (norms < 1e-300).any(axis=1) | ~np.isfinite(uv).all(axis=(1, 2))

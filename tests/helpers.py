@@ -22,13 +22,14 @@ from ergofusion.triangulate import Observation2D
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def committed_scenario(stem: str = "desk_handover", /, noise_sigma=None,
-                       duration_scale: float = 1.0, **fields) -> ScenarioConfig:
-    """``scenarios/<stem>.yaml`` with some fields replaced, validated as a file.
+def committed_data(stem: str = "desk_handover", /, noise_sigma=None,
+                   duration_scale: float = 1.0, durations=None, **fields) -> dict:
+    """The mapping in ``scenarios/<stem>.yaml`` with some fields replaced.
 
     ``noise_sigma`` is one value for every rig or one per rig,
-    ``duration_scale`` multiplies every phase duration, and each other
-    keyword replaces that top-level key.
+    ``duration_scale`` multiplies every phase duration, ``durations``
+    maps phase names to new durations, and each other keyword replaces
+    that top-level key.
     """
     data = yaml.safe_load((SCENARIO_DIR / f"{stem}.yaml").read_text())
     if noise_sigma is not None:
@@ -36,9 +37,18 @@ def committed_scenario(stem: str = "desk_handover", /, noise_sigma=None,
         for rig, sigma in zip(data["rigs"], sigmas):
             rig["noise_sigma"] = float(sigma)
     for phase in data["motion"]:
+        phase["duration"] = (durations or {}).get(phase["name"], phase["duration"])
         phase["duration"] *= duration_scale
     data.update(fields)
-    return parse_scenario(data, name=stem)
+    return data
+
+
+def committed_scenario(stem: str = "desk_handover", /, noise_sigma=None,
+                       duration_scale: float = 1.0, **fields) -> ScenarioConfig:
+    """``committed_data(...)``, validated as a file."""
+    return parse_scenario(committed_data(stem, noise_sigma=noise_sigma,
+                                         duration_scale=duration_scale, **fields),
+                          name=stem)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

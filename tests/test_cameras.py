@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ergofusion.cameras import (CameraModel, DegenerateProjectionError,
-                                GeometryError, StereoRig,
+from ergofusion.cameras import (DEGENERATE_DEPTH, CameraModel,
+                                DegenerateProjectionError, GeometryError, StereoRig,
                                 axis_angle_from_rotation,
                                 compose_world_extrinsics, look_at_rotation,
                                 rotation_from_axis_angle)
@@ -112,6 +112,34 @@ class TestCameraModel:
         for i, p in enumerate(pts):
             if depth[i] > 0:
                 np.testing.assert_allclose(uv[i], cam.project(p), atol=1e-12)
+
+    def test_project_many_is_the_rotated_translated_points_bit_for_bit(self):
+        rng = np.random.default_rng(16)
+        for _ in range(50):
+            cam = CameraModel("c", random_rotation(rng), rng.normal(size=3))
+            pts = rng.normal(size=(15, 3)) * rng.uniform(0.1, 10.0)
+            x = pts @ cam.rotation.T + cam.translation
+            uv, depth = cam.project_many(pts)
+            assert depth.tobytes() == x[:, 2].tobytes()
+            assert uv.tobytes() == (x[:, :2] / x[:, 2:]).tobytes()
+
+    def test_project_many_degenerate_depths_give_nan_without_warning(self):
+        cam = CameraModel("c", np.eye(3), [0.1, -0.2, 0.5])
+        # Depths 0 exactly, below DEGENERATE_DEPTH, and 1.
+        pts = np.array([[0.3, 0.4, -0.5], [0.3, 0.4, -0.5 + 1e-13], [0.3, 0.4, 0.5]])
+        x = pts @ cam.rotation.T + cam.translation
+        uv, depth = cam.project_many(pts)
+        assert depth.tobytes() == x[:, 2].tobytes()
+        assert depth[0] == 0.0 and 0.0 < abs(depth[1]) < DEGENERATE_DEPTH
+        assert np.isnan(uv[:2]).all()
+        assert uv[2].tobytes() == (x[2, :2] / x[2, 2]).tobytes()
+
+    def test_derived_fields_are_read_only(self):
+        cam = CameraModel("c", rot_z(30.0), [0.1, -0.2, 0.5])
+        assert cam.rotation_t.tobytes() == cam.rotation.T.tobytes()
+        for name in ("rotation", "translation", "projection", "position", "rotation_t"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(cam, name)[0] = 0.0
 
 
 class TestFrameChangeConsistency:

@@ -5,31 +5,12 @@ import yaml
 
 from ergofusion.cli import main
 
-from helpers import SCENARIO_DIR
+from helpers import SCENARIO_DIR, committed_data
 
-SCENARIO = {
-    "name": "cli_case",
-    "stature": 1.75,
-    "seed": 0,
-    "warmup": 2.0,
-    "adapt": True,
-    "delivery": [0.9, 0.0, 1.4315],
-    "adjustments": {"muscle_use_b": 1, "force_b": 1},
-    "motion": [
-        {"name": "rest", "duration": 2.0, "target": "rest"},
-        {"name": "reach", "duration": 2.0, "target": "delivery"},
-        {"name": "hold", "duration": 2.0, "target": "delivery"},
-        {"name": "return", "duration": 1.0, "target": "rest"},
-    ],
-    "rigs": [
-        {"id": "S1", "position": [2.1, -1.2, 1.6], "look_at": [0.45, 0.0, 1.0],
-         "baseline": 0.5, "noise_sigma": 0.001},
-        {"id": "S2", "position": [2.4, 0.0, 1.6], "look_at": [0.45, 0.0, 1.0],
-         "baseline": 0.5, "noise_sigma": 0.001},
-        {"id": "S3", "position": [2.1, 1.2, 1.6], "look_at": [0.45, 0.0, 1.0],
-         "baseline": 0.5, "noise_sigma": 0.002},
-    ],
-}
+# The committed handover task, named for these tests, with a shorter hold
+# and return and a noisier S3.
+SCENARIO = committed_data(name="cli_case", noise_sigma=[0.001, 0.001, 0.002],
+                          durations={"hold": 2.0, "return": 1.0})
 
 
 @pytest.fixture()
@@ -92,6 +73,10 @@ BAD_FIELDS = [
     ("seed=2.5", ("seed",), 2.5, "seed"),
     ("seed=2**70", ("seed",), 2 ** 70, "seed"),
     ("seed=true", ("seed",), True, "seed"),
+    ("adapt='false'", ("adapt",), "false", "adapt"),
+    ("adapt='no'", ("adapt",), "no", "adapt"),
+    ("adapt=[0]", ("adapt",), [0], "adapt"),
+    ("adapt=1", ("adapt",), 1, "adapt"),
     ("adjustments muscle_use_b=1.5", ("adjustments", "muscle_use_b"), 1.5,
      "adjustments muscle_use_b"),
 ]

@@ -1,5 +1,8 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ergofusion.adaptation import CLASSES, SHOULDER_RATIO
 from ergofusion.bus import Message
@@ -219,6 +222,39 @@ def per_rig_reference(node: FusionNode, bundle: dict):
     return per_rig, xyz
 
 
+def check_against_reference(node: FusionNode, bundle: dict, frame_index: int) -> list:
+    """Feed one frame and assert bitwise equality with ``per_rig_reference``;
+    return per rig the residuals the reference appends to its buffer."""
+    per_rig, fused = (m.payload for m in feed(node, bundle, frame_index))
+    want_rigs, want_xyz = per_rig_reference(node, bundle)
+    assert per_rig.rig_ids == tuple(rig.id for rig in node.rigs)
+    assert per_rig.xyz.shape == (len(node.rigs), N_ALL, 3)
+    for r, (xyz, visible, residual, _) in enumerate(want_rigs):
+        assert per_rig.xyz[r].tobytes() == xyz.tobytes()
+        assert per_rig.visible[r].tobytes() == visible.tobytes()
+        assert per_rig.residual[r].tobytes() == residual.tobytes()
+    assert fused.xyz.shape == (N_ALL, 3)
+    assert fused.xyz.tobytes() == want_xyz.tobytes()
+    return [values for *_, values in want_rigs]
+
+
+def hide_aux(obs: CameraObservations, hidden, finite_uv: bool) -> CameraObservations:
+    """``obs`` with the auxiliary landmarks in ``hidden`` not visible; they
+    keep their finite uv if ``finite_uv``, else every unseen uv is NaN."""
+    visible = obs.visible.copy()
+    visible[N_FUSED:] &= ~np.asarray(hidden, dtype=bool)
+    uv = obs.uv.copy()
+    if not finite_uv:
+        uv[~visible] = np.nan
+    return CameraObservations(obs.camera_id, obs.frame_index, uv, visible)
+
+
+@functools.cache
+def handover_frames():
+    config = committed_scenario(noise_sigma=0.002)
+    return config, config.build_rigs(), scenario_frames(config, 100)
+
+
 class TestFusionNode:
     """The node's one solve per frame against the per-rig reference loop."""
 
@@ -231,31 +267,34 @@ class TestFusionNode:
         cameras = [cam for rig in node.rigs for cam in rig.cameras]
         buffers = {rig.id: [] for rig in node.rigs}
         for frame in scenario_frames(config, 30):
-            bundle = {}
-            for cam in cameras:
-                obs = observe(cam, frame, 0.002, rng)
-                # Each camera loses a random share of the auxiliary landmarks;
-                # half of them keep a finite uv where they are hidden.
-                visible = obs.visible.copy()
-                visible[N_FUSED:] &= rng.random(N_ALL - N_FUSED) >= hide
-                uv = obs.uv.copy()
-                if rng.random() < 0.5:
-                    uv[~visible] = np.nan
-                bundle[cam.id] = CameraObservations(cam.id, frame.index, uv, visible)
-            per_rig, fused = (m.payload for m in feed(node, bundle, frame.index))
-            want_rigs, want_xyz = per_rig_reference(node, bundle)
-            assert per_rig.rig_ids == tuple(rig.id for rig in node.rigs)
-            assert per_rig.xyz.shape == (len(node.rigs), N_ALL, 3)
-            for r, (rig, (xyz, visible, residual, values)) in enumerate(
-                    zip(node.rigs, want_rigs)):
-                assert per_rig.xyz[r].tobytes() == xyz.tobytes()
-                assert per_rig.visible[r].tobytes() == visible.tobytes()
-                assert per_rig.residual[r].tobytes() == residual.tobytes()
+            # Each camera loses a random share of the auxiliary landmarks;
+            # half of them keep a finite uv where they are hidden.
+            bundle = {cam.id: hide_aux(observe(cam, frame, 0.002, rng),
+                                       rng.random(N_ALL - N_FUSED) < hide,
+                                       rng.random() >= 0.5)
+                      for cam in cameras}
+            residuals = check_against_reference(node, bundle, frame.index)
+            for rig, values in zip(node.rigs, residuals):
                 buffers[rig.id].append(values)
-            assert fused.xyz.shape == (N_ALL, 3)
-            assert fused.xyz.tobytes() == want_xyz.tobytes()
-        for rig_id, buffer in node.residuals.items():
-            assert bytes(buffer) == np.concatenate(buffers[rig_id]).tobytes()
+        # One (rigs, N_ALL) block per frame, NaN where a rig saw no point.
+        frames = np.array(node.residuals).reshape(-1, len(node.rigs), N_ALL)
+        for r, rig in enumerate(node.rigs):
+            values = frames[:, r][~np.isnan(frames[:, r])]
+            assert values.tobytes() == np.concatenate(buffers[rig.id]).tobytes()
+
+    @given(hidden=st.lists(st.lists(st.booleans(), min_size=N_ALL - N_FUSED,
+                                    max_size=N_ALL - N_FUSED), min_size=6, max_size=6),
+           finite_uv=st.lists(st.booleans(), min_size=6, max_size=6),
+           seed=st.integers(0, 2 ** 32 - 1), index=st.integers(0, 99))
+    def test_generated_aux_visibility_equals_the_per_rig_reference(
+            self, hidden, finite_uv, seed, index):
+        config, rigs, frames = handover_frames()
+        node = FusionNode(rigs, config.frame_rate)
+        rng = np.random.default_rng(seed)
+        cameras = [cam for rig in rigs for cam in rig.cameras]
+        bundle = {cam.id: hide_aux(observe(cam, frames[index], 0.002, rng), hide, finite)
+                  for cam, hide, finite in zip(cameras, hidden, finite_uv)}
+        check_against_reference(node, bundle, index)
 
     def test_first_failure_in_rig_order_is_reported(self):
         config = committed_scenario(noise_sigma=0.0)
@@ -271,6 +310,19 @@ class TestFusionNode:
         with pytest.raises(PipelineError, match=r"^frame 0: rig S2 failed to "
                                                 r"triangulate nose: point at infinity$"):
             feed(node, bundle, frame.index)
+
+    def test_hidden_point_at_infinity_is_masked_not_raised(self):
+        config = committed_scenario(noise_sigma=0.0)
+        node = FusionNode(config.build_rigs(), config.frame_rate)
+        frame = scenario_frames(config, 1)[0]
+        bundle = {cam.id: observe(cam, frame, 0.0)
+                  for rig in node.rigs for cam in rig.cameras}
+        # S2's right camera loses the nose but keeps a finite uv that, equal
+        # to the left one in a pure-translation pair, is a point at infinity.
+        left, right = bundle["S2.L"], bundle["S2.R"]
+        right.uv[13] = left.uv[13]
+        right.visible[13] = False
+        check_against_reference(node, bundle, frame.index)
 
 
 class TestCameraNode:

@@ -5,28 +5,12 @@ import yaml
 from ergofusion.scenario import ScenarioError, load_scenario, parse_scenario
 from ergofusion.skeleton import SEGMENT_RATIOS, build_skeleton
 
-VALID = {
-    "name": "unit",
-    "stature": 1.75,
-    "seed": 3,
-    "warmup": 2.0,
-    "adapt": True,
-    "delivery": [0.9, 0.0, 1.4315],
-    "motion": [
-        {"name": "rest", "duration": 2.0, "target": "rest"},
-        {"name": "reach", "duration": 2.0, "target": "delivery"},
-        {"name": "hold", "duration": 4.0, "target": "delivery"},
-        {"name": "return", "duration": 2.0, "target": "rest"},
-    ],
-    "rigs": [
-        {"id": "S1", "position": [2.1, -1.2, 1.6], "look_at": [0.45, 0.0, 1.0],
-         "baseline": 0.5, "noise_sigma": 0.001},
-        {"id": "S2", "position": [2.4, 0.0, 1.6], "look_at": [0.45, 0.0, 1.0],
-         "baseline": 0.5, "noise_sigma": 0.001},
-        {"id": "S3", "position": [2.1, 1.2, 1.6], "look_at": [0.45, 0.0, 1.0],
-         "baseline": 0.5, "noise_sigma": 0.002},
-    ],
-}
+from helpers import committed_data
+
+# The committed handover task, named for these tests, with another seed,
+# a noisier S3 and no RULA adjustments.
+VALID = committed_data(name="unit", seed=3, noise_sigma=[0.001, 0.001, 0.002],
+                       adjustments={})
 
 
 def make(**overrides):
