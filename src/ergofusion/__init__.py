@@ -6,9 +6,11 @@ Module map:
 - ``cameras``       projective camera models, stereo rigs, extrinsic composition
 - ``triangulate``   DLT assembly and SVD solve: one point from any number
                     of views, or every rig's stereo points of a frame in
-                    one batched solve
+                    one batched ``solve_pairs(uv, projections)``
 - ``fusion``        bipartite camera/landmark graph, differential coordinates,
-                    prefactored anchor-regularized least squares
+                    prefactored anchor-regularized least squares (as the
+                    pipeline feeds it, each fused landmark is the mean of
+                    the rigs' estimates, up to rounding)
 - ``skeleton``      stature-parameterized skeleton, reach-task animation,
                     synthetic stereo capture with observation noise
 - ``rula``          joint angles, RULA worksheet scoring, posture status

@@ -84,11 +84,19 @@ def _cmd_simulate(args) -> int:
     out_root = Path(out_root)
 
     configs = config.expand_statures()
+    # Each grid stature's run directory, checked before any segment runs.
+    targets = {}
     for cfg in configs:
-        recording = run_scenario(cfg, seed=args.seed,
-                                 scheduler=args.scheduler)
         target = out_root if len(configs) == 1 else \
             out_root / f"stature_{cfg.stature:.2f}"
+        if target in targets:
+            raise ScenarioError(
+                f"stature values {targets[target].stature} and {cfg.stature} share "
+                f"the run directory {target}")
+        targets[target] = cfg
+    for target, cfg in targets.items():
+        recording = run_scenario(cfg, seed=args.seed,
+                                 scheduler=args.scheduler)
         recording.save(target)
         for name, segment in recording.segments.items():
             print(f"{target / name}  frames={segment.manifest['frames']}  "

@@ -13,13 +13,18 @@ anchors stack the per-landmark cross-camera means over the known camera
 positions. The topology is fixed for a run, so the solve is prefactored
 once into the pseudo-inverse of the stacked system and applied per frame
 as a single matrix product.
+
+What this computes: with delta = L @ anchors, x = anchors makes both
+residual blocks zero, so the anchors are the minimizer. Each fused
+landmark is therefore its per-landmark mean over the cameras (rigs), up
+to rounding; the Laplacian term changes nothing until delta is taken
+from something other than the anchors.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -40,20 +45,11 @@ class StaleSolverError(FusionError):
     """A prefactored solver was applied to data from a different topology."""
 
 
-@lru_cache(maxsize=256)
-def _visibility_summary(shape: tuple[int, ...],
-                        data: bytes) -> tuple[np.ndarray, bool, str]:
-    """A bool matrix's column counts, whether it is all true, and its hash.
-
-    Memoized: a run applies one visibility matrix to every frame.
-    """
-    visibility = np.frombuffer(data, dtype=bool).reshape(shape)
-    counts = visibility.sum(axis=0)
-    counts.setflags(write=False)
-    digest = hashlib.sha256()
-    digest.update(str(shape).encode())
-    digest.update(data)
-    return counts, bool(visibility.all()), digest.hexdigest()
+def _topology_hash(vis: np.ndarray) -> str:
+    """SHA-256 of a bool visibility matrix's shape and bytes."""
+    digest = hashlib.sha256(str(vis.shape).encode())
+    digest.update(vis.tobytes())
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -106,8 +102,7 @@ def build_topology(visibility: np.ndarray) -> FusionTopology:
     deg = adj.sum(axis=1)
     lap = np.eye(n + m) - adj / deg[:, None]
     return FusionTopology(n_landmarks=n, n_cameras=m, adjacency=vis,
-                          laplacian=lap,
-                          topology_hash=_visibility_summary(vis.shape, vis.tobytes())[2])
+                          laplacian=lap, topology_hash=_topology_hash(vis))
 
 
 @dataclass(frozen=True)
@@ -118,12 +113,9 @@ class AnchorSet:
     camera_anchors: np.ndarray
     topology_hash: str
 
-    @cached_property
+    @property
     def configuration(self) -> np.ndarray:
-        """The stacked (N+M) x 3 anchor configuration, landmarks first.
-
-        Stacked once per anchor set: the per-frame delta and solve share it.
-        """
+        """The stacked (N+M) x 3 anchor configuration, landmarks first."""
         return np.concatenate((self.landmark_anchors, self.camera_anchors))
 
 
@@ -150,22 +142,19 @@ def compute_anchors(estimates: np.ndarray, visibility: np.ndarray,
     if cams.shape != (vis.shape[0], 3):
         raise FusionError(
             f"camera_positions must be ({vis.shape[0]}, 3), got {cams.shape}")
-    counts, full, topology_hash = _visibility_summary(vis.shape, vis.tobytes())
+    counts = vis.sum(axis=0)
     if not counts.all():
         raise UncoveredLandmarkError(
             f"landmark(s) {np.flatnonzero(counts == 0).tolist()} have no estimate")
-    return AnchorSet(landmark_anchors=landmark_means(est, vis, counts, full),
-                     camera_anchors=cams.copy(),
-                     topology_hash=topology_hash)
+    return AnchorSet(landmark_anchors=landmark_means(est, vis, counts),
+                     camera_anchors=cams.copy(), topology_hash=_topology_hash(vis))
 
 
 def landmark_means(estimates: np.ndarray, visibility: np.ndarray,
-                   counts: np.ndarray, full: bool) -> np.ndarray:
+                   counts: np.ndarray) -> np.ndarray:
     """``compute_anchors``'s (N, 3) means, on checked arrays: ``counts`` is
-    ``visibility.sum(axis=0)``, NaN where zero (so is that mean), and ``full``
-    says whether ``visibility`` is all true."""
-    summed = (estimates if full
-              else np.where(visibility[:, :, None], estimates, 0.0)).sum(axis=0)
+    ``visibility.sum(axis=0)``, NaN where zero (so is that mean)."""
+    summed = np.where(visibility[:, :, None], estimates, 0.0).sum(axis=0)
     means = summed / counts[:, None]
     # A non-finite estimate that visibility counts makes its mean non-finite,
     # so the per-estimate check runs only for a non-finite mean.
@@ -190,12 +179,7 @@ def compute_delta(topology: FusionTopology, configuration: np.ndarray) -> np.nda
     if conf.shape != (topology.n_nodes, 3):
         raise FusionError(
             f"configuration must be ({topology.n_nodes}, 3), got {conf.shape}")
-    return differential(topology.laplacian, conf)
-
-
-def differential(laplacian: np.ndarray, configuration: np.ndarray) -> np.ndarray:
-    """``compute_delta``'s product L @ configuration, on checked arrays."""
-    return laplacian @ configuration
+    return topology.laplacian @ conf
 
 
 @dataclass(frozen=True)

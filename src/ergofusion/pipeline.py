@@ -11,8 +11,8 @@ Topology (one topic per edge label, single publisher each)::
 
 The fusion node synchronizes per-camera messages by frame index and
 solves every rig's landmarks in one fixed-shape DLT pass per frame (one
-``solve_pairs`` call on projection stacks built once per run), masking
-afterwards the points a rig did not see in both cameras. It applies the
+``solve_pairs(uv, projections)`` call on a projection stack built once
+per run), masking afterwards the points a rig did not see in both cameras. It applies the
 graph-Laplacian solve, prefactored exactly once per run
 (``prefactor_count`` is asserted in tests); only value checks stay per frame.
 Per-rig DLT residual quantiles and the host time per source frame
@@ -39,9 +39,9 @@ from .adaptation import (AnthropometricClass, RobotDeliveryParams, adapt_robot,
                          classify_height, estimate_height)
 from .bus import FrameSynchronizer, Message, Node, NodeGraph, run_serial, run_threaded
 from .cameras import CameraModel
-from .fusion import build_topology, differential, landmark_means, prefactor, solve
-# Not called here (they check arguments the node checks once per run, then
-# call the three above), but perfbench/tracing.py wraps them by name.
+from .fusion import build_topology, landmark_means, prefactor, solve
+# Not called here (they check arguments the node checks once per run), but
+# perfbench/tracing.py wraps them by name in this module's namespace.
 from .fusion import compute_anchors, compute_delta, fuse  # noqa: F401
 from .recording import (_INT64, STREAM_COLUMNS, STREAM_FIELDS, STREAM_NAMES,
                         RunRecording, SegmentRecording, columns_table)
@@ -153,11 +153,10 @@ class FusionNode(Node):
         self.publishes = (TOPIC_PER_RIG, TOPIC_FUSED)
         self.synchronizer = FrameSynchronizer(self.camera_ids)
         self.rig_ids = tuple(rig.id for rig in self.rigs)
-        # Each point's left and right projection rows 3 and 1-2, rig-major
-        # over all landmarks, so that one DLT solve per frame covers every rig.
-        projections = np.repeat([[cam.projection for cam in rig.cameras]
-                                 for rig in self.rigs], N_ALL, axis=0)
-        self.k3, self.k12 = projections[:, :, 2:].copy(), projections[:, :, :2].copy()
+        # Each point's left and right projections, rig-major over all
+        # landmarks, so that one DLT solve per frame covers every rig.
+        self.projections = np.repeat([[cam.projection for cam in rig.cameras]
+                                      for rig in self.rigs], N_ALL, axis=0)
         self.rig_positions = np.array([rig.left.position for rig in self.rigs])
         # Static run-long topology: every rig covers every fused landmark.
         self.topology = build_topology(
@@ -193,7 +192,7 @@ class FusionNode(Node):
         visible = seen[:, 0] & seen[:, 1]
         # Every rig-major point is solved; those a rig did not see in both
         # cameras are masked afterwards and never fail the frame.
-        result = solve_pairs(uv.transpose(0, 2, 1, 3).reshape(-1, 2, 2), self.k3, self.k12)
+        result = solve_pairs(uv.transpose(0, 2, 1, 3).reshape(-1, 2, 2), self.projections)
         failed = np.flatnonzero((result.degenerate | result.at_infinity) & visible.ravel())
         if failed.size:
             rig, landmark = divmod(int(failed[0]), N_ALL)
@@ -210,17 +209,17 @@ class FusionNode(Node):
         self.residuals.frombytes(residual.tobytes())
 
         if not visible[:, :N_FUSED].all():
-            missing = np.argwhere(self.topology.adjacency & hidden[:, :N_FUSED])
+            missing = np.argwhere(hidden[:, :N_FUSED])
             raise PipelineError(
                 f"frame {frame_index}: visibility changed mid-run (topology is "
                 f"fixed); missing rig/landmark pairs {missing.tolist()}")
         # Every landmark's mean over the rigs that saw it: the fused anchors,
         # and the auxiliary head markers as published (NaN where none did).
         counts = visible.sum(axis=0)
-        means = landmark_means(est_xyz, visible, np.where(counts > 0, counts, np.nan), False)
+        means = landmark_means(est_xyz, visible, np.where(counts > 0, counts, np.nan))
         configuration = np.concatenate((means[:N_FUSED], self.rig_positions))
-        solution = solve(self.solver.prefactor,
-                         differential(self.topology.laplacian, configuration), configuration)
+        solution = solve(self.solver.prefactor, self.topology.laplacian @ configuration,
+                         configuration)
         xyz = np.concatenate((solution[:N_FUSED], means[N_FUSED:]))
 
         self.processing_seconds += time.perf_counter() - t0

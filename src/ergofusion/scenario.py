@@ -245,7 +245,9 @@ def _parse_statures(value) -> tuple[float, ...]:
                              for k in ("start", "stop", "step"))
         if step <= 0 or stop < start:
             raise ScenarioError("stature grid: need step > 0 and stop >= start")
-        count = int(round((stop - start) / step)) + 1
+        # The grid ends at the last value not above stop. The slack only
+        # absorbs rounding: (1.9 - 1.5) / 0.1 is 3.999999999999999.
+        count = int((stop - start) / step + 1e-9) + 1
         statures = tuple(round(start + i * step, 9) for i in range(count))
     elif isinstance(value, (list, tuple)):
         statures = tuple(_number(v, "stature") for v in value)

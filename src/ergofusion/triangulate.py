@@ -15,14 +15,13 @@ different distances condition the system equally; the recovered point is
 invariant to per-observation row scaling.
 
 ``triangulate_dlt`` solves one point from any number of views and raises
-on failure. ``triangulate_stereo`` solves many two-view points with a
-single batched SVD and reports failures as masks. Its points share one
-camera pair, or each point brings its own pair as a row of two (k, 3, 4)
-projection stacks, so the points of every rig of a frame are solved in
-one call. On every point it gives bitwise the same result as
-``triangulate_dlt`` on that point's pair, which stays the reference.
-``solve_pairs`` is its arithmetic without the argument checks, for
-callers whose stacks are checked once per run.
+on failure. ``solve_pairs(uv, projections)`` is the stereo solve: many
+two-view points in a single batched SVD, failures reported as masks. Its
+points share one camera pair, or each point brings its own pair, so the
+points of every rig of a frame are solved in one call. It takes arrays
+whose shapes its callers fix once per run and checks no argument. On
+every point it gives bitwise the same result as ``triangulate_dlt`` on
+that point's pair, which stays the reference.
 """
 
 from __future__ import annotations
@@ -155,41 +154,20 @@ def triangulate_dlt(observations: Sequence[Observation2D]) -> TriangulatedPoint:
                              n_views=len(observations))
 
 
-def triangulate_stereo(uv_left, uv_right, projection_left,
-                       projection_right) -> StereoTriangulation:
+def solve_pairs(uv, projections) -> StereoTriangulation:
     """Triangulate k points, each seen once by both cameras of a pair.
 
-    ``uv_left`` and ``uv_right`` are (k, 2) normalized observations. The
-    projections are either the two 3x4 camera matrices of one pair that
-    sees every point, or two (k, 3, 4) stacks holding each point's own
-    left and right matrices. Builds the (k, 4, 4) stack of row-normalized
-    DLT matrices (rows ordered as in ``build_dlt_matrix``: left u, left v,
-    right u, right v) and solves it with one batched SVD. Failures do not
-    raise; they are flagged in the returned masks.
+    ``uv`` is the (k, 2, 2) stack of each point's normalized left and
+    right observations. ``projections`` is the (2, 3, 4) left and right
+    camera matrices of one pair that sees every point, or a (k, 2, 3, 4)
+    stack of each point's own pair. Builds the (k, 4, 4) stack of
+    row-normalized DLT matrices (rows ordered as in ``build_dlt_matrix``:
+    left u, left v, right u, right v) and solves it with one batched SVD.
+    Failures do not raise; they are flagged in the returned masks.
     """
-    uv_left = np.asarray(uv_left, dtype=float)
-    uv_right = np.asarray(uv_right, dtype=float)
-    if uv_left.ndim != 2 or uv_left.shape[1] != 2 or uv_right.shape != uv_left.shape:
-        raise TriangulationError(
-            f"uv arrays must both be (k, 2), got {uv_left.shape} and {uv_right.shape}")
-    proj_left = np.asarray(projection_left, dtype=float)
-    proj_right = np.asarray(projection_right, dtype=float)
-    k = len(uv_left)
-    if proj_right.shape != proj_left.shape or proj_left.shape not in ((3, 4), (k, 3, 4)):
-        raise TriangulationError(
-            f"projections must both be 3x4 or ({k}, 3, 4), "
-            f"got {proj_left.shape} and {proj_right.shape}")
-    # (camera, 3, 4) for one pair, (k, camera, 3, 4) for one pair per point.
-    proj = np.stack((proj_left, proj_right), axis=-3)
-    uv = np.stack((uv_left, uv_right), axis=1)
-    return solve_pairs(uv, proj[..., 2:, :], proj[..., :2, :])
-
-
-def solve_pairs(uv, k3, k12) -> StereoTriangulation:
-    """``triangulate_stereo`` on checked arrays: the (k, camera, 2) ``uv`` and
-    each camera's projection rows 3 and 1-2, (..., 2, 1, 4) and (..., 2, 2, 4)."""
     # (k, camera, row, 4): u * k3 - k1 and v * k3 - k2 per camera.
-    a = (uv[..., None] * k3 - k12).reshape(-1, 4, 4)
+    a = uv[..., None] * projections[..., 2:, :] - projections[..., :2, :]
+    a = a.reshape(-1, 4, 4)
     # np.linalg.norm(a, axis=2), without its argument handling.
     norms = np.sqrt(np.add.reduce(a * a, axis=2))
     degenerate = (norms < 1e-300).any(axis=1) | ~np.isfinite(uv).all(axis=(1, 2))

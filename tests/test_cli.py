@@ -223,6 +223,21 @@ class TestSimulate:
         assert (out / "stature_1.60" / "pre" / "manifest.json").exists()
         assert (out / "stature_1.90" / "post" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("statures, directory", [([1.701, 1.704], "stature_1.70"),
+                                                     ([1.75, 1.75], "stature_1.75")])
+    def test_grid_statures_sharing_a_directory_exit_2(self, tmp_path, capsys,
+                                                      statures, directory):
+        grid = yaml.safe_load(yaml.safe_dump(SCENARIO))
+        grid["stature"] = statures
+        path = tmp_path / "grid.yaml"
+        path.write_text(yaml.safe_dump(grid))
+        out = tmp_path / "gridout"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (f"error: stature values {statures[0]} and {statures[1]} share the "
+                f"run directory {out / directory}") in captured.err
+        assert captured.out == "" and not out.exists()
+
 
 class TestEvalRmse:
     def test_prints_table(self, run_dir, capsys):

@@ -14,7 +14,7 @@ from ergofusion.recording import STREAM_NAMES, SegmentRecording
 from ergofusion.scenario import ScenarioConfig, parse_scenario
 from ergofusion.skeleton import (N_ALL, N_FUSED, CameraObservations, LandmarkFrame,
                                  animate, build_skeleton, observe)
-from ergofusion.triangulate import triangulate_stereo
+from ergofusion.triangulate import solve_pairs
 
 from helpers import committed_scenario
 
@@ -36,6 +36,15 @@ class TestRunScenario:
             assert np.nanmax(np.abs(truth[:, :12] - fused[:, :12])) < 1e-6
             # Auxiliary head markers are averaged across rigs, not fused.
             assert np.nanmax(np.abs(truth[:, 12:] - fused[:, 12:])) < 1e-6
+
+    def test_fused_landmarks_are_the_rig_means(self):
+        # delta = L @ anchors, so the anchors minimize the fusion's least
+        # squares: each fused landmark is its mean over the rigs, up to rounding.
+        recording = run_scenario(committed_scenario())
+        for segment in recording.segments.values():
+            rigs = np.array(list(segment.rig_positions().values()))
+            fused = segment.fused_positions()[:, :N_FUSED]
+            assert np.abs(fused - rigs[:, :, :N_FUSED].mean(axis=0)).max() < 1e-12
 
     def test_streams_are_complete(self):
         recording = run_scenario(committed_scenario(), seed=1)
@@ -188,7 +197,7 @@ def feed(node: FusionNode, bundle: dict, frame_index: int) -> list:
 
 
 def per_rig_reference(node: FusionNode, bundle: dict):
-    """The fusion step as first written: one triangulate_stereo call per rig.
+    """The fusion step as first written: one ``solve_pairs`` call per rig.
 
     Returns per rig (xyz, visible, residual, residuals appended to the
     rig's buffer), and the fused (N_ALL, 3) landmarks.
@@ -201,8 +210,8 @@ def per_rig_reference(node: FusionNode, bundle: dict):
         left, right = bundle[rig.left.id], bundle[rig.right.id]
         both = left.visible & right.visible
         idx = np.flatnonzero(both)
-        result = triangulate_stereo(left.uv[idx], right.uv[idx],
-                                    rig.left.projection, rig.right.projection)
+        result = solve_pairs(np.stack((left.uv[idx], right.uv[idx]), axis=1),
+                             np.array([rig.left.projection, rig.right.projection]))
         assert not (result.degenerate | result.at_infinity).any()
         est_xyz[r, idx] = result.xyz
         residual = np.full(N_ALL, np.nan)

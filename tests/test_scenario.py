@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, strategies as st
 
 from ergofusion.scenario import ScenarioError, load_scenario, parse_scenario
-from ergofusion.skeleton import SEGMENT_RATIOS, build_skeleton
+from ergofusion.skeleton import SEGMENT_RATIOS, STATURE_RANGE, build_skeleton
 
 from helpers import committed_data
 
@@ -11,6 +12,9 @@ from helpers import committed_data
 # a noisier S3 and no RULA adjustments.
 VALID = committed_data(name="unit", seed=3, noise_sigma=[0.001, 0.001, 0.002],
                        adjustments={})
+
+
+STATURE_MM = tuple(round(1000 * limit) for limit in STATURE_RANGE)
 
 
 def make(**overrides):
@@ -36,6 +40,28 @@ class TestParseScenario:
         assert config.statures[-1] == 2.00
         singles = config.expand_statures()
         assert [c.stature for c in singles] == list(config.statures)
+
+    @pytest.mark.parametrize("grid, statures", [
+        ({"start": 1.5, "stop": 2.0, "step": 0.3}, (1.5, 1.8)),
+        # Both ends in range: a grid running past stop would reach 2.3.
+        ({"start": 1.9, "stop": 2.2, "step": 0.2}, (1.9, 2.1)),
+    ])
+    def test_stature_grid_ends_at_or_below_stop(self, grid, statures):
+        assert parse_scenario(make(stature=grid)).statures == statures
+
+    # Grids in whole millimeters within the supported stature range.
+    @given(start=st.integers(*STATURE_MM), span=st.integers(0, 1000),
+           step=st.integers(1, 1000))
+    def test_generated_grids_step_from_start_to_at_most_stop(self, start, span, step):
+        stop = min(start + span, STATURE_MM[1])
+        start_m, stop_m, step_m = start / 1000, stop / 1000, step / 1000
+        statures = parse_scenario(make(stature={"start": start_m, "stop": stop_m,
+                                                "step": step_m})).statures
+        assert statures[0] == start_m
+        assert all(start_m <= s <= stop_m for s in statures)
+        np.testing.assert_allclose(np.diff(statures), step_m, rtol=0, atol=1e-12)
+        # The last value is the largest start + i * step not above stop.
+        assert len(statures) == (stop - start) // step + 1
 
     def test_stature_list(self):
         config = parse_scenario(make(stature=[1.6, 1.8]))

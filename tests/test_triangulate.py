@@ -5,8 +5,7 @@ from ergofusion.cameras import CameraModel
 from ergofusion.triangulate import (DegenerateGeometryError,
                                     InsufficientViewsError, Observation2D,
                                     PointAtInfinityError, StereoTriangulation,
-                                    TriangulationError, build_dlt_matrix,
-                                    triangulate_dlt, triangulate_stereo)
+                                    build_dlt_matrix, solve_pairs, triangulate_dlt)
 
 from helpers import (dlt_objective, noisy_observations, random_camera_ring,
                      random_rotation, triangulation_oracle)
@@ -147,26 +146,27 @@ class TestInvariants:
 
 
 class TestTriangulateStereo:
-    """The batched two-view solve against ``triangulate_dlt``, point by point."""
+    """The batched two-view ``solve_pairs`` against ``triangulate_dlt``, point by point."""
 
     @staticmethod
-    def assert_matches_reference(proj_left, proj_right, uv_left, uv_right):
+    def assert_matches_reference(projections, uv):
         """Bitwise-equal xyz and residual; masks exactly where the reference raises.
 
-        The projections are one 3x4 pair or (k, 3, 4) stacks, one pair per point.
+        ``uv`` is (k, 2, 2); ``projections`` is one (2, 3, 4) pair or a
+        (k, 2, 3, 4) stack, one pair per point.
         """
-        result = triangulate_stereo(uv_left, uv_right, proj_left, proj_right)
-        k = len(uv_left)
-        if np.ndim(proj_left) == 2:
-            proj_left, proj_right = [proj_left] * k, [proj_right] * k
+        result = solve_pairs(uv, projections)
+        k = len(uv)
+        if np.ndim(projections) == 3:
+            projections = [projections] * k
         xyz = np.full((k, 3), np.nan)
         residual = np.full(k, np.nan)
         degenerate = np.zeros(k, dtype=bool)
         at_infinity = np.zeros(k, dtype=bool)
         for i in range(k):
             try:
-                point = triangulate_dlt((Observation2D("L", uv_left[i], proj_left[i]),
-                                         Observation2D("R", uv_right[i], proj_right[i])))
+                point = triangulate_dlt((Observation2D("L", uv[i, 0], projections[i][0]),
+                                         Observation2D("R", uv[i, 1], projections[i][1])))
             except DegenerateGeometryError:
                 degenerate[i] = True
             except PointAtInfinityError:
@@ -193,8 +193,8 @@ class TestTriangulateStereo:
         sigma = rng.choice([0.0, 0.001, 0.01])
         obs = [noisy_observations(cams, p, sigma, rng) for p in points]
         result = self.assert_matches_reference(
-            cams[0].projection, cams[1].projection,
-            np.array([o[0].uv for o in obs]), np.array([o[1].uv for o in obs]))
+            np.array([c.projection for c in cams]),
+            np.array([[o.uv for o in views] for views in obs]))
         assert not result.degenerate.any() and not result.at_infinity.any()
 
     def test_coincident_centers_flag_exact_rays_as_degenerate(self):
@@ -210,27 +210,25 @@ class TestTriangulateStereo:
         assert result.degenerate.all()
 
     def test_non_finite_uv_is_degenerate(self):
-        proj_left, proj_right, uv_left, uv_right = fixture_pairs()[3]
-        result = triangulate_stereo(uv_left, uv_right, proj_left, proj_right)
+        projections, uv = fixture_pairs()[3]
+        result = solve_pairs(uv, projections)
         np.testing.assert_array_equal(result.degenerate, [False, True, True])
         assert np.isnan(result.xyz[1:]).all()
 
 
 def stacked_pairs(pairs):
-    """One ``triangulate_stereo`` call's arguments for several pairs' points.
+    """One ``solve_pairs`` call's (projections, uv) for several pairs' points.
 
-    ``pairs`` holds (proj_left, proj_right, uv_left, uv_right) per pair;
-    the points are stacked pair after pair, each with its pair's matrices.
+    ``pairs`` holds (projections, uv) per pair; the points are stacked
+    pair after pair, each with its pair's (2, 3, 4) matrices.
     """
-    counts = [len(uv_left) for _, _, uv_left, _ in pairs]
-    return (np.concatenate([p[2] for p in pairs]).reshape(-1, 2),
-            np.concatenate([p[3] for p in pairs]).reshape(-1, 2),
-            np.repeat([p[0] for p in pairs], counts, axis=0).reshape(-1, 3, 4),
-            np.repeat([p[1] for p in pairs], counts, axis=0).reshape(-1, 3, 4))
+    counts = [len(uv) for _, uv in pairs]
+    return (np.repeat([projections for projections, _ in pairs], counts, axis=0),
+            np.concatenate([uv for _, uv in pairs]))
 
 
 def fixture_pairs():
-    """Failure fixtures as (proj_left, proj_right, uv_left, uv_right), k points each.
+    """Failure fixtures as (projections, uv): a (2, 3, 4) pair, k points each.
 
     Coincident camera centers (odd points degenerate), zero uv in a
     translated pair (points 1, 4 and 9 at infinity), a zero projection (a
@@ -243,16 +241,16 @@ def fixture_pairs():
     uv = np.array([[c.project(p) for c in cams] for p in points])
     # Noise splits the shared ray, so half the points meet at the center.
     uv[::2] += rng.normal(0.0, 0.01, size=uv[::2].shape)
-    pairs = [(cams[0].projection, cams[1].projection, uv[:, 0], uv[:, 1])]
-    left, right = stereo_pair()
+    pairs = [(np.array([c.projection for c in cams]), uv)]
+    stereo = np.array([c.projection for c in stereo_pair()])
     uv = np.random.default_rng(12).normal(0.0, 0.2, size=(10, 2, 2))
     uv[[1, 4, 9]] = 0.0
-    pairs.append((left.projection, right.projection, uv[:, 0], uv[:, 1]))
-    uv = np.full((3, 2), 0.1)
-    pairs.append((left.projection, np.zeros((3, 4)), uv, uv))
-    uv = np.full((3, 2), 0.1)
-    uv[1, 0] = uv[2, 1] = np.nan
-    pairs.append((left.projection, right.projection, uv, uv - 0.2))
+    pairs.append((stereo, uv))
+    pairs.append((np.array([stereo[0], np.zeros((3, 4))]), np.full((3, 2, 2), 0.1)))
+    uv = np.full((3, 2, 2), 0.1)
+    uv[:, 1] -= 0.2
+    uv[1, :, 0] = uv[2, :, 1] = np.nan
+    pairs.append((stereo, uv))
     return pairs
 
 
@@ -260,8 +258,8 @@ RESULT_FIELDS = ("xyz", "residual", "degenerate", "at_infinity")
 
 
 def per_pair_calls(pairs) -> StereoTriangulation:
-    """One ``triangulate_stereo`` call per pair, results concatenated."""
-    results = [triangulate_stereo(uv_l, uv_r, p_l, p_r) for p_l, p_r, uv_l, uv_r in pairs]
+    """One ``solve_pairs`` call per pair, results concatenated."""
+    results = [solve_pairs(uv, projections) for projections, uv in pairs]
     return StereoTriangulation(*(
         np.concatenate([getattr(r, name) for r in results]) for name in RESULT_FIELDS))
 
@@ -273,7 +271,7 @@ def assert_same_bits(got, want):
 
 
 class TestStackedProjections:
-    """One call over several pairs' points, each with its own (3, 4) pair."""
+    """One call over several pairs' points, each with its own (2, 3, 4) pair."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_one_call_equals_per_pair_calls_and_reference(self, seed):
@@ -286,35 +284,17 @@ class TestStackedProjections:
             obs = [noisy_observations(cams, p, sigma, rng) for p in points]
             # A random subset of the points, as a rig's visible landmarks.
             seen = rng.random(len(points)) < rng.uniform(0.0, 1.0)
-            pairs.append((cams[0].projection, cams[1].projection,
-                          np.array([o[0].uv for o in obs])[seen],
-                          np.array([o[1].uv for o in obs])[seen]))
-        uv_left, uv_right, proj_left, proj_right = stacked_pairs(pairs)
-        result = TestTriangulateStereo.assert_matches_reference(
-            proj_left, proj_right, uv_left, uv_right)
+            pairs.append((np.array([c.projection for c in cams]),
+                          np.array([[o.uv for o in views] for views in obs])[seen]))
+        result = TestTriangulateStereo.assert_matches_reference(*stacked_pairs(pairs))
         assert_same_bits(result, per_pair_calls(pairs))
 
     def test_degenerate_and_infinite_fixtures_in_one_call(self):
         pairs = fixture_pairs()
-        uv_left, uv_right, proj_left, proj_right = stacked_pairs(pairs)
-        result = triangulate_stereo(uv_left, uv_right, proj_left, proj_right)
+        projections, uv = stacked_pairs(pairs)
+        result = solve_pairs(uv, projections)
         assert_same_bits(result, per_pair_calls(pairs))
         assert result.degenerate.sum() == 6 + 3 + 2
         np.testing.assert_array_equal(np.flatnonzero(result.at_infinity), [13, 16, 21])
         # The reference takes finite uv only: all but the last fixture's points.
-        TestTriangulateStereo.assert_matches_reference(
-            proj_left[:25], proj_right[:25], uv_left[:25], uv_right[:25])
-
-    @pytest.mark.parametrize("shapes", [
-        ((4, 3, 4), (4, 3, 4)),    # one pair per point, but 4 pairs for 5 points
-        ((5, 3, 4), (3, 4)),       # a stack and a single matrix
-        ((3, 4), (5, 3, 4)),
-        ((5, 3, 4), (5, 3, 3)),
-        ((5, 4, 4), (5, 4, 4)),
-        ((1, 3, 4), (1, 3, 4)),    # no broadcasting of a one-pair stack
-    ])
-    def test_projection_shapes_must_be_pairs_or_one_pair_per_point(self, shapes):
-        uv = np.zeros((5, 2))
-        with pytest.raises(TriangulationError, match=r"projections must both be 3x4 "
-                                                     r"or \(5, 3, 4\)"):
-            triangulate_stereo(uv, uv, np.ones(shapes[0]), np.ones(shapes[1]))
+        TestTriangulateStereo.assert_matches_reference(projections[:25], uv[:25])
