@@ -4,9 +4,10 @@ and real-time RULA ergonomics.
 Module map:
 
 - ``cameras``       projective camera models, stereo rigs, extrinsic composition
-- ``triangulate``   DLT assembly and SVD solve: one point from any number
-                    of views, or every rig's stereo points of a frame in
-                    one batched ``solve_pairs(uv, projections)``
+- ``triangulate``   DLT assembly; the SVD reference solve of one point
+                    from any number of views, and the closed-form
+                    two-view least-squares solve of every rig's stereo
+                    points of a frame in one ``solve_pairs(uv, projections)``
 - ``fusion``        bipartite camera/landmark graph, differential coordinates,
                     prefactored anchor-regularized least squares (as the
                     pipeline feeds it, each fused landmark is the mean of

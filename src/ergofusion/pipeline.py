@@ -12,7 +12,9 @@ Topology (one topic per edge label, single publisher each)::
 The fusion node synchronizes per-camera messages by frame index and
 solves every rig's landmarks in one fixed-shape DLT pass per frame (one
 ``solve_pairs(uv, projections)`` call on a projection stack built once
-per run), masking afterwards the points a rig did not see in both cameras. It applies the
+per run: each point's closed-form least-squares solution of its
+row-normalized DLT rows, elementwise numpy only), masking afterwards the
+points a rig did not see in both cameras. It applies the
 graph-Laplacian solve, prefactored exactly once per run
 (``prefactor_count`` is asserted in tests); only value checks stay per frame.
 Per-rig DLT residual quantiles and the host time per source frame
@@ -79,7 +81,7 @@ class PerRigLandmarks:
     rig_ids: tuple[str, ...]
     xyz: np.ndarray          # (n_rigs, N_ALL, 3)
     visible: np.ndarray      # (n_rigs, N_ALL) both cameras saw it
-    residual: np.ndarray     # (n_rigs, N_ALL)
+    residual: np.ndarray     # (n_rigs, N_ALL) DLT objective at xyz
 
 
 @dataclass(frozen=True)

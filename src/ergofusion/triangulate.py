@@ -6,22 +6,33 @@ stacking, per observation, the two independent cross-product rows
     u * k3 - k1       and       v * k3 - k2
 
 of the observing camera's 3x4 projection matrix (rows k1, k2, k3),
-applied to the homogeneous unknown [x, y, z, w]. The stacked system
-A h = 0 is solved in the least-squares sense by taking the right
-singular vector of the smallest singular value and dehomogenizing.
+applied to the homogeneous unknown h = [x, y, z, w]. Rows are scaled to
+unit norm so that cameras at very different distances condition the
+system equally; the recovered point is invariant to per-observation row
+scaling.
 
-Rows are scaled to unit norm before the solve so that cameras at very
-different distances condition the system equally; the recovered point is
-invariant to per-observation row scaling.
+Two solvers share those rows:
 
-``triangulate_dlt`` solves one point from any number of views and raises
-on failure. ``solve_pairs(uv, projections)`` is the stereo solve: many
-two-view points in a single batched SVD, failures reported as masks. Its
-points share one camera pair, or each point brings its own pair, so the
-points of every rig of a frame are solved in one call. It takes arrays
-whose shapes its callers fix once per run and checks no argument. On
-every point it gives bitwise the same result as ``triangulate_dlt`` on
-that point's pair, which stays the reference.
+- ``triangulate_dlt`` solves one point from any number of views and
+  raises on failure. It minimizes ||A h|| over unit-norm h: the right
+  singular vector of the smallest singular value, dehomogenized. It is
+  the reference that acceptance criterion 4 checks.
+- ``solve_pairs(uv, projections)`` is the stereo solve that the fusion
+  node runs: many two-view points at once, failures reported as masks.
+  It fixes w = 1 and minimizes ||A [x; 1]|| = ||B x + c|| over x, where
+  [B | c] = A, in closed form: the 3x3 normal equations BᵀB x = -Bᵀc
+  solved with the cofactor inverse (Hartley & Zisserman, *Multiple View
+  Geometry*, 2nd ed., section 12.2, the inhomogeneous method). It uses
+  only elementwise ufuncs, summed in a fixed order, and no BLAS or
+  LAPACK, so it rounds the same way whichever kernel the host picks.
+  Its points share one camera pair, or each point brings its own pair,
+  so the points of every rig of a frame are solved in one call. It takes
+  arrays whose shapes its callers fix once per run and checks no
+  argument.
+
+Both minimize the same algebraic error, under different normalizations
+of h (||h|| = 1 against w = 1). So both give the true point on exact
+observations, and on noisy ones they differ by far less than the noise.
 """
 
 from __future__ import annotations
@@ -37,6 +48,17 @@ INFINITY_W = 1e-12
 # to the largest; the point is then not determined by the observations
 # (e.g. all rays emanate from one camera center).
 RANK_RTOL = 1e-9
+# ``solve_pairs`` flags rank(A) < 3 when the 3x3 principal minors of AᵀA
+# sum to at most this times trace(AᵀA)³, and a point at infinity when
+# det(BᵀB) is at most this times trace(BᵀB)³.
+GRAM_RTOL = 1e-12
+# Row and column indices of the four 3x3 principal submatrices of a 4x4
+# matrix, one per column (the last leaves out w), each followed by its
+# first two again: in a 5x5 block S' so extended, the cofactor (r, c) of
+# the 3x3 submatrix S, sign included, is
+# S'[r+1, c+1] S'[r+2, c+2] - S'[r+1, c+2] S'[r+2, c+1].
+_PRINCIPAL = np.array([[1, 2, 3, 1, 2], [0, 2, 3, 0, 2], [0, 1, 3, 0, 1],
+                       [0, 1, 2, 0, 1]]).T
 
 
 class TriangulationError(ValueError):
@@ -94,14 +116,19 @@ class TriangulatedPoint:
 class StereoTriangulation:
     """Batched two-view result for k points; NaN in xyz/residual where flagged.
 
-    ``degenerate`` marks the points on which ``triangulate_dlt`` raises
-    ``DegenerateGeometryError`` (a zero DLT row or rank < 3), plus those
-    with a non-finite uv; ``at_infinity`` marks those on which it raises
-    ``PointAtInfinityError``. The two masks are disjoint.
+    ``residual`` is ||A h|| at the unit-norm lift h = [x; 1] / ||[x; 1]||
+    of the returned point: the DLT objective there. It is never below
+    the smallest singular value of A, which ``triangulate_dlt`` reports.
+
+    ``degenerate`` marks the points whose observations do not determine
+    a point: a zero or non-finite DLT row (as from a non-finite uv), or
+    rank(A) < 3. ``at_infinity`` marks the others whose rays are
+    (nearly) parallel, so that BᵀB is singular, or whose solution has
+    |w| < ``INFINITY_W`` on the unit lift. The two masks are disjoint.
     """
 
     xyz: np.ndarray          # (k, 3)
-    residual: np.ndarray     # (k,) smallest singular value, as residual_norm
+    residual: np.ndarray     # (k,) DLT objective at xyz
     degenerate: np.ndarray   # (k,) bool
     at_infinity: np.ndarray  # (k,) bool
 
@@ -160,30 +187,62 @@ def solve_pairs(uv, projections) -> StereoTriangulation:
     ``uv`` is the (k, 2, 2) stack of each point's normalized left and
     right observations. ``projections`` is the (2, 3, 4) left and right
     camera matrices of one pair that sees every point, or a (k, 2, 3, 4)
-    stack of each point's own pair. Builds the (k, 4, 4) stack of
-    row-normalized DLT matrices (rows ordered as in ``build_dlt_matrix``:
-    left u, left v, right u, right v) and solves it with one batched SVD.
-    Failures do not raise; they are flagged in the returned masks.
+    stack of each point's own pair. Builds each point's four
+    row-normalized DLT rows (ordered as in ``build_dlt_matrix``: left u,
+    left v, right u, right v), fixes w = 1 and solves min ||B x + c||
+    over [B | c] = A through the normal equations BᵀB x = -Bᵀc with the
+    cofactor inverse of BᵀB. Failures do not raise; they are flagged in
+    the returned masks.
     """
     # (k, camera, row, 4): u * k3 - k1 and v * k3 - k2 per camera.
     a = uv[..., None] * projections[..., 2:, :] - projections[..., :2, :]
-    a = a.reshape(-1, 4, 4)
-    # np.linalg.norm(a, axis=2), without its argument handling.
-    norms = np.sqrt(np.add.reduce(a * a, axis=2))
-    degenerate = (norms < 1e-300).any(axis=1) | ~np.isfinite(uv).all(axis=(1, 2))
+    # (row, column, point), so that each entry is a contiguous (k,) array.
+    a = np.ascontiguousarray(a.reshape(-1, 16).T).reshape(4, 4, -1)
+    sq = a * a
+    norms = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3])
+    # A NaN norm (from a non-finite uv) fails the comparison.
+    degenerate = ~((norms >= 1e-300) & (norms < np.inf)).all(axis=0)
     if degenerate.any():
-        # Keep the batched SVD finite; these points' results are discarded.
-        a[degenerate] = np.eye(4)
-        norms[degenerate] = 1.0
-    a /= norms[..., None]
-    _, s, vt = np.linalg.svd(a)
-    degenerate |= s[:, 2] <= RANK_RTOL * s[:, 0]
-    h = vt[:, -1]
-    at_infinity = ~degenerate & (np.abs(h[:, 3]) < INFINITY_W)
+        # Keep the arithmetic finite; these points' results are discarded.
+        a[:, :, degenerate] = np.eye(4)[..., None]
+        norms[:, degenerate] = 1.0
+    a /= norms[:, None]
+    # Gram matrix AᵀA, (4, 4, k): the rows' outer products in row order.
+    p = a[:, :, None] * a[:, None, :]
+    gram = p[0] + p[1] + p[2] + p[3]
+    # Its four 3x3 principal submatrices, extended to (5, 5, 4, k); the
+    # last is BᵀB. Their cofactors, (3, 3, 4, k), and determinants.
+    sub = gram[_PRINCIPAL[:, None], _PRINCIPAL[None, :]]
+    cof = sub[1:4, 1:4] * sub[2:, 2:] - sub[1:4, 2:] * sub[2:, 1:4]
+    p = sub[0, :3] * cof[0]
+    minors = p[0] + p[1] + p[2]
+    # rank(A) < 3 iff AᵀA's 3x3 principal minors sum to zero.
+    scale = gram[0, 0] + gram[1, 1] + gram[2, 2] + gram[3, 3]
+    degenerate |= (minors[0] + minors[1] + minors[2] + minors[3]
+                   <= GRAM_RTOL * (scale * scale * scale))
+    det = minors[3]
+    trace = gram[0, 0] + gram[1, 1] + gram[2, 2]
+    # A singular BᵀB: rays that are parallel or nearly so.
+    at_infinity = det <= GRAM_RTOL * (trace * trace * trace)
     flagged = degenerate | at_infinity
-    residual = s[:, -1].copy()
     if flagged.any():
-        h[flagged] = np.nan
+        det[flagged] = 1.0
+    # x = -adj(BᵀB) Bᵀc / det(BᵀB); the adjugate is the (symmetric) cofactor matrix.
+    p = cof[:, :, 3] * gram[:3, 3]
+    x = (p[:, 0] + p[:, 1] + p[:, 2]) / -det
+    xx = x * x
+    lift = 1.0 + xx[0] + xx[1] + xx[2]
+    # |w| < INFINITY_W on the unit lift [x, 1] / ||[x, 1]||.
+    at_infinity |= lift * (INFINITY_W * INFINITY_W) > 1.0
+    at_infinity &= ~degenerate
+    r = a[:, :3] * x
+    r = r[:, 0] + r[:, 1] + r[:, 2] + a[:, 3]
+    r *= r
+    residual = np.sqrt((r[0] + r[1] + r[2] + r[3]) / lift)
+    xyz = x.T.copy()
+    flagged = degenerate | at_infinity
+    if flagged.any():
+        xyz[flagged] = np.nan
         residual[flagged] = np.nan
-    return StereoTriangulation(xyz=h[:, :3] / h[:, 3:], residual=residual,
-                               degenerate=degenerate, at_infinity=at_infinity)
+    return StereoTriangulation(xyz=xyz, residual=residual, degenerate=degenerate,
+                               at_infinity=at_infinity)

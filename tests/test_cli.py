@@ -89,35 +89,35 @@ READ_STREAMS = [("eval-rula", "rula"), ("export-landmarks", "fused_landmarks"),
 # by segment directory under ``--out``.
 SCENARIO_DIGESTS = {
     "desk_handover": {
-        "pre": "bab8e27d611bc958e5bcf22ee2b9311cd18bb6151d80d47a273760d93b61781c",
-        "post": "f7d0c26f8e83cc43c4783cd1b700c0201a4ceefecf3fa4b33363c3383de0344a",
+        "pre": "ffbd7fc290b5db240305dd3061025ec25ea7e359082d4c94edc3e15b3e2bd2fd",
+        "post": "69e05372954191bc521b195e41f68f146bc8538e0fa0ad4973c901f026e04cc0",
     },
     "desk_rmse": {
-        "pre": "02d66ab47875b5b633b6fb5cea8a56ecd738dbafddb174905c69963d033ae3ed",
+        "pre": "594260ed351e75709518ac07b670fa4d413c6a28216a5e64af2cd237d92650cc",
     },
     "stature_grid": {
-        "stature_1.50/pre": "0e6d7df0530af2fb4ee65d47233bcdb719be0edba7d38660d394b132f24e614c",
-        "stature_1.50/post": "2be17f0135c700f81b961baeb80247fc5c7f2ad5262ba57afa662c7807e610c0",
-        "stature_1.55/pre": "62e3d6122430ef5fbda630b1cf87fedf5d1b6689bcb28788f3330b1f618646ac",
-        "stature_1.55/post": "6f4c96907dd497b4b13cc3f012cc57303549f41590e9dd091cfd833c28058c08",
-        "stature_1.60/pre": "626daf7d30190ac3425033ef5d32ccd03d2ba7d04ed5bdb5bedef911809f7496",
-        "stature_1.60/post": "0310fe8b14803346755538877a9e14e992ea46204b765447aa509743b8a822bb",
-        "stature_1.65/pre": "3bd0175f047351f8ea0b537fee5ed4fb9d115ef8cb292bff904a25117d0ee1b0",
-        "stature_1.65/post": "378446d358259f10817bad9ba1efb849ae8d9cfdd72d0b75a2333ca5ec56a61d",
-        "stature_1.70/pre": "56bba2129aa08c94c6c3e2884f23400ccbdbf00f400933133d9937602efdad4d",
-        "stature_1.70/post": "274cfde856060e063357f00cf6a3f98ff165974de8d43ecd59be57a3e3832917",
-        "stature_1.75/pre": "bab8e27d611bc958e5bcf22ee2b9311cd18bb6151d80d47a273760d93b61781c",
-        "stature_1.75/post": "f7d0c26f8e83cc43c4783cd1b700c0201a4ceefecf3fa4b33363c3383de0344a",
-        "stature_1.80/pre": "439f77344829f6975ea4ae6f377f2db841d480f8b953b4b0040a72256a3b822b",
-        "stature_1.80/post": "705d3c171aa1fea32ee197b3ed5b1ee2e3537d9ad5ecedde20eb7c86edf3f5a8",
-        "stature_1.85/pre": "cd87439211e897acf84a29cc38ec73b580e21c54a33510951a52f2178529d784",
-        "stature_1.85/post": "f44dccdb6e02af1ba8e91b6499b459277680f1109fb06e304ba55446ced8a15a",
-        "stature_1.90/pre": "36f019abeabd9b1f642f5a6993f27df1033fad5211bec14dbbf306307aaae4a4",
-        "stature_1.90/post": "ead0b213c302e6fa3709b7f8ab37adbfce77d31574980972760bb1949ed32c68",
-        "stature_1.95/pre": "ec92913b61aa2b975ba7782c8030dde9ed8995759054b5a6998d29f1547f7ded",
-        "stature_1.95/post": "3f917a0f175ba54bd861067c52d985977d2e6bcb10cfbdc5c1e87c11a4be95af",
-        "stature_2.00/pre": "0af626362fa9816e573509b58612c1e165a4e53c9b0f1f00221c06e3c0ff99d7",
-        "stature_2.00/post": "55a5ce65c2157c488af1deb3787aa9850ef58b83b178c234add7735c7a836d15",
+        "stature_1.50/pre": "695ad9ddbc9d6b86d1127f1e869c6428b18e551542d4795ae3006c4d49127363",
+        "stature_1.50/post": "6f9f349d8b7314ea21817b2a8500bc85cc404e10b9d693c59f88a451e0582b37",
+        "stature_1.55/pre": "9cd24b9f08b6e8eb344a47799c99423084489e2aaaf09944d1d2a4879a0f4aad",
+        "stature_1.55/post": "43cda8efdb6e1aab83a9687a3b19109b68f42cfb5764591f8ae57ad292aef18a",
+        "stature_1.60/pre": "4e97b04ce5440083bfaa387cd07a3e9f4514e9d68639a05060171b3d07ef615b",
+        "stature_1.60/post": "5165ad35ff27da616bb400a5b163001a8f9b44ab383b736d95858b364b8e3e51",
+        "stature_1.65/pre": "e07aad2f95da339448532ea0e67b7027752c4f86a2641cbc012a03165d619cdc",
+        "stature_1.65/post": "dcbf84679f5cd08bf244613b0c441d072878f1dbc3ef2415045240ee0a1dbd1d",
+        "stature_1.70/pre": "bdf68766f4fb33ce528ec2636d038987f54758c3eb263a5807cf0cbdd7ac1021",
+        "stature_1.70/post": "0e70f3bec9f1eb20733672684e0cc4eb1bfa4685b4a8fda6df362d3f46fddb64",
+        "stature_1.75/pre": "ffbd7fc290b5db240305dd3061025ec25ea7e359082d4c94edc3e15b3e2bd2fd",
+        "stature_1.75/post": "69e05372954191bc521b195e41f68f146bc8538e0fa0ad4973c901f026e04cc0",
+        "stature_1.80/pre": "b9ea90c2c788ab1f23676ded97d38dd71dcd0ad39fb3e3002e28c86a8381c11a",
+        "stature_1.80/post": "8e9a5ac0dffc108eb4e861363c144f59a5e5ac1ccfd95e290777a180009ab152",
+        "stature_1.85/pre": "cb91646186d02153c1bdb2ca106b1bbe05b41a1651c38a4514fc4d54da6a4157",
+        "stature_1.85/post": "03ae7048ead8ad7d6643a1073fdf61efcc3d2aa8a85b445e7948b75bad10aa1d",
+        "stature_1.90/pre": "32bb48ffe57458ecc615b6f4bba6060d45322e5218732d5afadba4fc8ee89ed3",
+        "stature_1.90/post": "ea9930e591f09df6bbe69633d08025fe473a553caa5fb52fc09424c7641b16d8",
+        "stature_1.95/pre": "27aedb2f4f31ff9d6e150650eea92a252bd8510812dfa1dc1f0021bdb346e4d5",
+        "stature_1.95/post": "55ea3a9def95e383a3fd27580945da5b822ebffbb55eb248abefa689e467d26c",
+        "stature_2.00/pre": "4904231f665dcd6bd7e0bcdb38a341d6c61ee089c4b0189ea1dd3a1f7c3a4541",
+        "stature_2.00/post": "d26aa07682db338dc9f4af72d0933467d8a70a993ad714b7a50922489a8c3794",
     },
 }
 

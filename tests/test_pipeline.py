@@ -14,9 +14,9 @@ from ergofusion.recording import STREAM_NAMES, SegmentRecording
 from ergofusion.scenario import ScenarioConfig, parse_scenario
 from ergofusion.skeleton import (N_ALL, N_FUSED, CameraObservations, LandmarkFrame,
                                  animate, build_skeleton, observe)
-from ergofusion.triangulate import solve_pairs
+from ergofusion.triangulate import Observation2D, build_dlt_matrix, solve_pairs
 
-from helpers import committed_scenario
+from helpers import assert_solves_rows, committed_scenario
 
 
 class TestRunScenario:
@@ -197,7 +197,8 @@ def feed(node: FusionNode, bundle: dict, frame_index: int) -> list:
 
 
 def per_rig_reference(node: FusionNode, bundle: dict):
-    """The fusion step as first written: one ``solve_pairs`` call per rig.
+    """The fusion step as first written: one ``solve_pairs`` call per rig,
+    each point checked against the least-squares point of its DLT rows.
 
     Returns per rig (xyz, visible, residual, residuals appended to the
     rig's buffer), and the fused (N_ALL, 3) landmarks.
@@ -213,6 +214,10 @@ def per_rig_reference(node: FusionNode, bundle: dict):
         result = solve_pairs(np.stack((left.uv[idx], right.uv[idx]), axis=1),
                              np.array([rig.left.projection, rig.right.projection]))
         assert not (result.degenerate | result.at_infinity).any()
+        for i, xyz, residual in zip(idx, result.xyz, result.residual):
+            assert_solves_rows(build_dlt_matrix((
+                Observation2D("L", left.uv[i], rig.left.projection),
+                Observation2D("R", right.uv[i], rig.right.projection))), xyz, residual)
         est_xyz[r, idx] = result.xyz
         residual = np.full(N_ALL, np.nan)
         residual[idx] = result.residual

@@ -29,8 +29,8 @@ from helpers import committed_scenario, rows_recording, rows_table
 
 # Serial-scheduler digests of the acceptance criterion-9 configuration.
 PINNED_DIGESTS = {
-    "pre": "1664d8ea9d18fa9f448187b6749777537ce4d972e71654d3a38ccaed12b19ffd",
-    "post": "40240be5a80ccd41407aa4e9a8f0ffdc2ef0b7c55c28514399d0ee16b7bbe44e",
+    "pre": "5b3450c590dada0629d00e170d62fa0b2e5f8a525300c3d9711d4ab9948337f7",
+    "post": "f028d749a3e4a63cc5be3da9e1464f7ab7d9f88f488c22d72d07d890a66b2d12",
 }
 
 

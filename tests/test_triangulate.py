@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ergofusion.cameras import CameraModel
 from ergofusion.triangulate import (DegenerateGeometryError,
@@ -7,8 +10,8 @@ from ergofusion.triangulate import (DegenerateGeometryError,
                                     PointAtInfinityError, StereoTriangulation,
                                     build_dlt_matrix, solve_pairs, triangulate_dlt)
 
-from helpers import (dlt_objective, noisy_observations, random_camera_ring,
-                     random_rotation, triangulation_oracle)
+from helpers import (assert_solves_rows, dlt_objective, noisy_observations,
+                     random_camera_ring, random_rotation, triangulation_oracle)
 
 
 def stereo_pair(baseline=0.5):
@@ -146,38 +149,42 @@ class TestInvariants:
 
 
 class TestTriangulateStereo:
-    """The batched two-view ``solve_pairs`` against ``triangulate_dlt``, point by point."""
+    """The batched two-view ``solve_pairs`` point by point: flagged where
+    ``triangulate_dlt`` raises, otherwise the least-squares point and the
+    DLT objective there."""
 
     @staticmethod
-    def assert_matches_reference(projections, uv):
-        """Bitwise-equal xyz and residual; masks exactly where the reference raises.
+    def assert_solves_each_point(projections, uv):
+        """Masks exactly where the reference raises; elsewhere xyz and the
+        residual as ``assert_solves_rows`` on the same DLT rows.
 
-        ``uv`` is (k, 2, 2); ``projections`` is one (2, 3, 4) pair or a
-        (k, 2, 3, 4) stack, one pair per point.
+        ``uv`` is (k, 2, 2) and finite; ``projections`` is one (2, 3, 4)
+        pair or a (k, 2, 3, 4) stack, one pair per point.
         """
         result = solve_pairs(uv, projections)
         k = len(uv)
         if np.ndim(projections) == 3:
             projections = [projections] * k
-        xyz = np.full((k, 3), np.nan)
-        residual = np.full(k, np.nan)
         degenerate = np.zeros(k, dtype=bool)
         at_infinity = np.zeros(k, dtype=bool)
+        solved = {}
         for i in range(k):
+            obs = (Observation2D("L", uv[i, 0], projections[i][0]),
+                   Observation2D("R", uv[i, 1], projections[i][1]))
             try:
-                point = triangulate_dlt((Observation2D("L", uv[i, 0], projections[i][0]),
-                                         Observation2D("R", uv[i, 1], projections[i][1])))
+                triangulate_dlt(obs)
             except DegenerateGeometryError:
                 degenerate[i] = True
             except PointAtInfinityError:
                 at_infinity[i] = True
             else:
-                xyz[i] = point.xyz
-                residual[i] = point.residual_norm
-        np.testing.assert_array_equal(result.xyz, xyz)
-        np.testing.assert_array_equal(result.residual, residual)
+                solved[i] = build_dlt_matrix(obs)
         np.testing.assert_array_equal(result.degenerate, degenerate)
         np.testing.assert_array_equal(result.at_infinity, at_infinity)
+        flagged = degenerate | at_infinity
+        assert np.isnan(result.xyz[flagged]).all() and np.isnan(result.residual[flagged]).all()
+        for i, a in solved.items():
+            assert_solves_rows(a, result.xyz[i], result.residual[i])
         return result
 
     @pytest.mark.parametrize("seed", range(25))
@@ -192,21 +199,25 @@ class TestTriangulateStereo:
                                  size=(rng.integers(1, 40), 3))
         sigma = rng.choice([0.0, 0.001, 0.01])
         obs = [noisy_observations(cams, p, sigma, rng) for p in points]
-        result = self.assert_matches_reference(
+        result = self.assert_solves_each_point(
             np.array([c.projection for c in cams]),
             np.array([[o.uv for o in views] for views in obs]))
         assert not result.degenerate.any() and not result.at_infinity.any()
+        if sigma == 0.0:
+            # Seeds 3, 6, 9, 14, 20 and 22: exact observations, 109 points.
+            np.testing.assert_allclose(result.xyz, points, rtol=0.0, atol=1e-9)
+            assert (result.residual < 1e-12).all()
 
     def test_coincident_centers_flag_exact_rays_as_degenerate(self):
-        result = self.assert_matches_reference(*fixture_pairs()[0])
+        result = self.assert_solves_each_point(*fixture_pairs()[0])
         np.testing.assert_array_equal(result.degenerate, np.arange(12) % 2 == 1)
 
     def test_zero_uv_flags_points_at_infinity(self):
-        result = self.assert_matches_reference(*fixture_pairs()[1])
+        result = self.assert_solves_each_point(*fixture_pairs()[1])
         np.testing.assert_array_equal(np.flatnonzero(result.at_infinity), [1, 4, 9])
 
     def test_zero_dlt_row_is_degenerate(self):
-        result = self.assert_matches_reference(*fixture_pairs()[2])
+        result = self.assert_solves_each_point(*fixture_pairs()[2])
         assert result.degenerate.all()
 
     def test_non_finite_uv_is_degenerate(self):
@@ -286,7 +297,7 @@ class TestStackedProjections:
             seen = rng.random(len(points)) < rng.uniform(0.0, 1.0)
             pairs.append((np.array([c.projection for c in cams]),
                           np.array([[o.uv for o in views] for views in obs])[seen]))
-        result = TestTriangulateStereo.assert_matches_reference(*stacked_pairs(pairs))
+        result = TestTriangulateStereo.assert_solves_each_point(*stacked_pairs(pairs))
         assert_same_bits(result, per_pair_calls(pairs))
 
     def test_degenerate_and_infinite_fixtures_in_one_call(self):
@@ -297,4 +308,62 @@ class TestStackedProjections:
         assert result.degenerate.sum() == 6 + 3 + 2
         np.testing.assert_array_equal(np.flatnonzero(result.at_infinity), [13, 16, 21])
         # The reference takes finite uv only: all but the last fixture's points.
-        TestTriangulateStereo.assert_matches_reference(projections[:25], uv[:25])
+        TestTriangulateStereo.assert_solves_each_point(projections[:25], uv[:25])
+
+
+class TestPortableBits:
+    """``solve_pairs`` uses elementwise ufuncs only, so its bits do not
+    depend on the BLAS or LAPACK kernel; CI reruns this file under other
+    OpenBLAS kernels (``OPENBLAS_CORETYPE``)."""
+
+    # SHA-256 of xyz, residual, degenerate and at_infinity bytes, in that order.
+    PINNED = "cfd97dfa59690351f071c745ec008b993346d4efa7a28f205d0fd4d67d34dbe2"
+
+    def test_solve_pairs_bits_are_pinned(self):
+        # Inputs from the generator alone, with no camera model (and so no
+        # BLAS product) in between: 64 random pairs and their uv.
+        rng = np.random.default_rng(2024)
+        projections = rng.uniform(-1.0, 1.0, size=(64, 2, 3, 4))
+        result = solve_pairs(rng.uniform(-0.5, 0.5, size=(64, 2, 2)), projections)
+        digest = hashlib.sha256()
+        for name in RESULT_FIELDS:
+            digest.update(getattr(result, name).tobytes())
+        assert digest.hexdigest() == self.PINNED
+
+
+@st.composite
+def well_conditioned_pairs(draw):
+    """A verged stereo pair (baseline 0.1-1 m) and points at 1-4 m depth
+    between them, with their uv noise sigma in [0, 0.01]."""
+    baseline = draw(st.floats(0.1, 1.0))
+    verge = draw(st.floats(0.0, 0.3))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    sigma = draw(st.floats(0.0, 0.01))
+    rng = np.random.default_rng(seed)
+    c, s = np.cos(verge), np.sin(verge)
+    # The right camera turns about its y axis toward the left one: its
+    # optical axis (the rotation's last row) leans to -x.
+    toward = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    cams = (CameraModel.from_pose("L", np.eye(3), np.zeros(3)),
+            CameraModel.from_pose("R", toward, np.array([baseline, 0.0, 0.0])))
+    depth = rng.uniform(1.0, 4.0, size=(int(rng.integers(1, 20)), 1))
+    points = np.hstack((rng.uniform(-0.3, 0.3, size=(len(depth), 2)) * depth
+                        + (baseline / 2.0, 0.0), depth))
+    uv = np.array([[cam.project(p) for cam in cams] for p in points])
+    uv += rng.normal(0.0, sigma, size=uv.shape)
+    return np.array([cam.projection for cam in cams]), uv
+
+
+class TestSolvePairsProperties:
+    @given(pair=well_conditioned_pairs(), scale=st.floats(1e-3, 1e4))
+    def test_well_conditioned_pairs(self, pair, scale):
+        projections, uv = pair
+        result = solve_pairs(uv, projections)
+        assert not result.degenerate.any() and not result.at_infinity.any()
+        for i in range(len(uv)):
+            a = build_dlt_matrix([Observation2D(c, uv[i, j], projections[j])
+                                  for j, c in enumerate("LR")])
+            assert_solves_rows(a, result.xyz[i], result.residual[i])
+        # Row normalization: one camera's matrix scale does not move a point.
+        scaled = solve_pairs(uv, projections * np.array([[[1.0]], [[scale]]]))
+        np.testing.assert_allclose(scaled.xyz, result.xyz, rtol=0.0, atol=1e-9)
