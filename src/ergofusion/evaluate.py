@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
 from .recording import (_INT64, RecordingError, SegmentRecording, STREAM_FIELDS,
-                        columns_table, format_csv, format_json)
+                        columns_table, csv_chunks, json_chunks, write_chunks)
 from .rula import AREA_FIELDS, STRESS_JOINTS, joint_stress_heatmap
 from .skeleton import LANDMARK_NAMES, N_FUSED
 
@@ -284,9 +285,9 @@ EXPORT_FORMATS = ("csv", "json")
 def _write_records(fields: tuple[tuple[str, type], ...], table: np.ndarray,
                    fmt: str, out_path: Path) -> Path:
     if fmt == "csv":
-        out_path.write_text(format_csv(fields, table))
+        write_chunks(csv_chunks(fields, table), out_path)
     else:
-        out_path.write_text(format_json(fields, table) + "\n")
+        write_chunks(chain(json_chunks(fields, table), ("\n",)), out_path)
     return out_path
 
 

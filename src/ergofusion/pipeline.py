@@ -195,22 +195,27 @@ class FusionNode(Node):
         # Every rig-major point is solved; those a rig did not see in both
         # cameras are masked afterwards and never fail the frame.
         result = solve_pairs(uv.transpose(0, 2, 1, 3).reshape(-1, 2, 2), self.projections)
-        failed = np.flatnonzero((result.degenerate | result.at_infinity) & visible.ravel())
-        if failed.size:
-            rig, landmark = divmod(int(failed[0]), N_ALL)
+        # The failure scan, masks and visibility check run only on the
+        # frames that need them (np.count_nonzero is the cheapest test).
+        flagged = (result.degenerate | result.at_infinity) & visible.ravel()
+        if np.count_nonzero(flagged):
+            first = int(np.flatnonzero(flagged)[0])
+            rig, landmark = divmod(first, N_ALL)
             cause = ("degenerate geometry (rank-deficient DLT system)"
-                     if result.degenerate[failed[0]] else "point at infinity")
+                     if result.degenerate[first] else "point at infinity")
             raise PipelineError(
                 f"frame {frame_index}: rig {self.rig_ids[rig]} failed to "
                 f"triangulate {LANDMARK_NAMES[landmark]}: {cause}")
         est_xyz = result.xyz.reshape(n_rigs, N_ALL, 3)
         residual = result.residual.reshape(n_rigs, N_ALL)
-        hidden = ~visible
-        est_xyz[hidden] = np.nan
-        residual[hidden] = np.nan
+        some_hidden = np.count_nonzero(visible) < visible.size
+        if some_hidden:
+            hidden = ~visible
+            est_xyz[hidden] = np.nan
+            residual[hidden] = np.nan
         self.residuals.frombytes(residual.tobytes())
 
-        if not visible[:, :N_FUSED].all():
+        if some_hidden and not visible[:, :N_FUSED].all():
             missing = np.argwhere(hidden[:, :N_FUSED])
             raise PipelineError(
                 f"frame {frame_index}: visibility changed mid-run (topology is "

@@ -16,14 +16,21 @@ carry, gathered so that the rows come out in canonical order.
 ``evaluate`` pairs recordings.
 
 Each stream file is written through one %-template per stream
-(``format_csv``): ``%.9g`` (9 significant digits) for float columns and
-``%s`` for int and str columns. ``format_json`` writes JSON records
+(``csv_chunks``): ``%.9g`` (9 significant digits) for float columns and
+``%s`` for int and str columns. ``json_chunks`` writes JSON records
 through one typed template per record, byte-identical to
-``json.dumps(records, indent=1)``. The manifest stores a SHA-256 digest
-over each stream's name followed by its exact file text, so determinism
-checks reduce to digest comparison (run statistics live in the manifest
-and deliberately stay outside the digest). ``save()`` formats each
-stream once and feeds the same bytes to the file and to the digest.
+``json.dumps(records, indent=1)``. Both format a table ``CHUNK_ROWS``
+rows at a time, and ``write_chunks`` encodes each chunk once and feeds
+its bytes to the open file and to a digest before the next chunk is
+formatted, so writing or hashing a table holds one chunk's text, not
+the whole file's. The manifest stores a SHA-256 digest over each
+stream's name followed by its exact file text, so determinism checks
+reduce to digest comparison (run statistics live in the manifest and
+deliberately stay outside the digest). ``save()`` formats each stream
+once and feeds the same bytes to the file and to the digest; it removes
+an earlier ``manifest.json`` before the first stream is written and
+writes the new one last, so an interrupted save leaves no loadable
+recording.
 
 ``SegmentRecording.load`` can parse a selection of the streams: it
 checks that the manifest and all five stream files exist, but parses
@@ -50,6 +57,8 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
+from collections.abc import Iterable, Iterator
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -59,6 +68,9 @@ import numpy as np
 from .skeleton import LANDMARK_NAMES, N_ALL
 
 FLOAT_FMT = "%.9g"
+# Rows formatted, encoded and written (or hashed) at a time: the text of
+# a table never sits in memory whole.
+CHUNK_ROWS = 4096
 
 # Stream schemas: (field name, converter) in canonical column order.
 STREAM_FIELDS: dict[str, tuple[tuple[str, type], ...]] = {
@@ -137,17 +149,29 @@ def columns_table(fields: tuple[tuple[str, type], ...], n: int, columns) -> np.n
     return table
 
 
-def format_csv(fields: tuple[tuple[str, type], ...], table: np.ndarray) -> str:
-    """Comma-separated text of a table's rows under typed ``fields``.
+def _row_chunks(table: np.ndarray):
+    """``table`` in consecutive slices of at most ``CHUNK_ROWS`` rows."""
+    return (table[start:start + CHUNK_ROWS] for start in range(0, len(table), CHUNK_ROWS))
 
-    Every row goes through one %-template: ``FLOAT_FMT`` for float
-    fields, ``%s`` for int and str ones. Rows are zipped from the
-    columns' Python values one at a time.
+
+def csv_chunks(fields: tuple[tuple[str, type], ...], table: np.ndarray) -> Iterator[str]:
+    """Comma-separated text of a table's rows under typed ``fields``, in chunks.
+
+    The header line comes first, then the rows ``CHUNK_ROWS`` at a time,
+    each chunk ending at a line end. Every row goes through one
+    %-template: ``FLOAT_FMT`` for float fields, ``%s`` for int and str
+    ones. A chunk's rows are zipped from its columns' Python values.
     """
-    template = ",".join(FLOAT_FMT if conv is float else "%s" for _, conv in fields)
-    lines = [",".join(name for name, _ in fields)]
-    lines += map(template.__mod__, zip(*(table[name].tolist() for name, _ in fields)))
-    return "\n".join(lines) + "\n"
+    yield ",".join(name for name, _ in fields) + "\n"
+    template = ",".join(FLOAT_FMT if conv is float else "%s" for _, conv in fields) + "\n"
+    for chunk in _row_chunks(table):
+        yield "".join(map(template.__mod__,
+                          zip(*(chunk[name].tolist() for name, _ in fields))))
+
+
+def format_csv(fields: tuple[tuple[str, type], ...], table: np.ndarray) -> str:
+    """The whole text of ``csv_chunks``."""
+    return "".join(csv_chunks(fields, table))
 
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -164,21 +188,47 @@ def _json_values(conv: type, column: np.ndarray) -> list:
     return values
 
 
-def format_json(fields: tuple[tuple[str, type], ...], table: np.ndarray) -> str:
-    """``json.dumps(records, indent=1)`` of a table's rows as records.
+def json_chunks(fields: tuple[tuple[str, type], ...], table: np.ndarray) -> Iterator[str]:
+    """``json.dumps(records, indent=1)`` of a table's rows as records, in chunks.
 
     Each record maps the field names to the row's values, and every
     record goes through one template: ints as ``repr``, strs through
     ``json.encoder.encode_basestring_ascii``, floats as ``repr`` or
-    ``NaN``, ``Infinity``, ``-Infinity``.
+    ``NaN``, ``Infinity``, ``-Infinity``. Records are formatted
+    ``CHUNK_ROWS`` at a time.
     """
     if not len(table):
-        return "[]"
+        yield "[]"
+        return
     template = " {\n" + ",\n".join(
         f"  {encode_basestring_ascii(name).replace('%', '%%')}: %s"
         for name, _ in fields) + "\n }"
-    columns = [_json_values(conv, table[name]) for name, conv in fields]
-    return "[\n" + ",\n".join(map(template.__mod__, zip(*columns))) + "\n]"
+    separator = "[\n"
+    for chunk in _row_chunks(table):
+        columns = [_json_values(conv, chunk[name]) for name, conv in fields]
+        yield separator + ",\n".join(map(template.__mod__, zip(*columns)))
+        separator = ",\n"
+    yield "\n]"
+
+
+def format_json(fields: tuple[tuple[str, type], ...], table: np.ndarray) -> str:
+    """The whole text of ``json_chunks``."""
+    return "".join(json_chunks(fields, table))
+
+
+def write_chunks(chunks: Iterable[str], path: Path | None = None, sha=None) -> None:
+    """Encode each text chunk once and feed its bytes to ``sha`` and to ``path``.
+
+    The one way a table's text leaves memory: a chunk is dropped once
+    written, so no caller holds a whole file's text or bytes.
+    """
+    with open(path, "wb") if path is not None else nullcontext() as out:
+        for chunk in chunks:
+            data = chunk.encode()
+            if sha is not None:
+                sha.update(data)
+            if out is not None:
+                out.write(data)
 
 
 def _positions(table: np.ndarray, n_frames: int,
@@ -316,13 +366,14 @@ class SegmentRecording:
         streams = [self.streams[name] for name in STREAM_NAMES]
         if directory is not None:
             directory.mkdir(parents=True, exist_ok=True)
+            # An interrupted save must not leave an earlier manifest over
+            # newer streams.
+            (directory / "manifest.json").unlink(missing_ok=True)
         h = hashlib.sha256()
         for name, table in zip(STREAM_NAMES, streams):
-            data = format_csv(STREAM_FIELDS[name], table).encode()
             h.update(name.encode())
-            h.update(data)
-            if directory is not None:
-                (directory / f"{name}.csv").write_bytes(data)
+            write_chunks(csv_chunks(STREAM_FIELDS[name], table),
+                         None if directory is None else directory / f"{name}.csv", h)
         return h.hexdigest()
 
     def digest(self) -> str:

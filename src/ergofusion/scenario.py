@@ -105,6 +105,12 @@ def _parse_rig(entry: dict, index: int) -> RigSpec:
     rig_id = entry.get("id")
     if not rig_id:
         raise ScenarioError(f"rigs[{index}]: missing required field 'id'")
+    # A rig id is a field of the recording streams: a ',' would split its
+    # rows, and a non-printable character (a newline, or another separator
+    # str.splitlines splits on) would split its lines.
+    if not isinstance(rig_id, str) or "," in rig_id or not rig_id.isprintable():
+        raise ScenarioError(f"rigs[{index}]: id must be a string of printable "
+                            f"characters other than ',', got {rig_id!r}")
     if "position" not in entry:
         raise ScenarioError(f"rig {rig_id}: missing required field 'position'")
     position = _vec3(entry["position"], f"rig {rig_id} position")
@@ -137,7 +143,7 @@ def _parse_rig(entry: dict, index: int) -> RigSpec:
     sigma = _number(entry.get("noise_sigma", 0.0), f"rig {rig_id} noise_sigma")
     if sigma < 0:
         raise ScenarioError(f"rig {rig_id}: noise_sigma must be >= 0")
-    return RigSpec(id=str(rig_id), position=position, rotation=rotation,
+    return RigSpec(id=rig_id, position=position, rotation=rotation,
                    relative_rotation=rel_rot, relative_translation=rel_t,
                    noise_sigma=sigma)
 

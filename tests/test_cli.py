@@ -79,6 +79,10 @@ BAD_FIELDS = [
     ("adapt=1", ("adapt",), 1, "adapt"),
     ("adjustments muscle_use_b=1.5", ("adjustments", "muscle_use_b"), 1.5,
      "adjustments muscle_use_b"),
+    ("id='S,2'", ("rigs", 1, "id"), "S,2", "rigs[1]"),
+    ("id='S\\n2'", ("rigs", 1, "id"), "S\n2", "rigs[1]"),
+    ("id='S\\x1c2'", ("rigs", 1, "id"), "S\x1c2", "rigs[1]"),
+    ("id=5", ("rigs", 1, "id"), 5, "rigs[1]"),
 ]
 # A command and one stream it parses (eval-rmse is covered in TestEvalRmse).
 READ_STREAMS = [("eval-rula", "rula"), ("export-landmarks", "fused_landmarks"),
@@ -255,6 +259,18 @@ class TestEvalRmse:
                      "--out", str(report)]) == 0
         data = json.loads(report.read_text())
         assert set(data["rmse"]) == {"S1", "S2", "S3", "fusion"}
+
+    def test_unusual_rig_id_round_trips(self, tmp_path):
+        data = yaml.safe_load(yaml.safe_dump(SCENARIO))
+        data["rigs"][1]["id"] = "S 1-\u00fc"
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(yaml.safe_dump(data))
+        out, report = tmp_path / "run", tmp_path / "rmse.json"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+        assert main(["eval-rmse", "--recording", str(out / "pre"),
+                     "--out", str(report)]) == 0
+        assert set(json.loads(report.read_text())["rmse"]) == {"S1", "S 1-\u00fc", "S3",
+                                                               "fusion"}
 
     def test_missing_stream_exits_2(self, run_dir, capsys):
         (run_dir / "pre" / "per_rig_landmarks.csv").unlink()

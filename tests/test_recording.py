@@ -1,5 +1,5 @@
 """Recording write and read paths: digests, canonical order, the recorder's
-tables, landmark names and the row formatters."""
+tables, landmark names, the row formatters and the chunked writer."""
 
 import dataclasses
 import hashlib
@@ -7,11 +7,13 @@ import itertools
 import json
 import random
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from ergofusion import evaluate
 from ergofusion.evaluate import rula_compare_many
 from ergofusion.bus import Message
 from ergofusion.pipeline import (FusedLandmarks, PerRigLandmarks, RecorderNode, RulaRecord,
@@ -19,9 +21,9 @@ from ergofusion.pipeline import (FusedLandmarks, PerRigLandmarks, RecorderNode, 
 from ergofusion.rula import (STATUS_MESSAGES, JointAngles, PostureState, PostureStatus,
                              RulaBreakdown)
 from ergofusion import recording
-from ergofusion.recording import (STREAM_COLUMNS, STREAM_FIELDS, STREAM_NAMES,
-                                  RecordingError, SegmentRecording, format_csv,
-                                  format_json)
+from ergofusion.recording import (CHUNK_ROWS, STREAM_COLUMNS, STREAM_FIELDS, STREAM_NAMES,
+                                  RecordingError, SegmentRecording, columns_table,
+                                  format_csv, format_json)
 from ergofusion.skeleton import (LANDMARK_NAMES, N_ALL, N_FUSED, CameraObservations,
                                  LandmarkFrame, animate, build_skeleton)
 
@@ -632,3 +634,105 @@ def test_header_only_streams_load_empty_without_warning(tmp_path, per_line_calls
         assert loaded.streams[name].shape == (0,)
         assert loaded.streams[name].dtype == recording._DTYPES[name]
     assert not per_line_calls
+
+
+# -- the chunked writer ------------------------------------------------------------
+
+def _whole_csv(fields, table) -> str:
+    """A table's CSV text formatted in one piece: the reference for the chunks."""
+    template = ",".join("%.9g" if conv is float else "%s" for _, conv in fields)
+    lines = [",".join(name for name, _ in fields)]
+    lines += map(template.__mod__, zip(*(table[name].tolist() for name, _ in fields)))
+    return "\n".join(lines) + "\n"
+
+
+def _whole_json(fields, table) -> str:
+    names = [name for name, _ in fields]
+    return json.dumps([dict(zip(names, row)) for row in table.tolist()], indent=1)
+
+
+# Non-finite, subnormal, smallest normal and largest finite floats.
+WRITER_FLOATS = np.array(EXTREME_FLOATS + (-5e-324, 2.5e-310))
+WRITER_STRINGS = np.array(["S1", "head_top", "S 1-\u00fc", 'q"uote', "back\\slash", "50%",
+                           "%s", "\U0001f600", ""], dtype=object)
+
+
+def _writer_table(fields, n: int, rng) -> np.ndarray:
+    """``n`` random rows of ``fields``, a third of the floats extreme."""
+    columns = []
+    for _, conv in fields:
+        if conv is int:
+            columns.append(rng.integers(-2 ** 63, 2 ** 63 - 1, size=n, endpoint=True))
+        elif conv is str:
+            columns.append(rng.choice(WRITER_STRINGS, n))
+        else:
+            columns.append(np.where(rng.random(n) < 0.3, rng.choice(WRITER_FLOATS, n),
+                                    rng.normal(size=n) * 10.0 ** rng.integers(-320, 300, n)))
+    return columns_table(fields, n, columns)
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
+                               3 * CHUNK_ROWS + 7])
+def test_chunked_files_and_digest_equal_the_whole_text(n, tmp_path):
+    rng = np.random.default_rng(n)
+    segment = SegmentRecording({"frames": 1}, {
+        name: _writer_table(fields, n, rng) for name, fields in STREAM_FIELDS.items()})
+    segment.save(tmp_path / "segment")
+    h = hashlib.sha256()
+    for name, fields in STREAM_FIELDS.items():
+        table = segment.streams[name]
+        csv_text, json_text = _whole_csv(fields, table), _whole_json(fields, table)
+        assert format_csv(fields, table) == csv_text
+        assert format_json(fields, table) == json_text
+        assert (tmp_path / "segment" / f"{name}.csv").read_bytes() == csv_text.encode()
+        for fmt, text in (("csv", csv_text), ("json", json_text + "\n")):
+            out = evaluate._write_records(fields, table, fmt, tmp_path / f"{name}.{fmt}")
+            assert out.read_bytes() == text.encode()
+        h.update(name.encode())
+        h.update(csv_text.encode())
+    assert segment.digest() == segment.manifest["digest"] == h.hexdigest()
+
+
+def test_save_and_digest_hold_one_chunk_of_text(tmp_path):
+    n = 200_000
+    cameras = np.array([f"S{i // 2 + 1}.{'LR'[i % 2]}" for i in range(6)], dtype=object)
+    landmarks = np.array(LANDMARK_NAMES, dtype=object)
+    rng = np.random.default_rng(0)
+    index = np.arange(n)
+    table = columns_table(STREAM_FIELDS["observations"], n, (
+        index // 90, cameras[index // 15 % 6], landmarks[index % 15],
+        rng.random(n), rng.random(n)))
+    segment = SegmentRecording({"frames": n // 90 + 1}, {"observations": table})
+    peaks = {}
+    for name, run in (("digest", segment.digest), ("save", lambda: segment.save(tmp_path))):
+        tracemalloc.start()
+        try:
+            run()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "observations.csv").stat().st_size > 7_000_000
+    assert segment.digest() == segment.manifest["digest"]
+    assert max(peaks.values()) < 4 * 2 ** 20, peaks
+
+
+def test_interrupted_save_leaves_no_loadable_recording(criterion_9_run, tmp_path,
+                                                       monkeypatch):
+    segment = _copy(criterion_9_run.segments["pre"])
+    segment.save(tmp_path)
+    SegmentRecording.load(tmp_path)
+    csv_chunks = recording.csv_chunks
+
+    def failing(fields, table):
+        chunks = csv_chunks(fields, table)
+        yield next(chunks)
+        if fields is STREAM_FIELDS["per_rig_landmarks"]:
+            raise OSError("no space left on device")
+        yield from chunks
+
+    monkeypatch.setattr(recording, "csv_chunks", failing)
+    with pytest.raises(OSError, match="no space"):
+        segment.save(tmp_path)
+    assert not (tmp_path / "manifest.json").exists()
+    with pytest.raises(RecordingError, match="no manifest.json"):
+        SegmentRecording.load(tmp_path)

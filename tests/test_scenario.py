@@ -86,6 +86,21 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="duplicate"):
             parse_scenario(data)
 
+    # A ',' splits a stream row, a newline or another separator that
+    # str.splitlines splits on splits a line; a non-string is no id.
+    @pytest.mark.parametrize("rig_id", ["S,2", "S\n2", "S\x1c2", 5],
+                             ids=["comma", "newline", "file-separator", "int"])
+    def test_rig_id_the_streams_cannot_hold_rejected(self, rig_id):
+        data = make()
+        data["rigs"][1]["id"] = rig_id
+        with pytest.raises(ScenarioError, match=r"rigs\[1\]: id must be a string"):
+            parse_scenario(data)
+
+    def test_unusual_printable_rig_id_accepted(self):
+        data = make()
+        data["rigs"][1]["id"] = "S 1-\u00fc"
+        assert [r.id for r in parse_scenario(data).rigs] == ["S1", "S 1-\u00fc", "S3"]
+
     def test_rig_count_bounds(self):
         data = make(rigs=[])
         with pytest.raises(ScenarioError):
