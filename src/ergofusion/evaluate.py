@@ -7,7 +7,6 @@ written as flat CSV/JSON records for external plotting.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain
 from numbers import Integral, Real
@@ -16,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .recording import (_INT64, RecordingError, SegmentRecording, STREAM_FIELDS,
-                        columns_table, csv_chunks, json_chunks, write_chunks)
+                        columns_table, csv_chunks, json_chunks, read_manifest,
+                        write_chunks)
 from .rula import AREA_FIELDS, STRESS_JOINTS, joint_stress_heatmap
 from .skeleton import LANDMARK_NAMES, N_FUSED
 
@@ -221,7 +221,8 @@ def rula_compare_many(pairs: list[tuple[SegmentRecording, SegmentRecording]]) ->
 def collect_segments(root) -> list[tuple[Path, dict]]:
     """Find segment recordings under ``root`` (itself, or nested run dirs).
 
-    Returns each segment directory with its manifest; no stream is read.
+    Returns each segment directory with its manifest (``read_manifest``);
+    no stream is read.
     """
     root = Path(root)
     if (root / "manifest.json").exists():
@@ -230,7 +231,7 @@ def collect_segments(root) -> list[tuple[Path, dict]]:
         manifests = sorted(root.rglob("manifest.json"))
     if not manifests:
         raise RecordingError(f"no segment recordings under {root}")
-    return [(m.parent, json.loads(m.read_text())) for m in manifests]
+    return [(m.parent, read_manifest(m)) for m in manifests]
 
 
 def _preferring(segments: list[tuple[Path, dict]], want: str) -> list[tuple[Path, dict]]:

@@ -12,8 +12,8 @@ recorder (``pipeline.RecorderNode``) passes the arrays its messages
 carry, gathered so that the rows come out in canonical order.
 ``SegmentRecording.sort`` is the reference definition of that order
 (the rows' tuple order, names in code-point order). Outside input is checked where it enters: stream files by
-``_parse_stream`` on load, and manifest stature and seed when
-``evaluate`` pairs recordings.
+``_parse_stream`` on load, manifests by ``read_manifest``, and
+manifest stature and seed when ``evaluate`` pairs recordings.
 
 Each stream file is written through one %-template per stream
 (``csv_chunks``): ``%.9g`` (9 significant digits) for float columns and
@@ -43,10 +43,16 @@ stream that was not loaded raises ``RecordingError`` when it is read;
 ``digest()`` and ``save()`` need a full load.
 
 Each stream file is read by numpy's C reader (``np.loadtxt`` straight
-into the stream's table). The per-line parser re-runs only to name a
+into the stream's table). A first pass reads the file
+``READ_CHUNK_BYTES`` at a time to check its header and bytes and count
+its rows, so the reader allocates the table once, at its size. Every str
+field goes through ``sys.intern``: a loaded table's str fields share one
+object per distinct value, as the recorder's do, so a load holds its
+table plus one read chunk. The per-line parser re-runs only to name a
 bad line, or for a file outside the reader's plain-ASCII subset, so the
 accepted input, the values and every error message stay those of the
-per-line parser.
+per-line parser; it interns its str fields too. ``read_manifest`` reads
+and checks every ``manifest.json``.
 
 A full run recording is a directory of segment subdirectories, normally
 ``pre`` and ``post`` around the robot adaptation.
@@ -56,6 +62,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import warnings
 from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
@@ -262,12 +269,19 @@ def _positions(table: np.ndarray, n_frames: int,
 # non-ASCII characters can split lines (``str.splitlines``) or read as
 # digits (numpy's int parser) differently.
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\n"
+# Bytes of a stream file checked at a time before numpy reads it.
+READ_CHUNK_BYTES = 1 << 20
+# Per stream, the C reader's converter of each str column: one shared
+# object per distinct name instead of one per row.
+_INTERN = {name: {i: sys.intern for i, (_, conv) in enumerate(fields) if conv is str}
+           for name, fields in STREAM_FIELDS.items()}
 
 
 def _parse_lines(name: str, path: Path, n_frames: float) -> np.ndarray:
     """Table of one stream file, checked line by line against its schema."""
     fields = STREAM_FIELDS[name]
     ints = [i for i, (_, conv) in enumerate(fields) if conv is int]
+    convs = [sys.intern if conv is str else conv for _, conv in fields]
     lines = path.read_text().splitlines()
     if not lines or lines[0] != ",".join(STREAM_COLUMNS[name]):
         raise RecordingError(f"stream {name!r} has unexpected header")
@@ -277,7 +291,7 @@ def _parse_lines(name: str, path: Path, n_frames: float) -> np.ndarray:
         if len(parts) != len(fields):
             raise RecordingError(f"stream {name!r} line {lineno}: malformed row {line!r}")
         try:
-            row = tuple(conv(p) for p, (_, conv) in zip(parts, fields))
+            row = tuple(conv(p) for p, conv in zip(parts, convs))
         except ValueError as exc:
             raise RecordingError(f"stream {name!r} line {lineno}: {exc}") from exc
         if not 0 <= row[0] < n_frames:
@@ -291,38 +305,80 @@ def _parse_lines(name: str, path: Path, n_frames: float) -> np.ndarray:
     return np.array(rows, _DTYPES[name])
 
 
+def _plain_rows(name: str, path: Path) -> int | None:
+    """The number of rows of a plain stream file, or ``None`` for another file.
+
+    A plain file starts with the stream's header line, holds only
+    ``_PLAIN_BYTES`` and has no blank line. It is read ``READ_CHUNK_BYTES``
+    at a time; a blank line across two chunks is found by the line end
+    that closed the chunk before.
+    """
+    header = (",".join(STREAM_COLUMNS[name]) + "\n").encode()
+    line_ends = 0
+    with open(path, "rb") as f:
+        if f.read(len(header)) != header:
+            return None
+        last = b"\n"
+        while chunk := f.read(READ_CHUNK_BYTES):
+            if (chunk.translate(None, _PLAIN_BYTES) or b"\n\n" in chunk
+                    or last == b"\n" == chunk[:1]):
+                return None
+            line_ends += chunk.count(b"\n")
+            last = chunk[-1:]
+    # The last row may lack its line end.
+    return line_ends + (last != b"\n")
+
+
 def _parse_stream(name: str, path: Path, n_frames: float) -> np.ndarray:
     """Table of one stream file, checked against its schema.
 
-    numpy's C reader parses a file of plain bytes (``_PLAIN_BYTES``)
-    with the expected header and no blank line. Any other file, one the
-    reader rejects or warns about (older numpy only warns on a float in
-    an int field), or one with a frame outside ``[0, n_frames)`` goes
-    through ``_parse_lines``, which names the bad line, or reads the few
-    spellings Python accepts and numpy does not (``1_0``) as it always
-    did.
+    numpy's C reader parses a plain file (``_plain_rows``) into a table of
+    exactly its row count, each str field through ``sys.intern``. Any
+    other file, one the reader rejects or warns about (older numpy only
+    warns on a float in an int field), or one with a frame outside
+    ``[0, n_frames)`` goes through ``_parse_lines``, which names the bad
+    line, or reads the few spellings Python accepts and numpy does not
+    (``1_0``) as it always did.
     """
-    data = path.read_bytes()
-    header_end = data.find(b"\n")
-    plain = (data[:header_end] == ",".join(STREAM_COLUMNS[name]).encode()
-             and not data.translate(None, _PLAIN_BYTES) and b"\n\n" not in data)
-    header_only = header_end + 1 == len(data)
-    del data  # numpy reads the file itself
-    if not plain:
+    rows = _plain_rows(name, path)
+    if rows is None:
         return _parse_lines(name, path, n_frames)
-    if header_only:
+    if not rows:
         return np.empty(0, _DTYPES[name])
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            # The file is plain ASCII. An explicit text encoding hands the
+            # converters str, also where numpy < 2.0 would hand them bytes.
             table = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
-                               ndmin=1, dtype=_DTYPES[name])
+                               ndmin=1, dtype=_DTYPES[name], max_rows=rows,
+                               encoding="ascii", converters=_INTERN[name])
     except (ValueError, Warning):
         return _parse_lines(name, path, n_frames)
     frames = table["frame"]
     if frames.min() < 0 or frames.max() >= n_frames:
         return _parse_lines(name, path, n_frames)
     return table
+
+
+def read_manifest(path: Path) -> dict:
+    """The parsed ``manifest.json`` at ``path``, checked.
+
+    It must be a JSON object, and its ``frames``, when present, an int
+    ``>= 0`` (not a bool). Anything else raises ``RecordingError`` naming
+    the file and, for ``frames``, the field.
+    """
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:  # invalid JSON or UTF-8
+        raise RecordingError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise RecordingError(f"{path} must hold a JSON object, "
+                             f"not {type(manifest).__name__}")
+    frames = manifest.get("frames", 0)
+    if isinstance(frames, bool) or not isinstance(frames, int) or frames < 0:
+        raise RecordingError(f"{path}: frames must be an int >= 0, got {frames!r}")
+    return manifest
 
 
 @dataclass
@@ -394,17 +450,24 @@ class SegmentRecording:
         """Read a segment, parsing only the named ``streams``.
 
         Every stream file must exist; the ones not named are not read,
-        and reading them from the result raises ``RecordingError``.
-        ``manifest`` is the segment's parsed ``manifest.json`` when the
-        caller has read it already.
+        and reading them from the result raises ``RecordingError``. A name
+        outside ``STREAM_NAMES`` raises ``ValueError``, and a bare str
+        ``TypeError``. ``manifest`` is the segment's ``read_manifest``
+        result when the caller has read it already.
         """
+        if isinstance(streams, str):
+            raise TypeError(f"streams must be a collection of stream names, "
+                            f"not the str {streams!r}")
+        unknown = [name for name in streams if name not in STREAM_FIELDS]
+        if unknown:
+            raise ValueError(f"unknown stream {unknown[0]!r}; choose from {STREAM_NAMES}")
         path = Path(directory)
         if manifest is None:
             manifest_path = path / "manifest.json"
             if not manifest_path.exists():
                 raise RecordingError(
                     f"{path} is not a segment recording (no manifest.json)")
-            manifest = json.loads(manifest_path.read_text())
+            manifest = read_manifest(manifest_path)
         n_frames = manifest.get("frames", float("inf"))
         for name in STREAM_NAMES:
             if not (path / f"{name}.csv").exists():

@@ -361,6 +361,41 @@ class TestEvalRula:
         assert not report.exists()
 
 
+# Manifests every reader rejects, each with the text its error gives:
+# frames that is not an int >= 0 (a bool would read as 1), a JSON value
+# that is not an object, and invalid JSON.
+BAD_MANIFESTS = {
+    "frames=null": (lambda m: json.dumps({**m, "frames": None}), "got None"),
+    "frames=499.5": (lambda m: json.dumps({**m, "frames": 499.5}), "got 499.5"),
+    'frames="500"': (lambda m: json.dumps({**m, "frames": "500"}), "got '500'"),
+    "frames=true": (lambda m: json.dumps({**m, "frames": True}), "got True"),
+    "frames=-1": (lambda m: json.dumps({**m, "frames": -1}), "got -1"),
+    "list": (lambda m: json.dumps([m]), "must hold a JSON object, not list"),
+    "invalid JSON": (lambda m: json.dumps(m)[:-1], "is not valid JSON"),
+}
+
+
+class TestBadManifest:
+    @pytest.mark.parametrize("name", COMMANDS)
+    @pytest.mark.parametrize("case", BAD_MANIFESTS)
+    def test_malformed_manifest_exits_2(self, run_dir, tmp_path, capsys, case, name):
+        edit, message = BAD_MANIFESTS[case]
+        for segment in ("pre", "post"):
+            path = run_dir / segment / "manifest.json"
+            path.write_text(edit(json.loads(path.read_text())))
+        out = tmp_path / "out.csv"
+        argv = command(name, run_dir, out)
+        if name.startswith("eval-"):
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "manifest.json" in captured.err and message in captured.err
+        if case.startswith("frames"):
+            assert "frames must be an int >= 0" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 class TestExport:
     def test_landmarks_csv(self, run_dir, tmp_path):
         out = tmp_path / "lm.csv"

@@ -501,6 +501,16 @@ def test_partial_load_skips_unread_rows_but_needs_every_file(saved_pre):
         SegmentRecording.load(saved_pre, ("rula",))
 
 
+def test_load_rejects_an_unknown_stream_name(saved_pre):
+    with pytest.raises(ValueError, match="unknown stream 'fused_landmark'"):
+        SegmentRecording.load(saved_pre, ("rula", "fused_landmark"))
+
+
+def test_load_rejects_a_bare_stream_name(saved_pre):
+    with pytest.raises(TypeError, match="not the str 'rula'"):
+        SegmentRecording.load(saved_pre, "rula")
+
+
 # -- the C reader and the per-line parser ------------------------------------------
 
 def _outcome(parse, name, path, n_frames):
@@ -593,6 +603,12 @@ _BODIES = {
     "missing field": GOOD.rsplit(",", 1)[0] + "\n",
     "negative frame": f"{GOOD}\n" + _line(frame="-1") + "\n",
     "frame at the end of the range": f"{GOOD}\n" + _line(frame="2") + "\n",
+    "many rows": f"{GOOD}\n" * 5,
+    "many rows without trailing newline": f"{GOOD}\n" * 4 + GOOD,
+    "blank line after header": f"\n{GOOD}\n",
+    "blank last line": f"{GOOD}\n\n",
+    "non-ascii string in a later row": f"{GOOD}\n" + _line(rig="S\u00e91") + "\n",
+    "control byte at the end": f"{GOOD}\n\x1f",
 }
 CRAFTED_FILES = {name: f"{PER_RIG_HEADER}\n{body}" for name, body in _BODIES.items()}
 CRAFTED_FILES.update({
@@ -614,8 +630,17 @@ CRAFTED_OUTCOMES = {
 }
 
 
+# Crafted files numpy's reader takes as they stand, and ones it must not
+# see: a blank line, or a byte outside ``_PLAIN_BYTES``.
+PLAIN_CASES = ("good", "missing trailing newline", "many rows",
+               "many rows without trailing newline", "header only")
+UNPLAIN_CASES = ("blank line", "only a blank line", "blank line after header",
+                 "blank last line", "non-ascii string in a later row",
+                 "control byte at the end")
+
+
 @pytest.mark.parametrize("case", CRAFTED_FILES)
-def test_c_reader_reads_crafted_lines_as_the_per_line_parser(case, tmp_path):
+def test_c_reader_reads_crafted_lines_as_the_per_line_parser(case, tmp_path, monkeypatch):
     path = tmp_path / "per_rig_landmarks.csv"
     path.write_bytes(CRAFTED_FILES[case].encode())
     parse = [_outcome(fn, "per_rig_landmarks", path, 2)
@@ -623,6 +648,32 @@ def test_c_reader_reads_crafted_lines_as_the_per_line_parser(case, tmp_path):
     assert parse[0] == parse[1]
     if case in CRAFTED_OUTCOMES:
         assert parse[0] == CRAFTED_OUTCOMES[case]
+    # Read chunk sizes up to the body's length put a chunk boundary at every
+    # byte: inside a row, on a line end, inside a multi-byte character.
+    for size in range(1, len(path.read_bytes()) - len(PER_RIG_HEADER) + 1):
+        monkeypatch.setattr(recording, "READ_CHUNK_BYTES", size)
+        assert _outcome(recording._parse_stream, "per_rig_landmarks", path, 2) == parse[1]
+        rows = recording._plain_rows("per_rig_landmarks", path)
+        if case in PLAIN_CASES:
+            assert rows == len(parse[1]), size
+        if case in UNPLAIN_CASES:
+            assert rows is None, size
+
+
+def test_loaded_str_columns_share_one_object_per_name(saved_pre, per_line_calls):
+    for name, fields in STREAM_FIELDS.items():
+        path = saved_pre / f"{name}.csv"
+        per_line_calls.clear()
+        tables = {"C reader": recording._parse_stream(name, path, float("inf"))}
+        assert not per_line_calls, name
+        tables["per-line parser"] = recording._parse_lines(name, path, float("inf"))
+        for parser, table in tables.items():
+            assert len(table), name
+            for field, conv in fields:
+                if conv is str:
+                    column = table[field]
+                    assert len({id(v) for v in column}) == len(set(column)), \
+                        (parser, name, field)
 
 
 def test_header_only_streams_load_empty_without_warning(tmp_path, per_line_calls):
@@ -693,8 +744,8 @@ def test_chunked_files_and_digest_equal_the_whole_text(n, tmp_path):
     assert segment.digest() == segment.manifest["digest"] == h.hexdigest()
 
 
-def test_save_and_digest_hold_one_chunk_of_text(tmp_path):
-    n = 200_000
+def _long_observations(n: int = 200_000) -> SegmentRecording:
+    """A segment of ``n`` observation rows: six cameras, 90 rows a frame."""
     cameras = np.array([f"S{i // 2 + 1}.{'LR'[i % 2]}" for i in range(6)], dtype=object)
     landmarks = np.array(LANDMARK_NAMES, dtype=object)
     rng = np.random.default_rng(0)
@@ -702,7 +753,11 @@ def test_save_and_digest_hold_one_chunk_of_text(tmp_path):
     table = columns_table(STREAM_FIELDS["observations"], n, (
         index // 90, cameras[index // 15 % 6], landmarks[index % 15],
         rng.random(n), rng.random(n)))
-    segment = SegmentRecording({"frames": n // 90 + 1}, {"observations": table})
+    return SegmentRecording({"frames": n // 90 + 1}, {"observations": table})
+
+
+def test_save_and_digest_hold_one_chunk_of_text(tmp_path):
+    segment = _long_observations()
     peaks = {}
     for name, run in (("digest", segment.digest), ("save", lambda: segment.save(tmp_path))):
         tracemalloc.start()
@@ -715,6 +770,21 @@ def test_save_and_digest_hold_one_chunk_of_text(tmp_path):
     assert segment.digest() == segment.manifest["digest"]
     assert max(peaks.values()) < 4 * 2 ** 20, peaks
 
+
+def test_load_holds_its_table_and_one_read_chunk(tmp_path):
+    _long_observations().save(tmp_path)
+    tracemalloc.start()
+    try:
+        loaded = SegmentRecording.load(tmp_path, ("observations",))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = loaded.streams["observations"]
+    assert len(table) == 200_000
+    # The reader allocates the table once, at its size: grown block by
+    # block it would pass the bound.
+    assert retained <= 1.2 * table.nbytes, (retained, table.nbytes)
+    assert peak <= table.nbytes + recording.READ_CHUNK_BYTES, (peak, table.nbytes)
 
 def test_interrupted_save_leaves_no_loadable_recording(criterion_9_run, tmp_path,
                                                        monkeypatch):
