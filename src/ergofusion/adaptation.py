@@ -42,19 +42,18 @@ class SingleAdaptationViolation(AdaptationError):
 
 @dataclass(frozen=True)
 class AnthropometricClass:
-    """One of the three stature bands driving robot adaptation, with the
+    """One of the three stature bands driving robot adaptation (bounded by
+    ``C1_UPPER`` and ``C2_UPPER`` in :func:`classify_height`), with the
     stature whose shoulder height the adapted delivery point takes."""
 
     class_id: str
-    lower: float
-    upper: float
     representative_stature: float
 
 
 CLASSES = (
-    AnthropometricClass("c1", 0.0, C1_UPPER, 1.60),
-    AnthropometricClass("c2", C1_UPPER, C2_UPPER, 1.75),
-    AnthropometricClass("c3", C2_UPPER, float("inf"), 1.90),
+    AnthropometricClass("c1", 1.60),
+    AnthropometricClass("c2", 1.75),
+    AnthropometricClass("c3", 1.90),
 )
 
 

@@ -202,26 +202,6 @@ def rotation_from_axis_angle(axis_angle) -> np.ndarray:
     return np.eye(3) + math.sin(theta) * kx + (1.0 - math.cos(theta)) * (kx @ kx)
 
 
-def axis_angle_from_rotation(r: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`rotation_from_axis_angle`."""
-    r = require_rotation(r)
-    cos_theta = (np.trace(r) - 1.0) / 2.0
-    theta = math.acos(min(1.0, max(-1.0, cos_theta)))
-    if theta < 1e-12:
-        return np.zeros(3)
-    if math.pi - theta < 1e-6:
-        # Near pi the antisymmetric part vanishes; (R + I)/2 approaches
-        # the outer product of the axis with itself, so its largest
-        # diagonal picks a numerically safe row to read the axis from.
-        m = (r + np.eye(3)) / 2.0
-        i = int(np.argmax(np.diagonal(m)))
-        axis = m[i] / math.sqrt(max(m[i, i], 1e-30))
-        axis = axis / np.linalg.norm(axis)
-        return axis * theta
-    w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    return w / (2.0 * math.sin(theta)) * theta
-
-
 def look_at_rotation(position, target, up=(0.0, 0.0, 1.0)) -> np.ndarray:
     """World->camera rotation for a camera at ``position`` aimed at ``target``.
 

@@ -480,27 +480,26 @@ class SegmentRecording:
 
     # -- typed accessors ---------------------------------------------------
 
-    def _frame_count(self, stream: str) -> int:
-        n_frames = self.manifest.get("frames")
-        if n_frames is None:
-            frames = self.streams[stream]["frame"]
-            n_frames = int(frames.max()) + 1 if len(frames) else 0
-        return n_frames
+    def _frame_count(self) -> int:
+        """F of every position array: one past the largest frame index any
+        loaded stream holds, never more than the manifest's ``frames``, so
+        the arrays are sized by the rows and not by the manifest alone."""
+        held = max((int(table["frame"].max()) + 1
+                    for table in self.streams.values() if len(table)), default=0)
+        return min(held, self.manifest.get("frames", held))
 
     def ground_truth_positions(self) -> np.ndarray:
         """(F, 15, 3) array of ground-truth landmark positions."""
-        return _positions(self.streams["ground_truth"],
-                          self._frame_count("ground_truth"))[None]
+        return _positions(self.streams["ground_truth"], self._frame_count())[None]
 
     def fused_positions(self) -> np.ndarray:
         """(F, 15, 3) array of fused (and auxiliary mean) positions."""
-        return _positions(self.streams["fused_landmarks"],
-                          self._frame_count("fused_landmarks"))[None]
+        return _positions(self.streams["fused_landmarks"], self._frame_count())[None]
 
     def rig_positions(self) -> dict[str, np.ndarray]:
         """Per-rig (F, 15, 3) triangulated positions, NaN where unseen."""
-        return _positions(self.streams["per_rig_landmarks"],
-                          self._frame_count("per_rig_landmarks"), group="rig")
+        return _positions(self.streams["per_rig_landmarks"], self._frame_count(),
+                          group="rig")
 
 
 @dataclass

@@ -21,7 +21,9 @@ A scenario file is a nested key/value document, e.g.::
          baseline: 0.5, noise_sigma: 0.001}
 
 Rig orientation is an axis-angle ``rotation`` triple (radians) or the
-``look_at`` convenience, converted at load time. The relative pose to
+``look_at`` convenience. Each rig is built once, at validation, and its
+pose fields are kept as written, so ``to_dict`` (and every recording
+manifest) rebuilds the identical rig. The relative pose to
 the right camera defaults to a pure ``baseline`` offset along the left
 camera's x axis; ``relative_rotation`` / ``relative_translation``
 override it. ``stance: auto`` places the operator a fixed fraction of
@@ -40,8 +42,8 @@ import numpy as np
 import yaml
 
 from .adaptation import MIN_UPRIGHT_FRAMES
-from .cameras import (GeometryError, StereoRig, axis_angle_from_rotation,
-                      look_at_rotation, rotation_from_axis_angle)
+from .cameras import (GeometryError, StereoRig, look_at_rotation,
+                      rotation_from_axis_angle)
 from .rula import RulaAdjustments
 from .skeleton import (FRAME_RATE_HZ, MotionPhase, MotionScript, SEGMENT_RATIOS,
                        STATURE_RANGE)
@@ -84,19 +86,17 @@ def _vec3(value, field: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RigSpec:
-    """Placement and noise level of one stereo rig."""
+    """One stereo rig: the rig built from its pose, its noise level, and
+    the pose fields as the scenario gave them (validated floats), which
+    rebuild the identical rig."""
 
-    id: str
-    position: np.ndarray
-    rotation: np.ndarray
-    relative_rotation: np.ndarray
-    relative_translation: np.ndarray
+    rig: StereoRig
     noise_sigma: float
+    pose: dict
 
-    def build(self) -> StereoRig:
-        return StereoRig.from_left_pose(
-            self.id, self.rotation, self.position,
-            self.relative_rotation, self.relative_translation)
+    @property
+    def id(self) -> str:
+        return self.rig.id
 
 
 def _parse_rig(entry: dict, index: int) -> RigSpec:
@@ -111,31 +111,38 @@ def _parse_rig(entry: dict, index: int) -> RigSpec:
     if not isinstance(rig_id, str) or "," in rig_id or not rig_id.isprintable():
         raise ScenarioError(f"rigs[{index}]: id must be a string of printable "
                             f"characters other than ',', got {rig_id!r}")
+
+    pose = {}               # the pose fields as given, for to_dict
+
+    def vec3(field: str, default=None) -> np.ndarray:
+        v = _vec3(entry.get(field, default), f"rig {rig_id} {field}")
+        pose[field] = [float(x) for x in v]
+        return v
+
     if "position" not in entry:
         raise ScenarioError(f"rig {rig_id}: missing required field 'position'")
-    position = _vec3(entry["position"], f"rig {rig_id} position")
+    position = vec3("position")
 
     if "rotation" in entry and "look_at" in entry:
         raise ScenarioError(f"rig {rig_id}: give either 'rotation' or 'look_at', not both")
     if "rotation" in entry:
-        rotation = rotation_from_axis_angle(_vec3(entry["rotation"], f"rig {rig_id} rotation"))
+        rotation = rotation_from_axis_angle(vec3("rotation"))
     elif "look_at" in entry:
-        target = _vec3(entry["look_at"], f"rig {rig_id} look_at")
         try:
-            rotation = look_at_rotation(position, target)
+            rotation = look_at_rotation(position, vec3("look_at"))
         except GeometryError as exc:
             raise ScenarioError(f"rig {rig_id} look_at: {exc}") from exc
     else:
         raise ScenarioError(f"rig {rig_id}: missing 'rotation' (or 'look_at')")
 
-    rel_rot = rotation_from_axis_angle(
-        _vec3(entry.get("relative_rotation", (0.0, 0.0, 0.0)), f"rig {rig_id} relative_rotation"))
+    rel_rot = rotation_from_axis_angle(vec3("relative_rotation", (0.0, 0.0, 0.0)))
     if "relative_translation" in entry:
-        rel_t = _vec3(entry["relative_translation"], f"rig {rig_id} relative_translation")
+        rel_t = vec3("relative_translation")
     elif "baseline" in entry:
         baseline = _number(entry["baseline"], f"rig {rig_id} baseline")
         if baseline <= 0:
             raise ScenarioError(f"rig {rig_id}: baseline must be a positive number")
+        pose["baseline"] = baseline
         rel_t = np.array([-baseline, 0.0, 0.0])
     else:
         raise ScenarioError(f"rig {rig_id}: missing 'baseline' (or 'relative_translation')")
@@ -143,9 +150,11 @@ def _parse_rig(entry: dict, index: int) -> RigSpec:
     sigma = _number(entry.get("noise_sigma", 0.0), f"rig {rig_id} noise_sigma")
     if sigma < 0:
         raise ScenarioError(f"rig {rig_id}: noise_sigma must be >= 0")
-    return RigSpec(id=rig_id, position=position, rotation=rotation,
-                   relative_rotation=rel_rot, relative_translation=rel_t,
-                   noise_sigma=sigma)
+    try:
+        rig = StereoRig.from_left_pose(rig_id, rotation, position, rel_rot, rel_t)
+    except GeometryError as exc:
+        raise ScenarioError(f"rig {rig_id}: {exc}") from exc
+    return RigSpec(rig=rig, noise_sigma=sigma, pose=pose)
 
 
 def _parse_phase(entry: dict, index: int) -> MotionPhase:
@@ -203,7 +212,8 @@ class ScenarioConfig:
         return MotionScript(phases=self.phases, frame_rate=self.frame_rate)
 
     def build_rigs(self) -> list[StereoRig]:
-        return [spec.build() for spec in self.rigs]
+        """The rigs built at validation, in scenario order."""
+        return [spec.rig for spec in self.rigs]
 
     def resolve_stance(self, stature: float) -> np.ndarray:
         if isinstance(self.stance, str):
@@ -231,13 +241,7 @@ class ScenarioConfig:
                                    else p.target if isinstance(p.target, str)
                                    else [float(v) for v in p.target])}
                        for p in self.phases],
-            "rigs": [{"id": r.id,
-                      "position": [float(v) for v in r.position],
-                      "rotation": [float(v) for v in axis_angle_from_rotation(r.rotation)],
-                      "relative_rotation":
-                          [float(v) for v in axis_angle_from_rotation(r.relative_rotation)],
-                      "relative_translation": [float(v) for v in r.relative_translation],
-                      "noise_sigma": r.noise_sigma}
+            "rigs": [{"id": r.id, **r.pose, "noise_sigma": r.noise_sigma}
                      for r in self.rigs],
         }
 

@@ -144,6 +144,25 @@ class TestSimulate:
         assert [line.rsplit("digest=", 1)[1] for line in printed] == [
             digest[:12] for digest in SCENARIO_DIGESTS[name].values()]
 
+    @pytest.mark.parametrize("name", sorted(SCENARIO_DIGESTS))
+    def test_manifest_scenario_re_simulates_its_recording(self, tmp_path, name):
+        out = tmp_path / name
+        assert main(["simulate", "--scenario", str(SCENARIO_DIR / f"{name}.yaml"),
+                     "--out", str(out)]) == 0
+        for pre in sorted(out.rglob("pre/manifest.json")):
+            run = pre.parent.parent
+            manifest = json.loads(pre.read_text())
+            scenario = tmp_path / "scenario.json"
+            scenario.write_text(json.dumps(manifest["scenario"]))
+            again = tmp_path / "again" / run.relative_to(out)
+            assert main(["simulate", "--scenario", str(scenario),
+                         "--seed", str(manifest["seed"]), "--out", str(again)]) == 0
+            segments = sorted(path.name for path in run.iterdir())
+            assert sorted(path.name for path in again.iterdir()) == segments
+            for segment in segments:
+                assert (json.loads((again / segment / "manifest.json").read_text())["digest"]
+                        == json.loads((run / segment / "manifest.json").read_text())["digest"])
+
     def test_creates_recording_with_six_streams(self, run_dir):
         for segment in ("pre", "post"):
             files = sorted(p.name for p in (run_dir / segment).iterdir())
@@ -271,6 +290,20 @@ class TestEvalRmse:
                      "--out", str(report)]) == 0
         assert set(json.loads(report.read_text())["rmse"]) == {"S1", "S 1-\u00fc", "S3",
                                                                "fusion"}
+
+    def test_manifest_frames_beyond_the_rows_allocate_nothing(self, run_dir, tmp_path,
+                                                             capsys):
+        segment, report = run_dir / "pre", tmp_path / "rmse.json"
+        results = []
+        for frames in (None, 10 ** 12):
+            if frames is not None:
+                path = segment / "manifest.json"
+                path.write_text(json.dumps({**json.loads(path.read_text()),
+                                            "frames": frames}))
+            assert main(["eval-rmse", "--recording", str(segment),
+                         "--out", str(report)]) == 0
+            results.append((capsys.readouterr().out, report.read_text()))
+        assert results[0] == results[1]
 
     def test_missing_stream_exits_2(self, run_dir, capsys):
         (run_dir / "pre" / "per_rig_landmarks.csv").unlink()

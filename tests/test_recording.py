@@ -24,10 +24,11 @@ from ergofusion import recording
 from ergofusion.recording import (CHUNK_ROWS, STREAM_COLUMNS, STREAM_FIELDS, STREAM_NAMES,
                                   RecordingError, SegmentRecording, columns_table,
                                   format_csv, format_json)
+from ergofusion.scenario import parse_scenario
 from ergofusion.skeleton import (LANDMARK_NAMES, N_ALL, N_FUSED, CameraObservations,
                                  LandmarkFrame, animate, build_skeleton)
 
-from helpers import committed_scenario, rows_recording, rows_table
+from helpers import committed_data, committed_scenario, rows_recording, rows_table
 
 # Serial-scheduler digests of the acceptance criterion-9 configuration.
 PINNED_DIGESTS = {
@@ -233,11 +234,11 @@ def test_serial_and_threaded_tables_are_equal_bit_for_bit(criterion_9_run):
 
 
 def test_rigs_listed_out_of_code_point_order_record_canonical_streams():
-    config = committed_scenario(noise_sigma=0.002)
+    data = committed_data(noise_sigma=0.002)
     # Rigs and their cameras ("S2.L", ..., "A.R") listed out of name order.
-    config = dataclasses.replace(config, rigs=tuple(
-        dataclasses.replace(spec, id=rig_id)
-        for spec, rig_id in zip(config.rigs, ("S2", "S10", "A"))))
+    for rig, rig_id in zip(data["rigs"], ("S2", "S10", "A")):
+        rig["id"] = rig_id
+    config = parse_scenario(data)
     runs = {scheduler: run_scenario(config, seed=5, scheduler=scheduler)
             for scheduler in ("serial", "threads")}
     serial, threaded = runs["serial"].segments, runs["threads"].segments
@@ -275,6 +276,19 @@ def test_unknown_landmark_name_rejected():
         segment.ground_truth_positions()
     with pytest.raises(RecordingError, match=r"^unknown landmark name 'fin'$"):
         segment.rig_positions()
+
+
+def test_position_arrays_share_the_frames_the_rows_reach():
+    segment = rows_recording({"frames": 10 ** 12}, {
+        "ground_truth": [(0, "nose", 0.0, 0.0, 0.0, 1)],
+        "fused_landmarks": [(2, "nose", 1.0, 2.0, 3.0, "fused")],
+        "per_rig_landmarks": [(1, "S1", "nose", 0.0, 0.0, 0.0, 0.0, 2)]})
+    truth, fused = segment.ground_truth_positions(), segment.fused_positions()
+    assert truth.shape == fused.shape == segment.rig_positions()["S1"].shape == (3, N_ALL, 3)
+    assert fused[2, LANDMARK_NAMES.index("nose")].tolist() == [1.0, 2.0, 3.0]
+    assert np.isnan(truth[1:]).all()
+    # Never more frames than the manifest gives.
+    assert SegmentRecording({"frames": 2}, segment.streams)._frame_count() == 2
 
 
 def _positions_by_row(rows, key, n_frames):
@@ -315,9 +329,10 @@ def test_positions_equal_the_per_row_reference(criterion_9_run):
         for rig, got in rigs.items():
             want = _positions_by_row([r for r in rig_rows if r[1] == rig], 2, n_frames)
             assert got.tobytes() == want.tobytes()
+    # Arrays hold the frames the rows reach, not the manifest's count.
     empty = SegmentRecording(manifest={"frames": 2})
     assert np.isnan(empty.ground_truth_positions()).all()
-    assert empty.ground_truth_positions().shape == (2, N_ALL, 3)
+    assert empty.ground_truth_positions().shape == (0, N_ALL, 3)
     assert empty.rig_positions() == {}
 
 

@@ -3,6 +3,7 @@ import pytest
 import yaml
 from hypothesis import given, strategies as st
 
+from ergofusion.cameras import StereoRig
 from ergofusion.scenario import ScenarioError, load_scenario, parse_scenario
 from ergofusion.skeleton import SEGMENT_RATIOS, STATURE_RANGE, build_skeleton
 
@@ -139,6 +140,15 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="target"):
             parse_scenario(data)
 
+    def test_rig_that_cannot_be_built_is_rejected_naming_it(self):
+        data = make()
+        # Finite, but the camera translation -R c overflows.
+        data["rigs"][0] = {"id": "S1", "position": [1.7e308, 1.7e308, 0.0],
+                           "rotation": [0.0, 0.0, 0.5], "baseline": 0.5}
+        with np.errstate(over="ignore"), pytest.raises(
+                ScenarioError, match="^rig S1: camera S1.L translation contains non-finite"):
+            parse_scenario(data)
+
     def test_rotation_and_look_at_are_exclusive(self):
         data = make()
         data["rigs"][0]["rotation"] = [0.0, 0.0, 0.0]
@@ -165,14 +175,43 @@ class TestStanceResolution:
 
 class TestSerialization:
     def test_to_dict_round_trips(self):
-        config = parse_scenario(make())
+        data = make()
+        # S2 given by an axis-angle rotation and a full relative pose.
+        data["rigs"][1] = {"id": "S2", "position": [2.4, 0.0, 1.6],
+                           "rotation": [1.2, 1.3, -1.1],
+                           "relative_rotation": [0.0, 0.1, 0.0],
+                           "relative_translation": [-0.5, 0.0, 0.01]}
+        config = parse_scenario(data)
+        written = config.to_dict()["rigs"]
+        assert written[0] == {"id": "S1", "position": [2.1, -1.2, 1.6],
+                              "look_at": [0.45, 0.0, 1.0],
+                              "relative_rotation": [0.0, 0.0, 0.0],
+                              "baseline": 0.5, "noise_sigma": 0.001}
+        assert written[1] == {**data["rigs"][1], "noise_sigma": 0.0}
         again = parse_scenario(config.to_dict())
         assert again.statures == config.statures
         assert again.seed == config.seed
         assert len(again.rigs) == len(config.rigs)
         for a, b in zip(again.rigs, config.rigs):
-            np.testing.assert_allclose(a.rotation, b.rotation, atol=1e-12)
-            np.testing.assert_allclose(a.position, b.position, atol=1e-12)
+            assert (a.id, a.pose, a.noise_sigma) == (b.id, b.pose, b.noise_sigma)
+            for cam_a, cam_b in zip(a.rig.cameras, b.rig.cameras):
+                assert cam_a.projection.tobytes() == cam_b.projection.tobytes()
+
+    def test_rigs_are_built_once_per_load(self, monkeypatch):
+        built = []
+        from_left_pose = StereoRig.from_left_pose.__func__
+
+        def counted(cls, rig_id, *pose):
+            built.append(rig_id)
+            return from_left_pose(cls, rig_id, *pose)
+
+        monkeypatch.setattr(StereoRig, "from_left_pose", classmethod(counted))
+        config = parse_scenario(committed_data("stature_grid"))
+        assert built == ["S1", "S2", "S3"]
+        rigs = config.build_rigs()
+        for single in config.expand_statures():
+            assert all(a is b for a, b in zip(single.build_rigs(), rigs))
+        assert built == ["S1", "S2", "S3"]
 
     def test_load_scenario_from_file(self, tmp_path):
         path = tmp_path / "scenario.yaml"
