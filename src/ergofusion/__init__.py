@@ -3,7 +3,8 @@ and real-time RULA ergonomics.
 
 Module map:
 
-- ``cameras``       projective camera models, stereo rigs, extrinsic composition
+- ``cameras``       projective camera models; stereo rigs built from the
+                    left camera's pose and the left->right relative pose
 - ``triangulate``   DLT assembly; the SVD reference solve of one point
                     from any number of views, and the closed-form
                     two-view least-squares solve of every rig's stereo

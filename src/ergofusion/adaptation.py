@@ -88,7 +88,7 @@ def estimate_height(frames: Sequence[np.ndarray]) -> float:
     """Estimate operator stature from fused landmark frames.
 
     ``frames`` are (15, 3) float arrays in canonical landmark order, as
-    the fusion node publishes them (``FusedLandmarks.xyz``). Only upright
+    the fusion node publishes them on ``fused_landmarks``. Only upright
     frames (trunk flexion below ``UPRIGHT_TRUNK_DEG``, head marker
     present) contribute; each contributes the summed segment chain
     ankles -> hips -> shoulders -> head top, and the median over frames

@@ -228,22 +228,20 @@ class FrameSynchronizer:
         if camera_id not in self.camera_ids:
             raise BusError(f"unknown camera id {camera_id!r}")
         self._pending.setdefault(frame_index, {})[camera_id] = payload
-        self._progress[camera_id] = progress = max(self._progress[camera_id], frame_index)
-        return self._flush(progress)
+        self._progress[camera_id] = max(self._progress[camera_id], frame_index)
+        return self._flush(final=False)
 
     def finish(self) -> list[tuple[int, dict[str, object]]]:
         """End of stream: drop stragglers, release any complete remainder."""
-        return self._flush(None)
+        return self._flush(final=True)
 
-    def _flush(self, latest: int | None) -> list[tuple[int, dict[str, object]]]:
-        # ``latest`` (None at end of stream) bounds the slowest camera's progress.
+    def _flush(self, final: bool) -> list[tuple[int, dict[str, object]]]:
         released, pending = [], self._pending
         while pending:
             head = min(pending)
             if len(pending[head]) == len(self.camera_ids):
                 released.append((head, pending.pop(head)))
-            elif latest is None or (latest - head >= self.lag and
-                                    min(self._progress.values()) - head >= self.lag):
+            elif final or min(self._progress.values()) - head >= self.lag:
                 del pending[head]
                 self.dropped += 1
             else:

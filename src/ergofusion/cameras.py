@@ -1,4 +1,4 @@
-"""Projective camera models and stereo-rig extrinsics.
+"""Projective camera models and stereo rigs.
 
 Conventions used throughout the package:
 
@@ -9,7 +9,9 @@ Conventions used throughout the package:
   point p projects to the dehomogenized [R | T] @ [p; 1].
 
 A camera's extrinsics map world to camera coordinates, x_cam = R x + T,
-so the camera center in world coordinates is c = -R^T T.
+so the camera center in world coordinates is c = -R^T T. A stereo rig's
+right camera is its left camera composed with the rig's left->right
+relative pose (rr, rt): x_right = rr x_left + rt.
 """
 
 from __future__ import annotations
@@ -99,11 +101,6 @@ class CameraModel:
         c = _as_vec3(position, f"camera {cam_id} position")
         return cls(cam_id, r, -r @ c)
 
-    def depth(self, point) -> float:
-        """Homogeneous depth of a world point (signed; >0 means in front)."""
-        p = _as_vec3(point, "point")
-        return float(self.rotation[2] @ p + self.translation[2])
-
     def project(self, point) -> np.ndarray:
         """Project a world point to normalized image-plane coordinates.
 
@@ -132,57 +129,25 @@ class CameraModel:
         return x[:, :2] / safe[:, None], depth
 
 
-def compose_world_extrinsics(r1, t1, r, t) -> tuple[np.ndarray, np.ndarray]:
-    """Chain world->A extrinsics (r1, t1) with A->B extrinsics (r, t).
-
-    Returns the world->B pair (r @ r1, r @ t1 + t). Both rotations are
-    validated to be orthonormal within ``ORTHONORMAL_ATOL``.
-    """
-    r1 = require_rotation(r1, "r1")
-    r = require_rotation(r, "r")
-    t1 = _as_vec3(t1, "t1")
-    t = _as_vec3(t, "t")
-    return r @ r1, r @ t1 + t
-
-
 @dataclass(frozen=True)
 class StereoRig:
-    """A calibrated camera pair sharing left->right relative extrinsics.
-
-    Invariant: ``right`` equals the composition of ``left`` with
-    (relative_rotation, relative_translation) within 1e-10.
-    """
+    """A calibrated camera pair, built by ``from_left_pose``."""
 
     id: str
     left: CameraModel
     right: CameraModel
-    relative_rotation: np.ndarray
-    relative_translation: np.ndarray
-
-    def __post_init__(self):
-        rr = require_rotation(self.relative_rotation, f"rig {self.id} relative rotation")
-        rt = _as_vec3(self.relative_translation, f"rig {self.id} relative translation")
-        object.__setattr__(self, "relative_rotation", rr)
-        object.__setattr__(self, "relative_translation", rt)
-        want_r = rr @ self.left.rotation
-        want_t = rr @ self.left.translation + rt
-        if not (np.allclose(self.right.rotation, want_r, atol=1e-10)
-                and np.allclose(self.right.translation, want_t, atol=1e-10)):
-            raise GeometryError(
-                f"rig {self.id}: right camera extrinsics do not match the "
-                f"composition of the left camera with the relative pose")
 
     @classmethod
     def from_left_pose(cls, rig_id: str, left_rotation, left_position,
                        relative_rotation, relative_translation) -> "StereoRig":
-        """Build a rig from the left camera's world pose and the relative pair."""
+        """Build a rig from the left camera's world pose and the left->right
+        relative pose (rr, rt): the right camera's extrinsics are
+        (rr @ R, rr @ T + rt) for the left camera's (R, T)."""
         left = CameraModel.from_pose(f"{rig_id}.L", left_rotation, left_position)
-        rr, rt = compose_world_extrinsics(
-            left.rotation, left.translation, relative_rotation, relative_translation)
-        right = CameraModel(f"{rig_id}.R", rr, rt)
-        return cls(rig_id, left, right,
-                   np.asarray(relative_rotation, dtype=float),
-                   np.asarray(relative_translation, dtype=float))
+        rr = require_rotation(relative_rotation, f"rig {rig_id} relative rotation")
+        rt = _as_vec3(relative_translation, f"rig {rig_id} relative translation")
+        right = CameraModel(f"{rig_id}.R", rr @ left.rotation, rr @ left.translation + rt)
+        return cls(rig_id, left, right)
 
     @property
     def cameras(self) -> tuple[CameraModel, CameraModel]:

@@ -9,6 +9,9 @@ Topology (one topic per edge label, single publisher each)::
     adaptation --adaptation--> recorder
     (recorder also subscribes world, observations, per_rig, fused)
 
+A ``fused_landmarks`` payload is the (N_ALL, 3) array of the fused rows
+followed by the auxiliary head means.
+
 The fusion node synchronizes per-camera messages by frame index and
 solves every rig's landmarks in one fixed-shape DLT pass per frame (one
 ``solve_pairs(uv, projections)`` call on a projection stack built once
@@ -82,13 +85,6 @@ class PerRigLandmarks:
     xyz: np.ndarray          # (n_rigs, N_ALL, 3)
     visible: np.ndarray      # (n_rigs, N_ALL) both cameras saw it
     residual: np.ndarray     # (n_rigs, N_ALL) DLT objective at xyz
-
-
-@dataclass(frozen=True)
-class FusedLandmarks:
-    """Optimized landmark set: 12 fused rows plus auxiliary head means."""
-
-    xyz: np.ndarray          # (N_ALL, 3)
 
 
 @dataclass(frozen=True)
@@ -233,8 +229,7 @@ class FusionNode(Node):
         ts = frame_index / self.frame_rate
         publish(Message(TOPIC_PER_RIG, frame_index, ts, PerRigLandmarks(
             self.rig_ids, est_xyz, visible, residual)))
-        publish(Message(TOPIC_FUSED, frame_index, ts,
-                        FusedLandmarks(xyz=xyz)))
+        publish(Message(TOPIC_FUSED, frame_index, ts, xyz))
 
 
 def _quantiles(values) -> dict[str, float] | None:
@@ -260,9 +255,8 @@ class ErgonomicsNode(Node):
         self.processing_seconds = 0.0
 
     def handle(self, message, publish):
-        fused: FusedLandmarks = message.payload
         t0 = time.perf_counter()
-        angles = compute_joint_angles(fused.xyz)
+        angles = compute_joint_angles(message.payload)
         breakdown = rula_score(angles, self.adjustments)
         status = classify_posture(breakdown)
         self.processing_seconds += time.perf_counter() - t0
@@ -289,8 +283,7 @@ class AdaptationNode(Node):
     def handle(self, message, publish):
         if not self.enabled or self.event is not None:
             return
-        fused: FusedLandmarks = message.payload
-        self._frames.append(fused.xyz)
+        self._frames.append(message.payload)
         if len(self._frames) >= self.warmup_frames:
             height = estimate_height(self._frames)
             stature_class = classify_height(height)
@@ -415,7 +408,7 @@ class RecorderNode(Node):
             blocks=sorted(range(len(keys)), key=keys.__getitem__))
 
         frame, fused = self._messages("fused_landmarks")
-        xyz = stacked([f.xyz for f in fused], 3)
+        xyz = stacked(fused, 3)
         fused_landmarks = _landmark_table(
             "fused_landmarks", (frame, _LANDMARKS, *np.moveaxis(xyz, -1, 0), _SOURCES))
 
@@ -447,7 +440,7 @@ def _run_segment(config: ScenarioConfig, segment: str, delivery: np.ndarray,
     stature = config.stature
     profile = build_skeleton(stature)
     stance = config.resolve_stance(stature)
-    truth = animate(profile, config.script(), delivery, stance)
+    frames = animate(profile, config.script(), delivery, stance)
 
     rigs = config.build_rigs()
     camera_ids = [cam.id for rig in rigs for cam in rig.cameras]
@@ -470,9 +463,9 @@ def _run_segment(config: ScenarioConfig, segment: str, delivery: np.ndarray,
         source_topics=(TOPIC_WORLD,))
     runner = run_serial if scheduler == "serial" else run_threaded
     frame_wall_ms = array("d")
-    runner(graph, _drive(truth.frames, config.frame_rate, frame_wall_ms))
+    runner(graph, _drive(frames, config.frame_rate, frame_wall_ms))
 
-    n_frames = len(truth.frames)
+    n_frames = len(frames)
     processing = fusion_node.processing_seconds + ergo_node.processing_seconds
     event = adapt_node.event or recorder.adaptation_event
     manifest = {

@@ -176,11 +176,6 @@ def csv_chunks(fields: tuple[tuple[str, type], ...], table: np.ndarray) -> Itera
                           zip(*(chunk[name].tolist() for name, _ in fields))))
 
 
-def format_csv(fields: tuple[tuple[str, type], ...], table: np.ndarray) -> str:
-    """The whole text of ``csv_chunks``."""
-    return "".join(csv_chunks(fields, table))
-
-
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -216,11 +211,6 @@ def json_chunks(fields: tuple[tuple[str, type], ...], table: np.ndarray) -> Iter
         yield separator + ",\n".join(map(template.__mod__, zip(*columns)))
         separator = ",\n"
     yield "\n]"
-
-
-def format_json(fields: tuple[tuple[str, type], ...], table: np.ndarray) -> str:
-    """The whole text of ``json_chunks``."""
-    return "".join(json_chunks(fields, table))
 
 
 def write_chunks(chunks: Iterable[str], path: Path | None = None, sha=None) -> None:

@@ -20,6 +20,10 @@ A scenario file is a nested key/value document, e.g.::
       - {id: S1, position: [1.9, -1.1, 1.6], look_at: [0.45, 0.0, 1.0],
          baseline: 0.5, noise_sigma: 0.001}
 
+Every number is a YAML number (a quoted number or a bool is an error);
+the file is read as YAML 1.1 except that ``1e-05`` is a float, as
+``json.dumps`` writes it.
+
 Rig orientation is an axis-angle ``rotation`` triple (radians) or the
 ``look_at`` convenience. Each rig is built once, at validation, and its
 pose fields are kept as written, so ``to_dict`` (and every recording
@@ -35,6 +39,8 @@ working distance.
 from __future__ import annotations
 
 import math
+import numbers
+import re
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -59,13 +65,29 @@ class ScenarioError(ValueError):
     """Invalid or incomplete scenario configuration."""
 
 
+class _Loader(yaml.SafeLoader):
+    """``yaml.safe_load``'s YAML 1.1, except that every float written with
+    an exponent is a float, not a str: YAML 1.1 wants a dot and a signed
+    exponent, but ``json.dumps`` writes ``1e-05`` and ``1e+20``."""
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float",
+                              re.compile(r"^[-+]?[0-9]+(?:\.[0-9]*)?[eE][-+]?[0-9]+$"),
+                              list("-+0123456789"))
+
+
 def _number(value, field: str, conv: type = float):
-    """``value`` as a finite float or a whole int, or an error naming ``field``."""
-    if isinstance(value, bool):         # Python would read it as 0 or 1
+    """``value`` as a finite float or a whole int, or an error naming ``field``.
+
+    Only numbers count: Python would also convert a bool (to 0 or 1) and
+    a quoted number (a str), but a scenario field given as either is an
+    error.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ScenarioError(f"{field}: expected a number, got {value!r}")
     try:
         number = conv(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:      # int(nan), int(inf), float(10**400)
         raise ScenarioError(f"{field}: expected a number, got {value!r}") from exc
     if conv is float and not math.isfinite(number):
         raise ScenarioError(f"{field}: must be finite, got {value!r}")
@@ -75,13 +97,9 @@ def _number(value, field: str, conv: type = float):
 
 
 def _vec3(value, field: str) -> np.ndarray:
-    try:
-        v = np.asarray(value, dtype=float).reshape(3)
-    except Exception as exc:
-        raise ScenarioError(f"{field}: expected a 3-vector, got {value!r}") from exc
-    if not np.all(np.isfinite(v)):
-        raise ScenarioError(f"{field}: values must be finite")
-    return v
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ScenarioError(f"{field}: expected a 3-vector, got {value!r}")
+    return np.array([_number(v, field) for v in value])
 
 
 @dataclass(frozen=True)
@@ -353,7 +371,7 @@ def load_scenario(path) -> ScenarioConfig:
     if not path.exists():
         raise ScenarioError(f"scenario file not found: {path}")
     try:
-        data = yaml.safe_load(path.read_text())
+        data = yaml.load(path.read_text(), Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"cannot parse {path}: {exc}") from exc
     return parse_scenario(data, name=path.stem)

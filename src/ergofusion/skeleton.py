@@ -189,23 +189,6 @@ class LandmarkFrame:
         return self.xyz[LANDMARK_INDEX[lm]]
 
 
-@dataclass(frozen=True)
-class GroundTruthSequence:
-    frames: tuple[LandmarkFrame, ...]
-    stature: float
-    frame_rate: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
-
-    def __len__(self) -> int:
-        return len(self.frames)
-
-    def positions(self) -> np.ndarray:
-        """All frames stacked as an (F, N_ALL, 3) array."""
-        return np.array([f.xyz for f in self.frames])
-
-
 def trunk_flexion_for_target(profile: AnthropometricProfile, target_z: float) -> float:
     """Forward trunk flexion (degrees) adopted to work at ``target_z``."""
     hip = profile.hip_height
@@ -320,8 +303,8 @@ def _ease(s: float) -> float:
 
 
 def animate(profile: AnthropometricProfile, script: MotionScript,
-            delivery_point, stance=(0.0, 0.0, 0.0)) -> GroundTruthSequence:
-    """Run the motion script and emit the ground-truth landmark sequence.
+            delivery_point, stance=(0.0, 0.0, 0.0)) -> tuple[LandmarkFrame, ...]:
+    """Run the motion script and emit the ground-truth frames, one per index.
 
     Phase targets equal to the string ``"delivery"`` resolve to
     ``delivery_point``. Within each phase the wrist goal moves along a
@@ -377,8 +360,7 @@ def animate(profile: AnthropometricProfile, script: MotionScript,
         neck = nk0 + (nk1 - nk0) * s
         goal = w0 + (np.asarray(w1) - np.asarray(w0)) * s
         frames.append(_pose(profile, stance, trunk, neck, goal, index=k))
-    return GroundTruthSequence(frames=tuple(frames), stature=profile.stature,
-                               frame_rate=script.frame_rate)
+    return tuple(frames)
 
 
 @dataclass(frozen=True)
@@ -386,7 +368,6 @@ class CameraObservations:
     """One camera's noisy 2D view of one frame's landmarks."""
 
     camera_id: str
-    frame_index: int
     uv: np.ndarray           # (N_ALL, 2); NaN where not visible
     visible: np.ndarray      # (N_ALL,) bool
 
@@ -410,5 +391,4 @@ def observe(camera, frame: LandmarkFrame, noise_sigma: float,
         uv += rng.normal(0.0, noise_sigma, size=uv.shape)
     if not visible.all():
         uv[~visible] = np.nan
-    return CameraObservations(camera_id=camera.id, frame_index=frame.index,
-                              uv=uv, visible=visible)
+    return CameraObservations(camera_id=camera.id, uv=uv, visible=visible)

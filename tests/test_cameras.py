@@ -5,8 +5,7 @@ import pytest
 
 from ergofusion.cameras import (DEGENERATE_DEPTH, CameraModel,
                                 DegenerateProjectionError, GeometryError, StereoRig,
-                                compose_world_extrinsics, look_at_rotation,
-                                rotation_from_axis_angle)
+                                look_at_rotation, rotation_from_axis_angle)
 from ergofusion.triangulate import Observation2D, triangulate_dlt
 
 from helpers import random_rotation
@@ -17,40 +16,6 @@ def rot_z(deg):
     return np.array([[math.cos(a), -math.sin(a), 0.0],
                      [math.sin(a), math.cos(a), 0.0],
                      [0.0, 0.0, 1.0]])
-
-
-class TestComposeWorldExtrinsics:
-    def test_identity_case(self):
-        r2, t2 = compose_world_extrinsics(np.eye(3), np.zeros(3), np.eye(3), np.zeros(3))
-        np.testing.assert_allclose(r2, np.eye(3))
-        np.testing.assert_allclose(t2, np.zeros(3))
-
-    def test_world_origin_convention(self):
-        # First camera at the origin: the relative pair becomes the second
-        # camera's world extrinsics unchanged.
-        rng = np.random.default_rng(3)
-        r = random_rotation(rng)
-        t = rng.normal(size=3)
-        r2, t2 = compose_world_extrinsics(np.eye(3), np.zeros(3), r, t)
-        np.testing.assert_allclose(r2, r, atol=1e-15)
-        np.testing.assert_allclose(t2, t, atol=1e-15)
-
-    def test_matches_sequential_point_transform(self):
-        r1, t1 = rot_z(90.0), np.array([1.0, 0.0, 0.0])
-        r, t = rot_z(90.0), np.array([0.0, 1.0, 0.0])
-        r2, t2 = compose_world_extrinsics(r1, t1, r, t)
-        rng = np.random.default_rng(7)
-        for point in rng.normal(size=(10, 3)):
-            sequential = r @ (r1 @ point + t1) + t
-            np.testing.assert_allclose(r2 @ point + t2, sequential, atol=1e-12)
-
-    def test_rejects_non_orthonormal_rotation(self):
-        bad = np.eye(3)
-        bad[0, 1] = 1e-4
-        with pytest.raises(GeometryError):
-            compose_world_extrinsics(bad, np.zeros(3), np.eye(3), np.zeros(3))
-        with pytest.raises(GeometryError):
-            compose_world_extrinsics(np.eye(3), np.zeros(3), bad, np.zeros(3))
 
 
 class TestCameraModel:
@@ -141,42 +106,83 @@ class TestCameraModel:
                 getattr(cam, name)[0] = 0.0
 
 
+def random_rig(rng):
+    """A rig in a random world pose with a random non-identity relative
+    pose, and that relative pose (rr, rt)."""
+    rr, rt = random_rotation(rng), rng.normal(size=3)
+    rig = StereoRig.from_left_pose("S1", random_rotation(rng), rng.normal(size=3), rr, rt)
+    return rig, rr, rt
+
+
+class TestComposeWorldExtrinsics:
+    """``StereoRig.from_left_pose`` composes the left camera's world->camera
+    extrinsics with the rig's left->right relative pose."""
+
+    def test_identity_case(self):
+        rig = StereoRig.from_left_pose("S", np.eye(3), np.zeros(3), np.eye(3), np.zeros(3))
+        assert rig.right.projection.tobytes() == rig.left.projection.tobytes()
+
+    def test_world_origin_convention(self):
+        # Left camera at the origin: the relative pair becomes the right
+        # camera's world extrinsics unchanged.
+        rng = np.random.default_rng(3)
+        rr, rt = random_rotation(rng), rng.normal(size=3)
+        rig = StereoRig.from_left_pose("S", np.eye(3), np.zeros(3), rr, rt)
+        np.testing.assert_allclose(rig.right.rotation, rr, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(rig.right.translation, rt, rtol=0.0, atol=1e-15)
+
+    def test_matches_sequential_point_transform(self):
+        r1, t1 = rot_z(90.0), np.array([1.0, 0.0, 0.0])
+        r, t = rot_z(90.0), np.array([0.0, 1.0, 0.0])
+        rig = StereoRig.from_left_pose("S", r1, -r1.T @ t1, r, t)
+        rng = np.random.default_rng(7)
+        for point in rng.normal(size=(10, 3)):
+            sequential = r @ (r1 @ point + t1) + t
+            np.testing.assert_allclose(rig.right.rotation @ point + rig.right.translation,
+                                       sequential, atol=1e-12)
+
+    def test_rejects_non_orthonormal_rotation(self):
+        bad = np.eye(3)
+        bad[0, 1] = 1e-4
+        with pytest.raises(GeometryError, match="^camera S7.L rotation is not orthonormal"):
+            StereoRig.from_left_pose("S7", bad, np.zeros(3), np.eye(3), np.zeros(3))
+        with pytest.raises(GeometryError,
+                           match="^rig S7 relative rotation is not orthonormal"):
+            StereoRig.from_left_pose("S7", np.eye(3), np.zeros(3), bad, np.zeros(3))
+        with pytest.raises(GeometryError,
+                           match="^rig S7 relative translation must be a 3-vector"):
+            StereoRig.from_left_pose("S7", np.eye(3), np.zeros(3), np.eye(3), np.zeros(2))
+
+
 class TestFrameChangeConsistency:
     def test_projection_through_composed_pose(self):
+        # The right camera sees a world point where a camera with the bare
+        # relative pose sees that point moved into the left camera's frame.
         rng = np.random.default_rng(21)
-        r1, t1 = random_rotation(rng), rng.normal(size=3)
-        r, t = random_rotation(rng), rng.normal(size=3)
-        r2, t2 = compose_world_extrinsics(r1, t1, r, t)
-        cam_ab = CameraModel("ab", r2, t2)
-        cam_b = CameraModel("b", r, t)
+        rig, rr, rt = random_rig(rng)
+        cam_b = CameraModel("b", rr, rt)
         for _ in range(10):
             point = rng.normal(size=3) * 2.0
-            moved = r1 @ point + t1
-            if abs(cam_b.depth(moved)) < 1e-6:
+            moved = rig.left.rotation @ point + rig.left.translation
+            if abs(cam_b.project_many(moved[None])[1][0]) < 1e-6:
                 continue
-            np.testing.assert_allclose(cam_ab.project(point), cam_b.project(moved),
+            np.testing.assert_allclose(rig.right.project(point), cam_b.project(moved),
                                        atol=1e-10)
 
 
 class TestStereoRig:
-    def _rig(self, rng):
-        return StereoRig.from_left_pose(
-            "S1", random_rotation(rng), rng.normal(size=3),
-            rot_z(2.0), np.array([-0.5, 0.0, 0.0]))
-
     def test_right_camera_consistent(self):
+        # Bit for bit: the right camera is (rr @ R, rr @ T + rt) of the left
+        # camera's (R, T), for relative rotations other than the identity.
         rng = np.random.default_rng(31)
-        rig = self._rig(rng)
-        want_r = rig.relative_rotation @ rig.left.rotation
-        want_t = rig.relative_rotation @ rig.left.translation + rig.relative_translation
-        np.testing.assert_allclose(rig.right.rotation, want_r, atol=1e-10)
-        np.testing.assert_allclose(rig.right.translation, want_t, atol=1e-10)
-
-    def test_inconsistent_pair_rejected(self):
-        left = CameraModel("L", np.eye(3), np.zeros(3))
-        right = CameraModel("R", np.eye(3), np.array([-0.4, 0.0, 0.0]))
-        with pytest.raises(GeometryError):
-            StereoRig("S", left, right, np.eye(3), np.array([-0.5, 0.0, 0.0]))
+        for _ in range(20):
+            rig, rr, rt = random_rig(rng)
+            assert not np.allclose(rr, np.eye(3))
+            assert rig.right.rotation.tobytes() == (rr @ rig.left.rotation).tobytes()
+            assert (rig.right.translation.tobytes()
+                    == (rr @ rig.left.translation + rt).tobytes())
+            assert (rig.left.id, rig.right.id) == ("S1.L", "S1.R")
+            assert rig.cameras == (rig.left, rig.right)
 
     def test_triangulation_lands_in_left_camera_frame(self):
         # Observe a point with a rig in an arbitrary world pose, then
@@ -184,12 +190,11 @@ class TestStereoRig:
         # at the origin: the result is the point manually transformed into
         # the original left camera's frame.
         rng = np.random.default_rng(34)
-        rig = self._rig(rng)
+        rig, rr, rt = random_rig(rng)
         point = rig.left.position + rig.left.rotation.T @ np.array([0.2, -0.1, 2.0])
         uv_left = rig.left.project(point)
         uv_right = rig.right.project(point)
-        local = StereoRig.from_left_pose(rig.id, np.eye(3), np.zeros(3),
-                                         rig.relative_rotation, rig.relative_translation)
+        local = StereoRig.from_left_pose(rig.id, np.eye(3), np.zeros(3), rr, rt)
         got = triangulate_dlt((
             Observation2D("L", uv_left, local.left.projection),
             Observation2D("R", uv_right, local.right.projection)))

@@ -83,6 +83,21 @@ BAD_FIELDS = [
     ("id='S\\n2'", ("rigs", 1, "id"), "S\n2", "rigs[1]"),
     ("id='S\\x1c2'", ("rigs", 1, "id"), "S\x1c2", "rigs[1]"),
     ("id=5", ("rigs", 1, "id"), 5, "rigs[1]"),
+    # A quoted number is a str, and a bool is not a number.
+    ("stature='1.75'", ("stature",), "1.75", "stature"),
+    ("stature start='1.5'", ("stature",), {"start": "1.5", "stop": 1.9, "step": 0.1},
+     "stature start"),
+    ("warmup='2.0'", ("warmup",), "2.0", "warmup"),
+    ("frame_rate='10'", ("frame_rate",), "10", "frame_rate"),
+    ("delivery=quoted", ("delivery",), ["0.9", "0", "1.4315"], "delivery"),
+    ("delivery=[true, 0, 1.4]", ("delivery",), [True, 0, 1.4], "delivery"),
+    ("stance=quoted", ("stance",), ["0.4", "0.2", "0.0"], "stance"),
+    ("position=quoted", ("rigs", 1, "position"), ["2.4", "0.0", "1.6"], "rig S2 position"),
+    ("baseline='0.5'", ("rigs", 0, "baseline"), "0.5", "rig S1 baseline"),
+    ("noise_sigma='0.001'", ("rigs", 0, "noise_sigma"), "0.001", "rig S1 noise_sigma"),
+    ("duration='2.0'", ("motion", 1, "duration"), "2.0", "phase reach duration"),
+    ("target=[0.9, false, 1.4]", ("motion", 1, "target"), [0.9, False, 1.4],
+     "phase reach target"),
 ]
 # A command and one stream it parses (eval-rmse is covered in TestEvalRmse).
 READ_STREAMS = [("eval-rula", "rula"), ("export-landmarks", "fused_landmarks"),
@@ -126,6 +141,27 @@ SCENARIO_DIGESTS = {
 }
 
 
+def segment_digests(out) -> dict[str, str]:
+    """Each segment's digest, by its directory under ``out``."""
+    return {manifest.parent.relative_to(out).as_posix():
+            json.loads(manifest.read_text())["digest"]
+            for manifest in out.rglob("manifest.json")}
+
+
+def assert_manifests_re_simulate(out, tmp_path) -> None:
+    """Each run under ``out``, simulated again from the scenario and seed
+    its ``pre`` manifest holds, has the same segment digests."""
+    for pre in sorted(out.rglob("pre/manifest.json")):
+        run = pre.parent.parent
+        manifest = json.loads(pre.read_text())
+        scenario = tmp_path / "manifest-scenario.json"
+        scenario.write_text(json.dumps(manifest["scenario"]))
+        rerun = tmp_path / "again" / run.relative_to(out)
+        assert main(["simulate", "--scenario", str(scenario),
+                     "--seed", str(manifest["seed"]), "--out", str(rerun)]) == 0
+        assert segment_digests(rerun) == segment_digests(run)
+
+
 class TestSimulate:
     def test_every_committed_scenario_is_pinned(self):
         committed = {path.stem for path in SCENARIO_DIR.glob("*.yaml")}
@@ -136,10 +172,7 @@ class TestSimulate:
         out = tmp_path / name
         assert main(["simulate", "--scenario", str(SCENARIO_DIR / f"{name}.yaml"),
                      "--out", str(out)]) == 0
-        digests = {manifest.parent.relative_to(out).as_posix():
-                   json.loads(manifest.read_text())["digest"]
-                   for manifest in out.rglob("manifest.json")}
-        assert digests == SCENARIO_DIGESTS[name]
+        assert segment_digests(out) == SCENARIO_DIGESTS[name]
         printed = capsys.readouterr().out.splitlines()
         assert [line.rsplit("digest=", 1)[1] for line in printed] == [
             digest[:12] for digest in SCENARIO_DIGESTS[name].values()]
@@ -149,19 +182,46 @@ class TestSimulate:
         out = tmp_path / name
         assert main(["simulate", "--scenario", str(SCENARIO_DIR / f"{name}.yaml"),
                      "--out", str(out)]) == 0
-        for pre in sorted(out.rglob("pre/manifest.json")):
-            run = pre.parent.parent
-            manifest = json.loads(pre.read_text())
-            scenario = tmp_path / "scenario.json"
-            scenario.write_text(json.dumps(manifest["scenario"]))
-            again = tmp_path / "again" / run.relative_to(out)
-            assert main(["simulate", "--scenario", str(scenario),
-                         "--seed", str(manifest["seed"]), "--out", str(again)]) == 0
-            segments = sorted(path.name for path in run.iterdir())
-            assert sorted(path.name for path in again.iterdir()) == segments
-            for segment in segments:
-                assert (json.loads((again / segment / "manifest.json").read_text())["digest"]
-                        == json.loads((run / segment / "manifest.json").read_text())["digest"])
+        assert_manifests_re_simulate(out, tmp_path)
+
+    def test_exponent_float_in_a_manifest_re_simulates(self, tmp_path):
+        # json.dumps writes 1e-05, which YAML 1.1 would read as a str.
+        data = yaml.safe_load(yaml.safe_dump(SCENARIO))
+        data["rigs"][2]["noise_sigma"] = 1e-05
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(data))
+        assert '"noise_sigma": 1e-05' in scenario.read_text()
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+        manifest = json.loads((out / "pre" / "manifest.json").read_text())
+        assert manifest["scenario"]["rigs"][2]["noise_sigma"] == 1e-05
+        assert_manifests_re_simulate(out, tmp_path)
+
+    def test_rig_given_by_rotation_and_relative_pose(self, tmp_path):
+        # desk_handover with S2 in about its look_at pose, given as an
+        # axis-angle rotation, and its right camera turned about the left
+        # camera's y axis and set 2 cm forward: the committed scenarios give
+        # every rig the identity relative rotation.
+        data = committed_data()
+        data["rigs"][1] = {"id": "S2", "position": [2.4, 0.0, 1.6],
+                           "rotation": [1.4256, 1.4256, -1.0529],
+                           "relative_rotation": [0.0, 0.1, 0.0],
+                           "relative_translation": [-0.5, 0.0, 0.02],
+                           "noise_sigma": 0.001}
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(yaml.safe_dump(data))
+        digests = {}
+        for scheduler in ("serial", "threads"):
+            out = tmp_path / scheduler
+            assert main(["simulate", "--scenario", str(scenario), "--scheduler", scheduler,
+                         "--out", str(out)]) == 0
+            digests[scheduler] = segment_digests(out)
+        assert digests["serial"] == digests["threads"]
+        assert digests["serial"].keys() == SCENARIO_DIGESTS["desk_handover"].keys()
+        assert digests["serial"] != SCENARIO_DIGESTS["desk_handover"]
+        manifest = json.loads((tmp_path / "serial" / "pre" / "manifest.json").read_text())
+        assert manifest["scenario"]["rigs"][1] == data["rigs"][1]
+        assert_manifests_re_simulate(tmp_path / "serial", tmp_path)
 
     def test_creates_recording_with_six_streams(self, run_dir):
         for segment in ("pre", "post"):

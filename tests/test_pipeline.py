@@ -182,9 +182,8 @@ class TestRecordingRoundTrip:
 
 
 def scenario_frames(config, n):
-    truth = animate(build_skeleton(config.stature), config.script(), config.delivery,
-                    config.resolve_stance(config.stature))
-    return truth.frames[:n]
+    return animate(build_skeleton(config.stature), config.script(), config.delivery,
+                   config.resolve_stance(config.stature))[:n]
 
 
 def feed(node: FusionNode, bundle: dict, frame_index: int) -> list:
@@ -247,8 +246,8 @@ def check_against_reference(node: FusionNode, bundle: dict, frame_index: int) ->
         assert per_rig.xyz[r].tobytes() == xyz.tobytes()
         assert per_rig.visible[r].tobytes() == visible.tobytes()
         assert per_rig.residual[r].tobytes() == residual.tobytes()
-    assert fused.xyz.shape == (N_ALL, 3)
-    assert fused.xyz.tobytes() == want_xyz.tobytes()
+    assert fused.shape == (N_ALL, 3)
+    assert fused.tobytes() == want_xyz.tobytes()
     return [values for *_, values in want_rigs]
 
 
@@ -260,7 +259,7 @@ def hide_aux(obs: CameraObservations, hidden, finite_uv: bool) -> CameraObservat
     uv = obs.uv.copy()
     if not finite_uv:
         uv[~visible] = np.nan
-    return CameraObservations(obs.camera_id, obs.frame_index, uv, visible)
+    return CameraObservations(obs.camera_id, uv, visible)
 
 
 @functools.cache

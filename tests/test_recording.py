@@ -16,14 +16,14 @@ import pytest
 from ergofusion import evaluate
 from ergofusion.evaluate import rula_compare_many
 from ergofusion.bus import Message
-from ergofusion.pipeline import (FusedLandmarks, PerRigLandmarks, RecorderNode, RulaRecord,
+from ergofusion.pipeline import (PerRigLandmarks, RecorderNode, RulaRecord,
                                  run_scenario)
 from ergofusion.rula import (STATUS_MESSAGES, JointAngles, PostureState, PostureStatus,
                              RulaBreakdown)
 from ergofusion import recording
 from ergofusion.recording import (CHUNK_ROWS, STREAM_COLUMNS, STREAM_FIELDS, STREAM_NAMES,
                                   RecordingError, SegmentRecording, columns_table,
-                                  format_csv, format_json)
+                                  csv_chunks, json_chunks)
 from ergofusion.scenario import parse_scenario
 from ergofusion.skeleton import (LANDMARK_NAMES, N_ALL, N_FUSED, CameraObservations,
                                  LandmarkFrame, animate, build_skeleton)
@@ -123,10 +123,10 @@ def test_recorded_streams_have_their_stream_dtypes(criterion_9_run):
 def test_recorded_ground_truth_is_the_animation_bit_for_bit(criterion_9_run):
     config = CRITERION_9_CONFIG
     for segment in criterion_9_run.segments.values():
-        truth = animate(build_skeleton(config.stature), config.script(),
-                        np.array(segment.manifest["delivery_point"]),
-                        config.resolve_stance(config.stature))
-        want = truth.positions()
+        frames = animate(build_skeleton(config.stature), config.script(),
+                         np.array(segment.manifest["delivery_point"]),
+                         config.resolve_stance(config.stature))
+        want = np.array([frame.xyz for frame in frames])
         got = segment.ground_truth_positions()
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -157,7 +157,7 @@ def _recorded_rows(messages) -> dict[str, list[tuple]]:
         elif topic == "fused_landmarks":
             rows["fused_landmarks"] += [
                 (k, name, x, y, z, "fused" if i < N_FUSED else "aux")
-                for i, (name, (x, y, z)) in enumerate(zip(LANDMARK_NAMES, payload.xyz.tolist()))]
+                for i, (name, (x, y, z)) in enumerate(zip(LANDMARK_NAMES, payload.tolist()))]
         elif topic == "rula":
             a, b = payload.angles, payload.breakdown
             rows["rula"].append((
@@ -192,11 +192,11 @@ def _random_messages(rng) -> list[Message]:
             visible = seen()
             uv = np.where(visible[:, None], rng.normal(size=(N_ALL, 2)), np.nan)
             messages.append(Message(f"observations/{camera}", k, 0.0,
-                                    CameraObservations(camera, k, uv, visible)))
+                                    CameraObservations(camera, uv, visible)))
         xyz, visible, residual = zip(*((points(), seen(), rng.random(N_ALL)) for _ in rigs))
         messages.append(Message("per_rig_landmarks", k, 0.0, PerRigLandmarks(
             tuple(rigs), np.stack(xyz), np.stack(visible), np.stack(residual))))
-        messages.append(Message("fused_landmarks", k, 0.0, FusedLandmarks(points())))
+        messages.append(Message("fused_landmarks", k, 0.0, points()))
         angles = JointAngles(*rng.uniform(-180.0, 180.0, 8).tolist(),
                              legs_supported=bool(rng.random() < 0.5),
                              aux_present=bool(rng.random() < 0.5))
@@ -358,7 +358,8 @@ def test_formatter_keeps_the_legacy_strings():
     row = tuple(value for _, value, _ in LEGACY_STRINGS)
     header = ",".join(name for name, _ in fields)
     line = ",".join(text for _, _, text in LEGACY_STRINGS)
-    assert format_csv(fields, rows_table(fields, [row, row])) == f"{header}\n{line}\n{line}\n"
+    text = "".join(csv_chunks(fields, rows_table(fields, [row, row])))
+    assert text == f"{header}\n{line}\n{line}\n"
 
 
 EXTREME_FLOATS = (float("nan"), float("inf"), float("-inf"), 0.0, -0.0,
@@ -435,12 +436,12 @@ def test_format_json_equals_json_dumps(seed):
     rows = [tuple(_random_json_value(rng, conv) for _, conv in fields)
             for _ in range(rng.integers(1, 30))]
     records = [dict(zip((name for name, _ in fields), row)) for row in rows]
-    assert format_json(fields, rows_table(fields, rows)) == json.dumps(records, indent=1)
+    assert "".join(json_chunks(fields, rows_table(fields, rows))) == json.dumps(records, indent=1)
 
 
 def test_format_json_of_no_records():
     fields = (("frame", int), ("x", float))
-    assert format_json(fields, rows_table(fields, [])) == json.dumps([], indent=1) == "[]"
+    assert "".join(json_chunks(fields, rows_table(fields, []))) == json.dumps([], indent=1) == "[]"
 
 
 # -- partial loads ---------------------------------------------------------------
@@ -748,8 +749,8 @@ def test_chunked_files_and_digest_equal_the_whole_text(n, tmp_path):
     for name, fields in STREAM_FIELDS.items():
         table = segment.streams[name]
         csv_text, json_text = _whole_csv(fields, table), _whole_json(fields, table)
-        assert format_csv(fields, table) == csv_text
-        assert format_json(fields, table) == json_text
+        assert "".join(csv_chunks(fields, table)) == csv_text
+        assert "".join(json_chunks(fields, table)) == json_text
         assert (tmp_path / "segment" / f"{name}.csv").read_bytes() == csv_text.encode()
         for fmt, text in (("csv", csv_text), ("json", json_text + "\n")):
             out = evaluate._write_records(fields, table, fmt, tmp_path / f"{name}.{fmt}")

@@ -25,7 +25,7 @@ def angles(**overrides) -> JointAngles:
 
 def rest_frame(stature=1.75):
     script = MotionScript(phases=(MotionPhase("rest", 0.5, None),))
-    return animate(build_skeleton(stature), script, np.zeros(3)).frames[0]
+    return animate(build_skeleton(stature), script, np.zeros(3))[0]
 
 
 class TestWorksheetTables:
@@ -331,7 +331,7 @@ class TestComputeJointAngles:
             target = np.array([rng.uniform(0.2, 0.5), rng.uniform(-0.4, 0.1),
                                rng.uniform(0.3, 1.6)])
             script = MotionScript(phases=(MotionPhase("reach", 1.0, tuple(target)),))
-            frame = animate(profile, script, np.zeros(3)).frames[-1]
+            frame = animate(profile, script, np.zeros(3))[-1]
             a = compute_joint_angles(frame.xyz)
             xyz = frame.xyz
 

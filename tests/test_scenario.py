@@ -219,6 +219,19 @@ class TestSerialization:
         config = load_scenario(path)
         assert config.name == "unit"
 
+    @pytest.mark.parametrize("text, value", [("1e-3", 1e-3), ("1e-05", 1e-05),
+                                             ("1e+20", 1e+20), ("2.5E4", 2.5e4)])
+    def test_exponent_floats_load_as_numbers(self, tmp_path, text, value):
+        # YAML 1.1 reads these as str; json.dumps writes the first three forms.
+        written = yaml.safe_dump(make())
+        assert written.count("noise_sigma: 0.002\n") == 1
+        path = tmp_path / "scenario.yaml"
+        path.write_text(written.replace("noise_sigma: 0.002\n", f"noise_sigma: {text}\n"))
+        assert load_scenario(path).rigs[2].noise_sigma == value
+        path.write_text(written.replace("noise_sigma: 0.002\n", f"noise_sigma: '{text}'\n"))
+        with pytest.raises(ScenarioError, match="^rig S3 noise_sigma: expected a number"):
+            load_scenario(path)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ScenarioError, match="not found"):
             load_scenario(tmp_path / "nope.yaml")

@@ -63,8 +63,8 @@ class TestMotionScript:
     def test_zero_duration_script_is_empty(self):
         script = MotionScript(phases=())
         assert script.n_frames == 0
-        seq = animate(build_skeleton(STATURE), script, np.zeros(3))
-        assert len(seq) == 0
+        frames = animate(build_skeleton(STATURE), script, np.zeros(3))
+        assert len(frames) == 0
 
     def test_frame_count_rounds_down(self):
         script = MotionScript(phases=(MotionPhase("rest", 1.26, None),))
@@ -81,32 +81,32 @@ class TestAnimate:
         shoulder_z = profile.shoulder_height
         target = np.array([0.30, -profile.segment_lengths["shoulder_width"] / 2.0,
                            shoulder_z])
-        seq = animate(profile, reach_script(), target)
-        wrist = seq.frames[-1].get(LandmarkId.RIGHT_WRIST)
+        frames = animate(profile, reach_script(), target)
+        wrist = frames[-1].get(LandmarkId.RIGHT_WRIST)
         assert np.linalg.norm(wrist - target) < 1e-6
-        assert seq.frames[-1].reach_ok
+        assert frames[-1].reach_ok
 
     def test_shoulder_height_reach_is_comfortable(self):
         profile = build_skeleton(STATURE)
         sh_y = -profile.segment_lengths["shoulder_width"] / 2.0
         target = np.array([0.25, sh_y, profile.shoulder_height])
-        seq = animate(profile, reach_script(), target)
-        angles = compute_joint_angles(seq.frames[-1].xyz)
+        frames = animate(profile, reach_script(), target)
+        angles = compute_joint_angles(frames[-1].xyz)
         assert angles.upper_arm_right < 45.0
         assert abs(angles.trunk) < 5.0
 
     def test_knee_height_target_bends_trunk(self):
         profile = build_skeleton(STATURE)
         target = np.array([0.35, 0.0, profile.knee_height])
-        seq = animate(profile, reach_script(), target)
-        angles = compute_joint_angles(seq.frames[-1].xyz)
+        frames = animate(profile, reach_script(), target)
+        angles = compute_joint_angles(frames[-1].xyz)
         assert 20.0 < angles.trunk <= 60.0
 
     def test_unreachable_target_saturates_and_flags(self):
         profile = build_skeleton(STATURE)
         target = np.array([2.0, 0.0, profile.shoulder_height])
-        seq = animate(profile, reach_script(), target)
-        last = seq.frames[-1]
+        frames = animate(profile, reach_script(), target)
+        last = frames[-1]
         assert not last.reach_ok
         extension = np.linalg.norm(last.get(LandmarkId.RIGHT_WRIST)
                                    - last.get(LandmarkId.RIGHT_SHOULDER))
@@ -115,7 +115,7 @@ class TestAnimate:
     def test_bone_lengths_constant_across_frames(self):
         profile = build_skeleton(1.62)
         target = np.array([0.35, -0.2, profile.knee_height])  # engages trunk+neck
-        seq = animate(profile, reach_script(3.0), target)
+        frames = animate(profile, reach_script(3.0), target)
         pairs = [
             (LandmarkId.LEFT_SHOULDER, LandmarkId.LEFT_ELBOW),
             (LandmarkId.LEFT_ELBOW, LandmarkId.LEFT_WRIST),
@@ -131,14 +131,14 @@ class TestAnimate:
         ]
         lengths = np.array([
             [np.linalg.norm(f.get(a) - f.get(b)) for a, b in pairs]
-            for f in seq.frames])
+            for f in frames])
         assert np.max(np.abs(lengths - lengths[0])) < 1e-9
 
     def test_deterministic_generation(self):
         profile = build_skeleton(1.9)
         target = np.array([0.4, -0.25, 1.2])
-        a = animate(profile, reach_script(), target).positions()
-        b = animate(profile, reach_script(), target).positions()
+        a, b = (np.array([f.xyz for f in animate(profile, reach_script(), target)])
+                for _ in range(2))
         np.testing.assert_array_equal(a, b)
 
     def test_unknown_symbolic_target_rejected(self):
@@ -171,7 +171,7 @@ class TestCapture:
     def _frame(self):
         profile = build_skeleton(STATURE)
         return animate(profile, MotionScript(phases=(MotionPhase("rest", 0.5, None),)),
-                       np.zeros(3)).frames[0]
+                       np.zeros(3))[0]
 
     def test_zero_noise_equals_projection(self):
         frame = self._frame()

@@ -104,7 +104,7 @@ def coincident_pair(point):
     center = np.array([0.0, 0.0, -1.0])
     cam1 = CameraModel.from_pose("a", np.eye(3), center)
     cam2 = CameraModel.from_pose("b", random_rotation(rng) @ _small_rot(), center)
-    if cam2.depth(point) <= 0:
+    if cam2.project_many(point[None])[1][0] <= 0:
         cam2 = CameraModel.from_pose("b", _small_rot(), center)
     return cam1, cam2
 
