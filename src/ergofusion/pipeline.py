@@ -20,9 +20,20 @@ row-normalized DLT rows, elementwise numpy only), masking afterwards the
 points a rig did not see in both cameras. It applies the
 graph-Laplacian solve, prefactored exactly once per run
 (``prefactor_count`` is asserted in tests); only value checks stay per frame.
-Per-rig DLT residual quantiles and the host time per source frame
-(``stats.frame_wall_ms``) go to the manifest stats, outside the digest.
-The recorder builds each stream's table in canonical order. A scenario
+Per-rig DLT residual quantiles, the host time per source frame
+(``stats.frame_wall_ms``) and the status latency (``stats.status_latency_ms``:
+from the synchronizer releasing a frame to the fusion node until the
+ergonomics node has published its posture status) go to the manifest
+stats, outside the digest. Camera noise is keyed by the bus frame index,
+as every node reads it.
+
+The recorder keeps no message: it appends each one's frame key, its
+camera id or rig ids, and its arrays' float64 or bool bytes (a ``rula``
+record's values to typed ``array`` columns) to flat per-stream buffers,
+about 4.5 KB per ``desk_rmse`` frame. At the end of a segment it builds
+each stream's table from them in canonical order, with a stable sort on
+the (frame, camera or rig id) keys so that delivery order cannot change
+a row, and frees a stream's buffers once its table exists. A scenario
 run produces a ``pre`` segment with the default delivery point and, when
 adaptation is enabled, a paired ``post`` segment re-run with the same
 seed and the adapted delivery so pre/post comparisons share their noise
@@ -34,7 +45,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass, fields
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterator
 
 import numpy as np
@@ -48,12 +59,12 @@ from .fusion import build_topology, landmark_means, prefactor, solve
 # Not called here (they check arguments the node checks once per run), but
 # perfbench/tracing.py wraps them by name in this module's namespace.
 from .fusion import compute_anchors, compute_delta, fuse  # noqa: F401
-from .recording import (_INT64, STREAM_COLUMNS, STREAM_FIELDS, STREAM_NAMES,
-                        RunRecording, SegmentRecording, columns_table)
+from .recording import (_INT64, STREAM_COLUMNS, STREAM_FIELDS, RunRecording,
+                        SegmentRecording, columns_table)
 from .rula import (RulaAdjustments, RulaBreakdown, JointAngles, PostureStatus,
                    classify_posture, compute_joint_angles, rula_score)
 from .scenario import ScenarioConfig, ScenarioError
-from .skeleton import (LANDMARK_NAMES, CameraObservations, LandmarkFrame,
+from .skeleton import (LANDMARK_NAMES, CameraObservations,
                        N_ALL, N_FUSED, animate, build_skeleton, observe)
 # triangulate_dlt is the single-point reference for solve_pairs and is not
 # called here; perfbench/tracing.py wraps pipeline.triangulate_dlt.
@@ -121,19 +132,19 @@ class CameraNode(Node):
         self.noise_sigma = noise_sigma
         self.subscribes = (TOPIC_WORLD,)
         self.publishes = (observation_topic(camera.id),)
-        # Noise keyed by (seed, camera, frame) only: identical across
+        # Noise keyed by (seed, camera, frame) only, the frame being the
+        # bus frame index as in every other node: identical across
         # scheduler modes and across paired pre/post segments. These are
         # the words default_rng((seed, camera_index, frame)) converts the
         # ints to, so the stream is the same without converting each frame.
         self._entropy = _uint32_words(seed) + _uint32_words(camera_index)
 
     def handle(self, message, publish):
-        frame: LandmarkFrame = message.payload
         rng = None
         if self.noise_sigma > 0:
             rng = np.random.default_rng(
-                np.array(self._entropy + _uint32_words(frame.index), np.uint32))
-        obs = observe(self.camera, frame, self.noise_sigma, rng)
+                np.array(self._entropy + _uint32_words(message.frame_index), np.uint32))
+        obs = observe(self.camera, message.payload, self.noise_sigma, rng)
         publish(Message(self.publishes[0], message.frame_index,
                         message.timestamp, obs))
 
@@ -162,6 +173,8 @@ class FusionNode(Node):
         self.solver = prefactor(self.topology)
         self.prefactor_count = 1
         self.processing_seconds = 0.0
+        # Host time at which each frame left the synchronizer, in frame order.
+        self.released = array("d")
         # Every frame's (rigs, N_ALL) DLT residuals, NaN where a rig saw no point.
         self.residuals = array("d")
 
@@ -183,6 +196,7 @@ class FusionNode(Node):
 
     def _process(self, frame_index: int, bundle: dict, publish):
         t0 = time.perf_counter()
+        self.released.append(t0)
         n_rigs = len(self.rigs)
         views = [bundle[c] for c in self.camera_ids]
         uv = np.array([obs.uv for obs in views]).reshape(n_rigs, 2, N_ALL, 2)
@@ -253,6 +267,8 @@ class ErgonomicsNode(Node):
     def __init__(self, adjustments: RulaAdjustments):
         self.adjustments = adjustments
         self.processing_seconds = 0.0
+        # Host time at which each frame's posture status was published.
+        self.published = array("d")
 
     def handle(self, message, publish):
         t0 = time.perf_counter()
@@ -263,6 +279,7 @@ class ErgonomicsNode(Node):
         record = RulaRecord(angles=angles, breakdown=breakdown, status=status)
         publish(Message(TOPIC_RULA, message.frame_index, message.timestamp, record))
         publish(Message(TOPIC_STATUS, message.frame_index, message.timestamp, status))
+        self.published.append(time.perf_counter())
 
 
 class AdaptationNode(Node):
@@ -300,8 +317,6 @@ class AdaptationNode(Node):
 _LANDMARK_ORDER = np.array(sorted(range(N_ALL), key=LANDMARK_NAMES.__getitem__))
 _LANDMARKS = np.array(LANDMARK_NAMES, dtype=object)
 _SOURCES = np.array(["fused"] * N_FUSED + ["aux"] * (N_ALL - N_FUSED), dtype=object)
-_STREAM_OF_TOPIC = {TOPIC_WORLD: "ground_truth", TOPIC_PER_RIG: "per_rig_landmarks",
-                    TOPIC_FUSED: "fused_landmarks", TOPIC_RULA: "rula"}
 
 
 def _landmark_table(stream: str, columns, visible=True, blocks=None) -> np.ndarray:
@@ -321,33 +336,133 @@ def _landmark_table(stream: str, columns, visible=True, blocks=None) -> np.ndarr
                          (c[block, landmark] for c in columns))
 
 
-def rula_table(frames: np.ndarray, records: list[RulaRecord]) -> np.ndarray:
-    """The ``rula`` stream of ``records``, one row each at ``frames``.
+def _column(values, dtype=np.int64) -> np.ndarray:
+    """One value per message as an (M, 1) column."""
+    return np.array(values, dtype).reshape(-1, 1)
 
-    Each column after ``frame`` is the records' joint-angle or breakdown
-    field of its name; ``status`` is the posture status value.
+
+def _joined(chunks: list[bytes], dtype, *shape) -> np.ndarray:
+    """The messages' arrays from their bytes, stacked (M, *shape); empties ``chunks``."""
+    values = np.frombuffer(b"".join(chunks), dtype).reshape(-1, *shape)
+    chunks.clear()
+    return values
+
+
+def _order(keys) -> list[int]:
+    """Indices of ``keys`` in stable sorted order."""
+    keys = list(keys)
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
+def _ground_truth_table(frame, xyz, reach_ok) -> np.ndarray:
+    xyz = _joined(xyz, float, N_ALL, 3)
+    return _landmark_table(
+        "ground_truth",
+        (_column(frame), _LANDMARKS, *np.moveaxis(xyz, -1, 0), _column(reach_ok)),
+        blocks=_order(frame))
+
+
+# An observations message as the recorder keeps it: its uv bytes, then its
+# visible bytes (one bytes object per message, not two).
+_VIEW = np.dtype([("uv", np.float64, (N_ALL, 2)), ("visible", np.bool_, (N_ALL,))])
+
+
+def _observations_table(frame, camera, views) -> np.ndarray:
+    views = _joined(views, _VIEW)
+    return _landmark_table(
+        "observations",
+        (_column(frame), _column(camera, object), _LANDMARKS,
+         *np.moveaxis(views["uv"], -1, 0)),
+        views["visible"], blocks=_order(zip(frame, camera)))
+
+
+def _per_rig_table(frame, rig_ids, xyz, residual, visible) -> np.ndarray:
+    # One block per message and rig; a frame's blocks go in rig id order.
+    frame = np.repeat(_column(frame), [len(ids) for ids in rig_ids], axis=0)
+    rig = [rig_id for ids in rig_ids for rig_id in ids]
+    xyz = _joined(xyz, float, N_ALL, 3)
+    return _landmark_table(
+        "per_rig_landmarks",
+        (frame, _column(rig, object), _LANDMARKS, *np.moveaxis(xyz, -1, 0),
+         _joined(residual, float, N_ALL), 2),
+        _joined(visible, bool, N_ALL), blocks=_order(zip(frame.ravel().tolist(), rig)))
+
+
+def _fused_table(frame, xyz) -> np.ndarray:
+    xyz = _joined(xyz, float, N_ALL, 3)
+    return _landmark_table(
+        "fused_landmarks", (_column(frame), _LANDMARKS, *np.moveaxis(xyz, -1, 0), _SOURCES),
+        blocks=_order(frame))
+
+
+# The ``rula`` columns after ``frame`` by type, each in the order ``handle``
+# reads a record's values: the float angles; the int angle flags, then scores.
+_ANGLE_NAMES = {field.name for field in fields(JointAngles)}
+_RULA_FLOATS = tuple(name for name, conv in STREAM_FIELDS["rula"] if conv is float)
+_RULA_ANGLE_INTS = tuple(name for name, conv in STREAM_FIELDS["rula"][1:]
+                         if conv is int and name in _ANGLE_NAMES)
+_RULA_SCORE_INTS = tuple(name for name, conv in STREAM_FIELDS["rula"][1:]
+                         if conv is int and name not in _ANGLE_NAMES)
+_RULA_INTS = _RULA_ANGLE_INTS + _RULA_SCORE_INTS
+_angle_floats = attrgetter(*_RULA_FLOATS)
+_angle_ints = attrgetter(*_RULA_ANGLE_INTS)
+_score_ints = attrgetter(*_RULA_SCORE_INTS)
+
+
+def rula_table(frame, floats, ints, states, side) -> np.ndarray:
+    """The ``rula`` stream from the recorder's buffers, in frame order.
+
+    Per record: its frame key, its ``_RULA_FLOATS`` values in ``floats``,
+    its ``_RULA_INTS`` values in ``ints``, its ``PostureState`` and its
+    scored side. Each column goes to the field of its name.
     """
-    angle_names = {field.name for field in fields(JointAngles)}
-    angles = [record.angles for record in records]
-    breakdowns = [record.breakdown for record in records]
-    columns = ([record.status.status.value for record in records] if name == "status"
-               else list(map(attrgetter(name), angles if name in angle_names else breakdowns))
-               for name in STREAM_COLUMNS["rula"][1:])
-    return columns_table(STREAM_FIELDS["rula"], len(records), (frames, *columns))
+    columns = {"frame": np.array(frame, np.int64),
+               **dict(zip(_RULA_FLOATS, np.array(floats).reshape(-1, len(_RULA_FLOATS)).T)),
+               **dict(zip(_RULA_INTS, np.array(ints).reshape(-1, len(_RULA_INTS)).T)),
+               "status": np.array([state.value for state in states], object),
+               "side": np.array(side, object)}
+    order = np.array(_order(frame), dtype=np.intp)
+    return columns_table(STREAM_FIELDS["rula"], len(order),
+                         (columns[name][order] for name in STREAM_COLUMNS["rula"]))
+
+
+# Each stream's table from its buffers (in ``RecorderNode.buffers`` order).
+_TABLES = {"ground_truth": _ground_truth_table, "observations": _observations_table,
+           "per_rig_landmarks": _per_rig_table, "fused_landmarks": _fused_table,
+           "rula": rula_table}
 
 
 class RecorderNode(Node):
-    """Keeps every recorded message and builds the stream tables at the end,
-    in ``SegmentRecording.sort``'s order: messages by frame, then camera id;
-    within a message, rigs by id and landmarks by name (code-point order)."""
+    """Keeps each recorded message as flat typed buffers and builds the
+    stream tables from them at the end, in ``SegmentRecording.sort``'s
+    order: messages by frame, then camera id; within a message, rigs by id
+    and landmarks by name (code-point order).
+
+    ``handle`` appends a message's frame key, its camera id or rig ids and
+    each of its arrays' bytes (``tobytes``: float64, or bool for
+    ``visible``) to its stream's buffers, and a ``rula`` record's values to
+    typed columns; the payload itself is not kept. Each buffer grows by one
+    entry per message and is joined once, by ``finish``, which releases a
+    stream's buffers as soon as its table exists.
+    """
 
     name = "recorder"
     publishes = ()
 
     def __init__(self, camera_ids):
-        # Per stream, the (frame index, payload) of each message.
-        self.received: dict[str, list[tuple[int, object]]] = {
-            name: [] for name in STREAM_NAMES}
+        # Per stream, one buffer per message field: the frame keys first.
+        self.buffers: dict[str, tuple] = {
+            # frame, xyz bytes, reach_ok
+            "ground_truth": (array("q"), [], []),
+            # frame, camera id, uv and visible bytes (_VIEW)
+            "observations": (array("q"), [], []),
+            # frame, rig ids, xyz bytes, residual bytes, visible bytes
+            "per_rig_landmarks": (array("q"), [], [], [], []),
+            # frame, xyz bytes
+            "fused_landmarks": (array("q"), []),
+            # frame, float angles, int flags and scores, PostureState, side
+            "rula": (array("q"), array("d"), array("q"), [], []),
+        }
         self.recording: SegmentRecording | None = None
         self.subscribes = (TOPIC_WORLD, TOPIC_PER_RIG, TOPIC_FUSED, TOPIC_RULA,
                            TOPIC_STATUS, TOPIC_ADAPTATION) + tuple(
@@ -357,10 +472,36 @@ class RecorderNode(Node):
 
     def handle(self, message, publish):
         topic, k, payload = message.topic, message.frame_index, message.payload
-        if topic in _STREAM_OF_TOPIC:
-            self.received[_STREAM_OF_TOPIC[topic]].append((k, payload))
-        elif topic.startswith("observations/"):
-            self.received["observations"].append((k, payload))
+        if topic.startswith("observations/"):
+            frame, camera, views = self.buffers["observations"]
+            frame.append(k)
+            camera.append(payload.camera_id)
+            views.append(payload.uv.tobytes() + payload.visible.tobytes())
+        elif topic == TOPIC_PER_RIG:
+            frame, rig_ids, xyz, residual, visible = self.buffers["per_rig_landmarks"]
+            frame.append(k)
+            rig_ids.append(payload.rig_ids)
+            xyz.append(payload.xyz.tobytes())
+            residual.append(payload.residual.tobytes())
+            visible.append(payload.visible.tobytes())
+        elif topic == TOPIC_WORLD:
+            frame, xyz, reach_ok = self.buffers["ground_truth"]
+            frame.append(k)
+            xyz.append(payload.xyz.tobytes())
+            reach_ok.append(payload.reach_ok)
+        elif topic == TOPIC_FUSED:
+            frame, xyz = self.buffers["fused_landmarks"]
+            frame.append(k)
+            xyz.append(payload.tobytes())
+        elif topic == TOPIC_RULA:
+            frame, floats, ints, states, side = self.buffers["rula"]
+            frame.append(k)
+            angles, breakdown = payload.angles, payload.breakdown
+            # fromlist takes a list at C speed; extend converts item by item.
+            floats.fromlist([*_angle_floats(angles)])
+            ints.fromlist([*_angle_ints(angles), *_score_ints(breakdown)])
+            states.append(payload.status.status)
+            side.append(breakdown.side)
         elif topic == TOPIC_STATUS:
             status: PostureStatus = payload
             key = status.status.value
@@ -368,57 +509,10 @@ class RecorderNode(Node):
         elif topic == TOPIC_ADAPTATION:
             self.adaptation_event = payload
 
-    def _messages(self, stream: str, key=None) -> tuple[np.ndarray, list]:
-        """A stream's messages sorted by frame, then by ``key`` of their payload:
-        the frame indices as an (M, 1) column, and the payloads."""
-        received = self.received[stream]
-        received.sort(key=itemgetter(0) if key is None else
-                      lambda item: (item[0], key(item[1])))
-        return (np.array([k for k, _ in received], dtype=np.int64).reshape(-1, 1),
-                [payload for _, payload in received])
-
     def finish(self, publish):
-        def stacked(arrays, *shape, dtype=float) -> np.ndarray:
-            return np.array(arrays, dtype).reshape(-1, N_ALL, *shape)
-
-        frame, truth = self._messages("ground_truth")
-        xyz = stacked([f.xyz for f in truth], 3)
-        reach_ok = np.array([f.reach_ok for f in truth], dtype=np.int64).reshape(-1, 1)
-        ground_truth = _landmark_table(
-            "ground_truth", (frame, _LANDMARKS, *np.moveaxis(xyz, -1, 0), reach_ok))
-
-        frame, views = self._messages("observations", attrgetter("camera_id"))
-        uv = stacked([obs.uv for obs in views], 2)
-        camera = np.array([obs.camera_id for obs in views], dtype=object).reshape(-1, 1)
-        observations = _landmark_table(
-            "observations", (frame, camera, _LANDMARKS, *np.moveaxis(uv, -1, 0)),
-            stacked([obs.visible for obs in views], dtype=bool))
-
-        frame, estimates = self._messages("per_rig_landmarks")
-        # One block per message and rig; a frame's blocks go in rig id order.
-        frame = np.repeat(frame, [len(est.rig_ids) for est in estimates], axis=0)
-        rig = [rig_id for est in estimates for rig_id in est.rig_ids]
-        keys = list(zip(frame.ravel().tolist(), rig))
-        xyz = stacked([est.xyz for est in estimates], 3)
-        per_rig = _landmark_table(
-            "per_rig_landmarks",
-            (frame, np.array(rig, dtype=object).reshape(-1, 1), _LANDMARKS,
-             *np.moveaxis(xyz, -1, 0), stacked([est.residual for est in estimates]), 2),
-            stacked([est.visible for est in estimates], dtype=bool),
-            blocks=sorted(range(len(keys)), key=keys.__getitem__))
-
-        frame, fused = self._messages("fused_landmarks")
-        xyz = stacked(fused, 3)
-        fused_landmarks = _landmark_table(
-            "fused_landmarks", (frame, _LANDMARKS, *np.moveaxis(xyz, -1, 0), _SOURCES))
-
-        frame, records = self._messages("rula")
-        rula = rula_table(frame.ravel(), records)
-
+        # Popped one stream at a time, so each stream's buffers go as its table comes.
         self.recording = SegmentRecording({}, {
-            "ground_truth": ground_truth, "observations": observations,
-            "per_rig_landmarks": per_rig, "fused_landmarks": fused_landmarks,
-            "rula": rula})
+            name: build(*self.buffers.pop(name)) for name, build in _TABLES.items()})
 
 
 def _drive(frames, frame_rate: float, wall_ms: array) -> Iterator[Message]:
@@ -467,6 +561,8 @@ def _run_segment(config: ScenarioConfig, segment: str, delivery: np.ndarray,
 
     n_frames = len(frames)
     processing = fusion_node.processing_seconds + ergo_node.processing_seconds
+    # Both nodes see the released frames in the same order (FIFO topics).
+    status_latency = np.subtract(ergo_node.published, fusion_node.released)
     event = adapt_node.event or recorder.adaptation_event
     manifest = {
         "version": __version__,
@@ -487,6 +583,7 @@ def _run_segment(config: ScenarioConfig, segment: str, delivery: np.ndarray,
         "stats": {
             "mean_frame_processing_ms":
                 1000.0 * processing / n_frames if n_frames else 0.0,
+            "status_latency_ms": _quantiles(1000.0 * status_latency),
             "frame_wall_ms": _quantiles(frame_wall_ms),
             "prefactor_count": fusion_node.prefactor_count,
             "dlt_residual": fusion_node.residual_stats(),

@@ -17,6 +17,7 @@ from ergofusion.skeleton import (N_ALL, N_FUSED, CameraObservations, LandmarkFra
 from ergofusion.triangulate import Observation2D, build_dlt_matrix, solve_pairs
 
 from helpers import assert_solves_rows, committed_scenario
+from test_cli import SCENARIO_DIGESTS
 
 
 class TestRunScenario:
@@ -346,8 +347,10 @@ class TestCameraNode:
         frame = scenario_frames(committed_scenario(), 1)[0]
         for camera_index in (0, 3):
             node = CameraNode(camera, 0.002, seed, camera_index)
-            for index in (0, 9, 2 ** 32 + 1):
-                frame = LandmarkFrame(index, frame.xyz)
+            # The bus frame index keys the noise, not the payload's index.
+            for index, payload_index in ((0, 0), (9, 9), (2 ** 32 + 1, 2 ** 32 + 1),
+                                         (5, 6)):
+                frame = LandmarkFrame(payload_index, frame.xyz)
                 published = []
                 node.handle(Message("world", index, 0.0, frame), published.append)
                 want = observe(camera, frame, 0.002,
@@ -364,3 +367,18 @@ class TestFrameWallTime:
             assert list(wall) == ["p50", "p95", "max"]
             assert all(isinstance(v, float) and np.isfinite(v) for v in wall.values())
             assert 0.0 < wall["p50"] <= wall["p95"] <= wall["max"]
+
+
+class TestStatusLatency:
+    @pytest.mark.parametrize("scheduler", ["serial", "threads"])
+    def test_manifest_reports_status_latency_outside_the_digest(self, scheduler):
+        recording = run_scenario(committed_scenario(), scheduler=scheduler)
+        assert list(recording.segments) == list(SCENARIO_DIGESTS["desk_handover"])
+        for name, segment in recording.segments.items():
+            stats = segment.manifest["stats"]
+            assert list(stats)[:2] == ["mean_frame_processing_ms", "status_latency_ms"]
+            latency = stats["status_latency_ms"]
+            assert list(latency) == ["p50", "p95", "max"]
+            assert all(isinstance(v, float) and np.isfinite(v) for v in latency.values())
+            assert 0.0 < latency["p50"] <= latency["p95"] <= latency["max"]
+            assert segment.digest() == SCENARIO_DIGESTS["desk_handover"][name]

@@ -2,9 +2,11 @@
 tables, landmark names, the row formatters and the chunked writer."""
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
+import pickle
 import random
 import struct
 import tracemalloc
@@ -801,6 +803,60 @@ def test_load_holds_its_table_and_one_read_chunk(tmp_path):
     # block it would pass the bound.
     assert retained <= 1.2 * table.nbytes, (retained, table.nbytes)
     assert peak <= table.nbytes + recording.READ_CHUNK_BYTES, (peak, table.nbytes)
+
+
+def _flat_bytes(message: Message) -> int:
+    """A recorded message's values as flat typed buffers hold them: 8
+    bytes for the frame key and for each other scalar or id, and each
+    array's bytes."""
+    payload = message.payload
+    if isinstance(payload, np.ndarray):
+        return 8 + payload.nbytes
+    if isinstance(payload, RulaRecord):
+        return 8 * len(STREAM_FIELDS["rula"])
+    values = [getattr(payload, f.name) for f in dataclasses.fields(payload)]
+    return 8 + sum(v.nbytes if isinstance(v, np.ndarray) else
+                   8 * len(v) if isinstance(v, tuple) else 8 for v in values)
+
+
+def test_recorder_keeps_flat_buffers_not_messages(monkeypatch):
+    messages = []
+    handle = RecorderNode.handle
+    monkeypatch.setattr(RecorderNode, "handle", lambda node, message, publish: (
+        messages.append(message), handle(node, message, publish)))
+    run_scenario(committed_scenario("desk_rmse"))
+    monkeypatch.undo()
+    payload = sum(_flat_bytes(m) for m in messages if m.topic != "posture_status")
+    # The recorder gets payloads made while memory is traced and only it
+    # holds them, as on the bus: what stays traced is what it keeps.
+    pickled = pickle.dumps(messages[::-1])
+    del messages
+    recorder = RecorderNode([])
+    tracemalloc.start()
+    try:
+        pending = pickle.loads(pickled)
+        while pending:
+            recorder.handle(pending.pop(), None)
+        del pending
+        # A full collection also empties the interpreter's free lists,
+        # which keep the tuples that unpickling made and freed.
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        recorder.finish(None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    streams = recorder.recording.streams
+    tables = sum(table.nbytes for table in streams.values())
+    assert len(streams["rula"]) == 500 and len(streams["observations"]) == 45_000
+    # Kept as message objects, the segment retained 2.2 times its payload
+    # and finish peaked at that plus 1.6 times the tables.
+    assert retained <= 1.25 * payload, (retained, payload)
+    # The buffers, the tables and at most a quarter of the tables'
+    # size in transient copies.
+    assert peak <= retained + 1.25 * tables, (peak, retained, tables)
+
 
 def test_interrupted_save_leaves_no_loadable_recording(criterion_9_run, tmp_path,
                                                        monkeypatch):
