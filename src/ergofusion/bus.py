@@ -207,18 +207,17 @@ class FrameSynchronizer:
     A bundle for frame k is released only when every camera has reported
     frame k and every earlier frame has been resolved (released or
     dropped). A frame skipped by some camera is dropped (and counted)
-    once *every* camera has progressed ``lag`` frames past it; measuring
-    lag against the slowest camera, not the fastest, keeps a merely
-    slow-to-deliver camera from causing spurious drops when nodes run
-    concurrently. Bundles are keyed by camera id and released in strictly
+    once *every* camera has progressed ``SYNC_DROP_LAG`` frames past it;
+    measuring the lag against the slowest camera, not the fastest, keeps
+    a merely slow-to-deliver camera from causing spurious drops when
+    nodes run concurrently. Bundles are keyed by camera id and released in strictly
     increasing frame order, so arrival order cannot change the output.
     """
 
-    def __init__(self, camera_ids: Iterable[str], lag: int = SYNC_DROP_LAG):
+    def __init__(self, camera_ids: Iterable[str]):
         self.camera_ids = frozenset(camera_ids)
         if not self.camera_ids:
             raise BusError("synchronizer needs at least one camera id")
-        self.lag = lag
         self.dropped = 0
         self._pending: dict[int, dict[str, object]] = {}
         self._progress: dict[str, int] = {c: -1 for c in self.camera_ids}
@@ -241,7 +240,7 @@ class FrameSynchronizer:
             head = min(pending)
             if len(pending[head]) == len(self.camera_ids):
                 released.append((head, pending.pop(head)))
-            elif final or min(self._progress.values()) - head >= self.lag:
+            elif final or min(self._progress.values()) - head >= SYNC_DROP_LAG:
                 del pending[head]
                 self.dropped += 1
             else:

@@ -20,24 +20,26 @@ row-normalized DLT rows, elementwise numpy only), masking afterwards the
 points a rig did not see in both cameras. It applies the
 graph-Laplacian solve, prefactored exactly once per run
 (``prefactor_count`` is asserted in tests); only value checks stay per frame.
-Per-rig DLT residual quantiles, the host time per source frame
+Per-rig DLT residual quantiles (``stats.dlt_residual``, from the
+recorder's per-rig residuals), the host time per source frame
 (``stats.frame_wall_ms``) and the status latency (``stats.status_latency_ms``:
 from the synchronizer releasing a frame to the fusion node until the
 ergonomics node has published its posture status) go to the manifest
 stats, outside the digest. Camera noise is keyed by the bus frame index,
 as every node reads it.
 
-The recorder keeps no message: it appends each one's frame key, its
-camera id or rig ids, and its arrays' float64 or bool bytes (a ``rula``
-record's values to typed ``array`` columns) to flat per-stream buffers,
-about 4.5 KB per ``desk_rmse`` frame. At the end of a segment it builds
-each stream's table from them in canonical order, with a stable sort on
-the (frame, camera or rig id) keys so that delivery order cannot change
-a row, and frees a stream's buffers once its table exists. A scenario
-run produces a ``pre`` segment with the default delivery point and, when
-adaptation is enabled, a paired ``post`` segment re-run with the same
-seed and the adapted delivery so pre/post comparisons share their noise
-realization.
+The recorder keeps no message. A segment's cameras, rigs and frame
+count are fixed before it starts, so the recorder allocates each
+stream's arrays once (frame, camera or rig, landmark, values, plus a
+"seen" mask) and copies each message's arrays into its frame's slot.
+At the end of a segment it builds each stream's table from the slots,
+already in canonical order, so delivery order cannot change a row and
+nothing is sorted; it frees a stream's arrays once its table exists.
+
+A scenario run produces a ``pre`` segment with the default delivery
+point and, when adaptation is enabled, a paired ``post`` segment re-run
+with the same seed and the adapted delivery so pre/post comparisons
+share their noise realization.
 """
 
 from __future__ import annotations
@@ -175,8 +177,6 @@ class FusionNode(Node):
         self.processing_seconds = 0.0
         # Host time at which each frame left the synchronizer, in frame order.
         self.released = array("d")
-        # Every frame's (rigs, N_ALL) DLT residuals, NaN where a rig saw no point.
-        self.residuals = array("d")
 
     def handle(self, message, publish):
         obs: CameraObservations = message.payload
@@ -187,12 +187,6 @@ class FusionNode(Node):
     def finish(self, publish):
         for frame_index, bundle in self.synchronizer.finish():
             self._process(frame_index, bundle, publish)
-
-    def residual_stats(self) -> dict[str, dict[str, float] | None]:
-        """Per rig: p50, p95 and max of every DLT residual so far (None if none)."""
-        frames = np.array(self.residuals).reshape(-1, len(self.rigs), N_ALL)
-        return {rig_id: _quantiles(values[~np.isnan(values)])
-                for rig_id, values in zip(self.rig_ids, frames.transpose(1, 0, 2))}
 
     def _process(self, frame_index: int, bundle: dict, publish):
         t0 = time.perf_counter()
@@ -223,7 +217,6 @@ class FusionNode(Node):
             hidden = ~visible
             est_xyz[hidden] = np.nan
             residual[hidden] = np.nan
-        self.residuals.frombytes(residual.tobytes())
 
         if some_hidden and not visible[:, :N_FUSED].all():
             missing = np.argwhere(hidden[:, :N_FUSED])
@@ -319,80 +312,18 @@ _LANDMARKS = np.array(LANDMARK_NAMES, dtype=object)
 _SOURCES = np.array(["fused"] * N_FUSED + ["aux"] * (N_ALL - N_FUSED), dtype=object)
 
 
-def _landmark_table(stream: str, columns, visible=True, blocks=None) -> np.ndarray:
-    """A landmark stream's table from blocks of N_ALL landmark rows.
+def _landmark_table(stream: str, columns, seen) -> np.ndarray:
+    """A landmark stream's table from its (F, B, N_ALL) slots.
 
-    ``columns`` are in field order and broadcast to (B, N_ALL): (B, 1)
-    per block (a message, or one rig's estimates), (N_ALL,) per
-    landmark, (B, N_ALL) per row. Rows are kept where ``visible``
-    (B, N_ALL) is true. They come out with the blocks in ``blocks``
-    order (by default as given) and each block's landmarks by name.
+    ``columns`` are in field order and broadcast with ``seen`` to
+    (F, B, N_ALL): frame, block (a camera or rig), landmark. Rows are
+    kept where ``seen`` is true, in frame, block and landmark-name order.
     """
-    *columns, visible = np.broadcast_arrays(*columns, visible)
-    block = np.arange(len(visible)) if blocks is None else np.array(blocks, dtype=np.intp)
-    row, landmark = np.nonzero(visible[block[:, None], _LANDMARK_ORDER])
-    block, landmark = block[row], _LANDMARK_ORDER[landmark]
-    return columns_table(STREAM_FIELDS[stream], len(block),
-                         (c[block, landmark] for c in columns))
-
-
-def _column(values, dtype=np.int64) -> np.ndarray:
-    """One value per message as an (M, 1) column."""
-    return np.array(values, dtype).reshape(-1, 1)
-
-
-def _joined(chunks: list[bytes], dtype, *shape) -> np.ndarray:
-    """The messages' arrays from their bytes, stacked (M, *shape); empties ``chunks``."""
-    values = np.frombuffer(b"".join(chunks), dtype).reshape(-1, *shape)
-    chunks.clear()
-    return values
-
-
-def _order(keys) -> list[int]:
-    """Indices of ``keys`` in stable sorted order."""
-    keys = list(keys)
-    return sorted(range(len(keys)), key=keys.__getitem__)
-
-
-def _ground_truth_table(frame, xyz, reach_ok) -> np.ndarray:
-    xyz = _joined(xyz, float, N_ALL, 3)
-    return _landmark_table(
-        "ground_truth",
-        (_column(frame), _LANDMARKS, *np.moveaxis(xyz, -1, 0), _column(reach_ok)),
-        blocks=_order(frame))
-
-
-# An observations message as the recorder keeps it: its uv bytes, then its
-# visible bytes (one bytes object per message, not two).
-_VIEW = np.dtype([("uv", np.float64, (N_ALL, 2)), ("visible", np.bool_, (N_ALL,))])
-
-
-def _observations_table(frame, camera, views) -> np.ndarray:
-    views = _joined(views, _VIEW)
-    return _landmark_table(
-        "observations",
-        (_column(frame), _column(camera, object), _LANDMARKS,
-         *np.moveaxis(views["uv"], -1, 0)),
-        views["visible"], blocks=_order(zip(frame, camera)))
-
-
-def _per_rig_table(frame, rig_ids, xyz, residual, visible) -> np.ndarray:
-    # One block per message and rig; a frame's blocks go in rig id order.
-    frame = np.repeat(_column(frame), [len(ids) for ids in rig_ids], axis=0)
-    rig = [rig_id for ids in rig_ids for rig_id in ids]
-    xyz = _joined(xyz, float, N_ALL, 3)
-    return _landmark_table(
-        "per_rig_landmarks",
-        (frame, _column(rig, object), _LANDMARKS, *np.moveaxis(xyz, -1, 0),
-         _joined(residual, float, N_ALL), 2),
-        _joined(visible, bool, N_ALL), blocks=_order(zip(frame.ravel().tolist(), rig)))
-
-
-def _fused_table(frame, xyz) -> np.ndarray:
-    xyz = _joined(xyz, float, N_ALL, 3)
-    return _landmark_table(
-        "fused_landmarks", (_column(frame), _LANDMARKS, *np.moveaxis(xyz, -1, 0), _SOURCES),
-        blocks=_order(frame))
+    *columns, seen = np.broadcast_arrays(*columns, seen)
+    frame, block, landmark = np.nonzero(seen[..., _LANDMARK_ORDER])
+    landmark = _LANDMARK_ORDER[landmark]
+    return columns_table(STREAM_FIELDS[stream], len(frame),
+                         (c[frame, block, landmark] for c in columns))
 
 
 # The ``rula`` columns after ``frame`` by type, each in the order ``handle``
@@ -409,61 +340,66 @@ _angle_ints = attrgetter(*_RULA_ANGLE_INTS)
 _score_ints = attrgetter(*_RULA_SCORE_INTS)
 
 
-def rula_table(frame, floats, ints, states, side) -> np.ndarray:
-    """The ``rula`` stream from the recorder's buffers, in frame order.
+def rula_table(seen, floats, ints, status, side) -> np.ndarray:
+    """The ``rula`` stream from the recorder's per-frame slots, in frame order.
 
-    Per record: its frame key, its ``_RULA_FLOATS`` values in ``floats``,
-    its ``_RULA_INTS`` values in ``ints``, its ``PostureState`` and its
-    scored side. Each column goes to the field of its name.
+    Per frame: whether it has a record, the record's ``_RULA_FLOATS``
+    values in ``floats``, its ``_RULA_INTS`` values in ``ints``, its
+    status value and its scored side. Each column goes to the field of
+    its name.
     """
-    columns = {"frame": np.array(frame, np.int64),
-               **dict(zip(_RULA_FLOATS, np.array(floats).reshape(-1, len(_RULA_FLOATS)).T)),
-               **dict(zip(_RULA_INTS, np.array(ints).reshape(-1, len(_RULA_INTS)).T)),
-               "status": np.array([state.value for state in states], object),
-               "side": np.array(side, object)}
-    order = np.array(_order(frame), dtype=np.intp)
-    return columns_table(STREAM_FIELDS["rula"], len(order),
-                         (columns[name][order] for name in STREAM_COLUMNS["rula"]))
-
-
-# Each stream's table from its buffers (in ``RecorderNode.buffers`` order).
-_TABLES = {"ground_truth": _ground_truth_table, "observations": _observations_table,
-           "per_rig_landmarks": _per_rig_table, "fused_landmarks": _fused_table,
-           "rula": rula_table}
+    frame = np.flatnonzero(seen)
+    columns = {"frame": frame,
+               **dict(zip(_RULA_FLOATS, floats[frame].T)),
+               **dict(zip(_RULA_INTS, ints[frame].T)),
+               "status": status[frame], "side": side[frame]}
+    return columns_table(STREAM_FIELDS["rula"], len(frame),
+                         (columns[name] for name in STREAM_COLUMNS["rula"]))
 
 
 class RecorderNode(Node):
-    """Keeps each recorded message as flat typed buffers and builds the
-    stream tables from them at the end, in ``SegmentRecording.sort``'s
-    order: messages by frame, then camera id; within a message, rigs by id
-    and landmarks by name (code-point order).
+    """Writes each recorded message into its frame's slot and builds the
+    stream tables from the slots at the end, in ``SegmentRecording.sort``'s
+    order: by frame, then camera or rig id, then landmark name (ids and
+    names in code-point order), with nothing to sort.
 
-    ``handle`` appends a message's frame key, its camera id or rig ids and
-    each of its arrays' bytes (``tobytes``: float64, or bool for
-    ``visible``) to its stream's buffers, and a ``rula`` record's values to
-    typed columns; the payload itself is not kept. Each buffer grows by one
-    entry per message and is joined once, by ``finish``, which releases a
-    stream's buffers as soon as its table exists.
+    A segment's cameras, rigs and frame count are fixed before its first
+    message, as the fusion node's topology is, so each stream's arrays are
+    allocated at construction: axes frame, camera or rig, landmark, then
+    values, and a "seen" mask. Cameras are stored in id order; rigs in
+    ``rig_ids`` order, the order their messages carry them, until
+    ``finish`` puts them in id order. ``handle`` copies a message's arrays
+    into its slot and keeps no payload. ``finish`` frees each stream's
+    arrays once its table exists and keeps each rig's DLT residual
+    quantiles in ``dlt_residual``.
     """
 
     name = "recorder"
     publishes = ()
 
-    def __init__(self, camera_ids):
-        # Per stream, one buffer per message field: the frame keys first.
-        self.buffers: dict[str, tuple] = {
-            # frame, xyz bytes, reach_ok
-            "ground_truth": (array("q"), [], []),
-            # frame, camera id, uv and visible bytes (_VIEW)
-            "observations": (array("q"), [], []),
-            # frame, rig ids, xyz bytes, residual bytes, visible bytes
-            "per_rig_landmarks": (array("q"), [], [], [], []),
-            # frame, xyz bytes
-            "fused_landmarks": (array("q"), []),
-            # frame, float angles, int flags and scores, PostureState, side
-            "rula": (array("q"), array("d"), array("q"), [], []),
+    def __init__(self, camera_ids, rig_ids, n_frames: int):
+        self.camera_ids = sorted(camera_ids)
+        self._camera_slot = {camera: c for c, camera in enumerate(self.camera_ids)}
+        self.rig_ids = tuple(rig_ids)
+        self.n_frames = n_frames
+        F, C, R = n_frames, len(self.camera_ids), len(self.rig_ids)
+        self.slots: dict[str, tuple] = {
+            # xyz, reach_ok, seen (per frame)
+            "ground_truth": (np.empty((F, N_ALL, 3)), np.empty(F, bool), np.zeros(F, bool)),
+            # uv, seen (= visible)
+            "observations": (np.empty((F, C, N_ALL, 2)), np.zeros((F, C, N_ALL), bool)),
+            # xyz, residual, seen (= visible)
+            "per_rig_landmarks": (np.empty((F, R, N_ALL, 3)), np.empty((F, R, N_ALL)),
+                                  np.zeros((F, R, N_ALL), bool)),
+            # xyz, seen (per frame)
+            "fused_landmarks": (np.empty((F, N_ALL, 3)), np.zeros(F, bool)),
+            # seen, float angles, int flags and scores, status value, side
+            "rula": (np.zeros(F, bool), np.empty((F, len(_RULA_FLOATS))),
+                     np.empty((F, len(_RULA_INTS)), np.int64),
+                     np.empty(F, object), np.empty(F, object)),
         }
         self.recording: SegmentRecording | None = None
+        self.dlt_residual: dict[str, dict[str, float] | None] = {}
         self.subscribes = (TOPIC_WORLD, TOPIC_PER_RIG, TOPIC_FUSED, TOPIC_RULA,
                            TOPIC_STATUS, TOPIC_ADAPTATION) + tuple(
             observation_topic(c) for c in camera_ids)
@@ -473,35 +409,32 @@ class RecorderNode(Node):
     def handle(self, message, publish):
         topic, k, payload = message.topic, message.frame_index, message.payload
         if topic.startswith("observations/"):
-            frame, camera, views = self.buffers["observations"]
-            frame.append(k)
-            camera.append(payload.camera_id)
-            views.append(payload.uv.tobytes() + payload.visible.tobytes())
+            uv, seen = self.slots["observations"]
+            c = self._camera_slot[payload.camera_id]
+            uv[k, c] = payload.uv
+            seen[k, c] = payload.visible
         elif topic == TOPIC_PER_RIG:
-            frame, rig_ids, xyz, residual, visible = self.buffers["per_rig_landmarks"]
-            frame.append(k)
-            rig_ids.append(payload.rig_ids)
-            xyz.append(payload.xyz.tobytes())
-            residual.append(payload.residual.tobytes())
-            visible.append(payload.visible.tobytes())
+            xyz, residual, seen = self.slots["per_rig_landmarks"]
+            xyz[k] = payload.xyz
+            residual[k] = payload.residual
+            seen[k] = payload.visible
         elif topic == TOPIC_WORLD:
-            frame, xyz, reach_ok = self.buffers["ground_truth"]
-            frame.append(k)
-            xyz.append(payload.xyz.tobytes())
-            reach_ok.append(payload.reach_ok)
+            xyz, reach_ok, seen = self.slots["ground_truth"]
+            xyz[k] = payload.xyz
+            reach_ok[k] = payload.reach_ok
+            seen[k] = True
         elif topic == TOPIC_FUSED:
-            frame, xyz = self.buffers["fused_landmarks"]
-            frame.append(k)
-            xyz.append(payload.tobytes())
+            xyz, seen = self.slots["fused_landmarks"]
+            xyz[k] = payload
+            seen[k] = True
         elif topic == TOPIC_RULA:
-            frame, floats, ints, states, side = self.buffers["rula"]
-            frame.append(k)
+            seen, floats, ints, states, side = self.slots["rula"]
             angles, breakdown = payload.angles, payload.breakdown
-            # fromlist takes a list at C speed; extend converts item by item.
-            floats.fromlist([*_angle_floats(angles)])
-            ints.fromlist([*_angle_ints(angles), *_score_ints(breakdown)])
-            states.append(payload.status.status)
-            side.append(breakdown.side)
+            seen[k] = True
+            floats[k] = _angle_floats(angles)
+            ints[k] = (*_angle_ints(angles), *_score_ints(breakdown))
+            states[k] = payload.status.status.value
+            side[k] = breakdown.side
         elif topic == TOPIC_STATUS:
             status: PostureStatus = payload
             key = status.status.value
@@ -510,9 +443,34 @@ class RecorderNode(Node):
             self.adaptation_event = payload
 
     def finish(self, publish):
-        # Popped one stream at a time, so each stream's buffers go as its table comes.
-        self.recording = SegmentRecording({}, {
-            name: build(*self.buffers.pop(name)) for name, build in _TABLES.items()})
+        # Popped one stream at a time, so each stream's arrays go as its table comes.
+        slots, streams = self.slots, {}
+        frame = np.arange(self.n_frames)[:, None, None]
+        xyz, reach_ok, seen = slots.pop("ground_truth")
+        streams["ground_truth"] = _landmark_table("ground_truth", (
+            frame, _LANDMARKS, *np.moveaxis(xyz[:, None], -1, 0), reach_ok[:, None, None]),
+            seen[:, None, None])
+        del xyz, reach_ok
+        uv, seen = slots.pop("observations")
+        streams["observations"] = _landmark_table("observations", (
+            frame, np.array(self.camera_ids, object)[:, None], _LANDMARKS,
+            *np.moveaxis(uv, -1, 0)), seen)
+        del uv
+        xyz, residual, seen = slots.pop("per_rig_landmarks")
+        self.dlt_residual = {rig_id: _quantiles(residual[:, r][seen[:, r]])
+                             for r, rig_id in enumerate(self.rig_ids)}
+        order = sorted(range(len(self.rig_ids)), key=self.rig_ids.__getitem__)
+        streams["per_rig_landmarks"] = _landmark_table("per_rig_landmarks", (
+            frame, np.array(self.rig_ids, object)[order, None], _LANDMARKS,
+            *np.moveaxis(xyz[:, order], -1, 0), residual[:, order], 2), seen[:, order])
+        del xyz, residual
+        xyz, seen = slots.pop("fused_landmarks")
+        streams["fused_landmarks"] = _landmark_table("fused_landmarks", (
+            frame, _LANDMARKS, *np.moveaxis(xyz[:, None], -1, 0), _SOURCES),
+            seen[:, None, None])
+        del xyz
+        streams["rula"] = rula_table(*slots.pop("rula"))
+        self.recording = SegmentRecording({}, streams)
 
 
 def _drive(frames, frame_rate: float, wall_ms: array) -> Iterator[Message]:
@@ -534,10 +492,10 @@ def _run_segment(config: ScenarioConfig, segment: str, delivery: np.ndarray,
     stature = config.stature
     profile = build_skeleton(stature)
     stance = config.resolve_stance(stature)
-    frames = animate(profile, config.script(), delivery, stance)
+    script = config.script()
+    n_frames = script.n_frames
 
     rigs = config.build_rigs()
-    camera_ids = [cam.id for rig in rigs for cam in rig.cameras]
 
     camera_nodes = []
     index = 0
@@ -550,16 +508,18 @@ def _run_segment(config: ScenarioConfig, segment: str, delivery: np.ndarray,
     warmup_frames = int(config.warmup * config.frame_rate + 1e-9)
     adapt_node = AdaptationNode(RobotDeliveryParams(config.delivery),
                                 warmup_frames, adapt_enabled)
-    recorder = RecorderNode(camera_ids)
+    recorder = RecorderNode(fusion_node.camera_ids, fusion_node.rig_ids, n_frames)
 
     graph = NodeGraph(
         camera_nodes + [fusion_node, ergo_node, adapt_node, recorder],
         source_topics=(TOPIC_WORLD,))
     runner = run_serial if scheduler == "serial" else run_threaded
     frame_wall_ms = array("d")
-    runner(graph, _drive(frames, config.frame_rate, frame_wall_ms))
+    # Only the driver holds the ground-truth frames, so each one goes once
+    # the recorder has copied it.
+    runner(graph, _drive(animate(profile, script, delivery, stance),
+                         config.frame_rate, frame_wall_ms))
 
-    n_frames = len(frames)
     processing = fusion_node.processing_seconds + ergo_node.processing_seconds
     # Both nodes see the released frames in the same order (FIFO topics).
     status_latency = np.subtract(ergo_node.published, fusion_node.released)
@@ -586,7 +546,7 @@ def _run_segment(config: ScenarioConfig, segment: str, delivery: np.ndarray,
             "status_latency_ms": _quantiles(1000.0 * status_latency),
             "frame_wall_ms": _quantiles(frame_wall_ms),
             "prefactor_count": fusion_node.prefactor_count,
-            "dlt_residual": fusion_node.residual_stats(),
+            "dlt_residual": recorder.dlt_residual,
             "scheduler": scheduler,
         },
     }

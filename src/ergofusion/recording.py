@@ -8,12 +8,13 @@ structured table of dtype ``_DTYPES[name]``: int64 and float64 fields,
 and ``object`` for str fields, so no string is cut to a fixed width.
 
 Every table is built by ``columns_table`` from typed columns: the
-recorder (``pipeline.RecorderNode``) passes the arrays its messages
-carry, gathered so that the rows come out in canonical order.
-``SegmentRecording.sort`` is the reference definition of that order
-(the rows' tuple order, names in code-point order). Outside input is checked where it enters: stream files by
-``_parse_stream`` on load, manifests by ``read_manifest``, and
-manifest stature and seed when ``evaluate`` pairs recordings.
+recorder (``pipeline.RecorderNode``) writes each message into its
+frame's slot and passes the seen slots, which are already in canonical
+order. ``SegmentRecording.sort`` is the reference definition of that
+order (the rows' tuple order, names in code-point order). Outside input
+is checked where it enters: stream files by ``_parse_stream`` on load,
+manifests by ``read_manifest``, and manifest stature and seed when
+``evaluate`` pairs recordings.
 
 Each stream file is written through one %-template per stream
 (``csv_chunks``): ``%.9g`` (9 significant digits) for float columns and

@@ -116,7 +116,7 @@ class TestFrameSynchronizer:
         assert sync.dropped == 0
 
     def test_skipped_frame_dropped_after_lag(self):
-        sync = FrameSynchronizer(CAMS, lag=3)
+        sync = FrameSynchronizer(CAMS)
         released = []
         # c1 skips frame 0 entirely; everyone proceeds through frame 3.
         for k in range(4):
@@ -129,7 +129,7 @@ class TestFrameSynchronizer:
 
     def test_slow_camera_causes_no_drops(self):
         # One camera delivers everything late: frames must wait, not drop.
-        sync = FrameSynchronizer(CAMS, lag=3)
+        sync = FrameSynchronizer(CAMS)
         released = []
         for k in range(10):
             released += sync.add("c1", k, k)
@@ -141,7 +141,7 @@ class TestFrameSynchronizer:
 
     def test_release_order_is_strictly_increasing(self):
         rng = np.random.default_rng(3)
-        sync = FrameSynchronizer(CAMS, lag=3)
+        sync = FrameSynchronizer(CAMS)
         events = [(cam, k) for k in range(8) for cam in CAMS]
         # Shuffle within a sliding window to emulate bounded skew.
         for i in range(0, len(events), 6):

@@ -11,6 +11,7 @@ import random
 import struct
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ import pytest
 from ergofusion import evaluate
 from ergofusion.evaluate import rula_compare_many
 from ergofusion.bus import Message
-from ergofusion.pipeline import (PerRigLandmarks, RecorderNode, RulaRecord,
+from ergofusion import pipeline
+from ergofusion.pipeline import (PerRigLandmarks, RecorderNode, RulaRecord, _quantiles,
                                  run_scenario)
 from ergofusion.rula import (STATUS_MESSAGES, JointAngles, PostureState, PostureStatus,
                              RulaBreakdown)
@@ -174,8 +176,10 @@ def _recorded_rows(messages) -> dict[str, list[tuple]]:
     return {name: sorted(stream_rows) for name, stream_rows in rows.items()}
 
 
-def _random_messages(rng) -> list[Message]:
-    """Recorder input for a few frames, with landmarks each camera or rig missed."""
+def _random_messages(rng) -> tuple[tuple, list[Message]]:
+    """Recorder input for a few frames, with landmarks each camera or rig
+    missed and frames the synchronizer dropped: the recorder's arguments
+    (camera ids, rig ids, frame count) and the messages."""
     cameras = ["C" + str(i) for i in rng.permutation(int(rng.integers(1, 5)))]
     rigs = ["S" + str(i) for i in rng.permutation(int(rng.integers(1, 4)))]
     states = list(PostureState)
@@ -187,7 +191,8 @@ def _random_messages(rng) -> list[Message]:
         return rng.random(N_ALL) < 0.7
 
     messages = []
-    for k in rng.permutation(int(rng.integers(0, 5))).tolist():
+    n_frames = int(rng.integers(0, 5))
+    for k in rng.permutation(n_frames).tolist():
         reach_ok = bool(rng.random() < 0.5)
         messages.append(Message("world", k, 0.0, LandmarkFrame(k, points(), reach_ok)))
         for camera in cameras:
@@ -195,6 +200,8 @@ def _random_messages(rng) -> list[Message]:
             uv = np.where(visible[:, None], rng.normal(size=(N_ALL, 2)), np.nan)
             messages.append(Message(f"observations/{camera}", k, 0.0,
                                     CameraObservations(camera, uv, visible)))
+        if rng.random() < 0.3:
+            continue  # dropped: no landmarks and no score for this frame
         xyz, visible, residual = zip(*((points(), seen(), rng.random(N_ALL)) for _ in rigs))
         messages.append(Message("per_rig_landmarks", k, 0.0, PerRigLandmarks(
             tuple(rigs), np.stack(xyz), np.stack(visible), np.stack(residual))))
@@ -209,13 +216,13 @@ def _random_messages(rng) -> list[Message]:
         messages.append(Message("rula", k, 0.0, RulaRecord(
             angles, breakdown, PostureStatus(state, STATUS_MESSAGES[state]))))
     rng.shuffle(messages)  # as the threaded scheduler may deliver them
-    return messages
+    return (cameras, rigs, n_frames), messages
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_recorder_tables_equal_the_per_row_reference(seed):
-    messages = _random_messages(np.random.default_rng(seed))
-    recorder = RecorderNode([])
+    segment, messages = _random_messages(np.random.default_rng(seed))
+    recorder = RecorderNode(*segment)
     for message in messages:
         recorder.handle(message, None)
     recorder.finish(None)
@@ -224,6 +231,18 @@ def test_recorder_tables_equal_the_per_row_reference(seed):
         table = recorder.recording.streams[name]
         assert table.dtype == recording._DTYPES[name]
         assert _bits(table) == _row_bits(want[name])
+    assert recorder.dlt_residual == {
+        rig: _quantiles([row[6] for row in want["per_rig_landmarks"] if row[1] == rig])
+        for rig in segment[1]}
+
+
+def test_dlt_residual_stats_are_the_quantiles_of_the_recorded_residuals(criterion_9_run):
+    for segment in criterion_9_run.segments.values():
+        table = segment.streams["per_rig_landmarks"]
+        stats = segment.manifest["stats"]["dlt_residual"]
+        assert sorted(stats) == sorted(set(table["rig"]))
+        for rig_id, rig_stats in stats.items():
+            assert rig_stats == _quantiles(table["residual"][table["rig"] == rig_id])
 
 
 def test_serial_and_threaded_tables_are_equal_bit_for_bit(criterion_9_run):
@@ -831,9 +850,13 @@ def test_recorder_keeps_flat_buffers_not_messages(monkeypatch):
     # holds them, as on the bus: what stays traced is what it keeps.
     pickled = pickle.dumps(messages[::-1])
     del messages
-    recorder = RecorderNode([])
+    config = committed_scenario("desk_rmse")
+    rigs = config.build_rigs()
     tracemalloc.start()
     try:
+        # Built while traced, so its preallocated slots count as retained.
+        recorder = RecorderNode([cam.id for rig in rigs for cam in rig.cameras],
+                                [rig.id for rig in rigs], config.script().n_frames)
         pending = pickle.loads(pickled)
         while pending:
             recorder.handle(pending.pop(), None)
@@ -853,9 +876,34 @@ def test_recorder_keeps_flat_buffers_not_messages(monkeypatch):
     # Kept as message objects, the segment retained 2.2 times its payload
     # and finish peaked at that plus 1.6 times the tables.
     assert retained <= 1.25 * payload, (retained, payload)
-    # The buffers, the tables and at most a quarter of the tables'
-    # size in transient copies.
+    # The slots, the tables and at most a quarter of the tables' size in
+    # transient copies.
     assert peak <= retained + 1.25 * tables, (peak, retained, tables)
+
+
+def test_ground_truth_frames_go_as_the_driver_moves_on(monkeypatch):
+    refs = []
+    animate = pipeline.animate
+
+    def tracked(*args):
+        frames = animate(*args)
+        refs.extend(map(weakref.ref, frames))
+        return frames
+
+    alive = []
+    finish = RecorderNode.finish
+
+    def counted(node, publish):
+        alive.append(sum(ref() is not None for ref in refs))
+        finish(node, publish)
+
+    monkeypatch.setattr(pipeline, "animate", tracked)
+    monkeypatch.setattr(RecorderNode, "finish", counted)
+    run_scenario(committed_scenario("desk_rmse"), scheduler="serial")
+    assert len(refs) == 500
+    # The recorder has copied every frame; at most the serial loop's last
+    # message still holds one.
+    assert len(alive) == 1 and alive[0] <= 1, alive
 
 
 def test_interrupted_save_leaves_no_loadable_recording(criterion_9_run, tmp_path,
