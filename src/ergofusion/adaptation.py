@@ -115,11 +115,10 @@ def estimate_height(frames: Sequence[np.ndarray]) -> float:
 
 @dataclass(frozen=True)
 class RobotDeliveryParams:
-    """The robot's tool handover point and its adaptation provenance."""
+    """The robot's tool handover point, and whether it was adapted."""
 
     delivery_point: np.ndarray
     adapted: bool = False
-    source_class: AnthropometricClass | None = None
 
     def __post_init__(self):
         p = np.asarray(self.delivery_point, dtype=float).reshape(3)
@@ -140,5 +139,4 @@ def adapt_robot(stature_class: AnthropometricClass,
             "robot delivery parameters were already adapted for this run")
     point = default_params.delivery_point.copy()
     point[2] = SHOULDER_RATIO * stature_class.representative_stature
-    return RobotDeliveryParams(delivery_point=point, adapted=True,
-                               source_class=stature_class)
+    return RobotDeliveryParams(delivery_point=point, adapted=True)

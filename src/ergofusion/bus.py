@@ -34,11 +34,14 @@ class BusError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Message:
-    """One record on a topic; ``timestamp`` is simulation time (seconds)."""
+    """One record on a topic: the frame it belongs to and its payload.
+
+    ``frame_index`` is the run's one frame index, numbered by the source;
+    a payload carries no copy of it.
+    """
 
     topic: str
     frame_index: int
-    timestamp: float
     payload: object
 
 

@@ -244,9 +244,10 @@ def pair_recordings(pre_root, post_root) -> list[tuple[SegmentRecording, Segment
 
     When a root holds both segments of adaptation runs, the pre root
     contributes its ``pre`` segments and the post root its ``post``.
-    Pairing reads only manifests, once per distinct root; each paired
-    segment is loaded once, from its collected manifest, parsing only
-    ``RULA_STREAMS``.
+    A segment directory paired with itself is refused: it would read as
+    "no change". Pairing reads only manifests, once per distinct root;
+    each paired segment is loaded once, from its collected manifest,
+    parsing only ``RULA_STREAMS``.
     """
     pre_root, post_root = Path(pre_root), Path(post_root)
     segments = {root: collect_segments(root)
@@ -263,7 +264,10 @@ def pair_recordings(pre_root, post_root) -> list[tuple[SegmentRecording, Segment
         key = _pair_key(manifest)
         if key not in post_by_key:
             raise PairingError(f"no post recording pairs (stature, seed)={key}")
-        pairs.append((path, post_by_key.pop(key)))
+        post = post_by_key.pop(key)
+        if path.samefile(post):
+            raise PairingError(f"pre and post are the same segment recording {path}")
+        pairs.append((path, post))
     if post_by_key:
         raise PairingError(
             f"unpaired post recordings for (stature, seed) in {sorted(post_by_key)}")

@@ -4,13 +4,24 @@ Topology (one topic per edge label, single publisher each)::
 
     driver --world--> camera nodes (one per physical camera)
     camera --observations/<cam>--> fusion node
-    fusion --per_rig_landmarks, fused_landmarks--> ergonomics, adaptation
+    fusion --fused_landmarks--> ergonomics, adaptation
     ergonomics --rula, posture_status--> recorder
     adaptation --adaptation--> recorder
-    (recorder also subscribes world, observations, per_rig, fused)
+    (recorder also subscribes world, observations, per_rig_landmarks, fused)
 
-A ``fused_landmarks`` payload is the (N_ALL, 3) array of the fused rows
-followed by the auxiliary head means.
+A message carries its frame's index, which the driver numbers from 0 and
+every node reads, and a payload holding only what its subscribers read:
+
+- ``world``: the ground-truth ``LandmarkFrame`` (xyz and reach flag);
+- ``observations/<cam>``: that camera's ``CameraObservations``;
+- ``per_rig_landmarks``: ``PerRigLandmarks``, every rig's xyz, visibility
+  and DLT residual, rigs in the run's rig order;
+- ``fused_landmarks``: the (N_ALL, 3) array of the fused rows followed by
+  the auxiliary head means;
+- ``rula``: the ``(JointAngles, RulaBreakdown)`` pair scored from it;
+- ``posture_status``: the frame's ``PostureStatus``, its status's only
+  carrier;
+- ``adaptation``: the run's one ``AdaptationEvent``.
 
 The fusion node synchronizes per-camera messages by frame index and
 solves every rig's landmarks in one fixed-shape DLT pass per frame (one
@@ -20,8 +31,11 @@ row-normalized DLT rows, elementwise numpy only), masking afterwards the
 points a rig did not see in both cameras. It applies the
 graph-Laplacian solve, prefactored exactly once per run
 (``prefactor_count`` is asserted in tests); only value checks stay per frame.
-Per-rig DLT residual quantiles (``stats.dlt_residual``, from the
-recorder's per-rig residuals), the host time per source frame
+The manifest's run facts come from the recorder, that is from what was
+recorded: ``status_counts`` counts the ``rula`` stream's ``status``
+column, and ``adaptation`` is the recorded event. Per-rig DLT residual
+quantiles (``stats.dlt_residual``, from the recorder's per-rig
+residuals), the host time per source frame
 (``stats.frame_wall_ms``) and the status latency (``stats.status_latency_ms``:
 from the synchronizer releasing a frame to the fusion node until the
 ergonomics node has published its posture status) go to the manifest
@@ -46,6 +60,7 @@ from __future__ import annotations
 
 import time
 from array import array
+from collections import Counter
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Iterator
@@ -61,8 +76,8 @@ from .fusion import build_topology, landmark_means, prefactor, solve
 # Not called here (they check arguments the node checks once per run), but
 # perfbench/tracing.py wraps them by name in this module's namespace.
 from .fusion import compute_anchors, compute_delta, fuse  # noqa: F401
-from .recording import (_INT64, STREAM_COLUMNS, STREAM_FIELDS, RunRecording,
-                        SegmentRecording, columns_table)
+from .recording import (_INT64, STREAM_FIELDS, RunRecording, SegmentRecording,
+                        columns_table)
 from .rula import (RulaAdjustments, RulaBreakdown, JointAngles, PostureStatus,
                    classify_posture, compute_joint_angles, rula_score)
 from .scenario import ScenarioConfig, ScenarioError
@@ -92,19 +107,12 @@ def observation_topic(camera_id: str) -> str:
 
 @dataclass(frozen=True)
 class PerRigLandmarks:
-    """Every rig's triangulated landmarks for one frame (NaN where unseen)."""
+    """Every rig's triangulated landmarks for one frame (NaN where unseen),
+    rigs in the run's rig order."""
 
-    rig_ids: tuple[str, ...]
     xyz: np.ndarray          # (n_rigs, N_ALL, 3)
     visible: np.ndarray      # (n_rigs, N_ALL) both cameras saw it
     residual: np.ndarray     # (n_rigs, N_ALL) DLT objective at xyz
-
-
-@dataclass(frozen=True)
-class RulaRecord:
-    angles: JointAngles
-    breakdown: RulaBreakdown
-    status: PostureStatus
 
 
 @dataclass(frozen=True)
@@ -147,8 +155,7 @@ class CameraNode(Node):
             rng = np.random.default_rng(
                 np.array(self._entropy + _uint32_words(message.frame_index), np.uint32))
         obs = observe(self.camera, message.payload, self.noise_sigma, rng)
-        publish(Message(self.publishes[0], message.frame_index,
-                        message.timestamp, obs))
+        publish(Message(self.publishes[0], message.frame_index, obs))
 
 
 class FusionNode(Node):
@@ -156,9 +163,8 @@ class FusionNode(Node):
 
     name = "fusion"
 
-    def __init__(self, rigs, frame_rate: float):
+    def __init__(self, rigs):
         self.rigs = list(rigs)
-        self.frame_rate = frame_rate
         self.camera_ids = [cam.id for rig in self.rigs for cam in rig.cameras]
         self.subscribes = tuple(observation_topic(c) for c in self.camera_ids)
         self.publishes = (TOPIC_PER_RIG, TOPIC_FUSED)
@@ -233,10 +239,9 @@ class FusionNode(Node):
         xyz = np.concatenate((solution[:N_FUSED], means[N_FUSED:]))
 
         self.processing_seconds += time.perf_counter() - t0
-        ts = frame_index / self.frame_rate
-        publish(Message(TOPIC_PER_RIG, frame_index, ts, PerRigLandmarks(
-            self.rig_ids, est_xyz, visible, residual)))
-        publish(Message(TOPIC_FUSED, frame_index, ts, xyz))
+        publish(Message(TOPIC_PER_RIG, frame_index,
+                        PerRigLandmarks(est_xyz, visible, residual)))
+        publish(Message(TOPIC_FUSED, frame_index, xyz))
 
 
 def _quantiles(values) -> dict[str, float] | None:
@@ -269,9 +274,8 @@ class ErgonomicsNode(Node):
         breakdown = rula_score(angles, self.adjustments)
         status = classify_posture(breakdown)
         self.processing_seconds += time.perf_counter() - t0
-        record = RulaRecord(angles=angles, breakdown=breakdown, status=status)
-        publish(Message(TOPIC_RULA, message.frame_index, message.timestamp, record))
-        publish(Message(TOPIC_STATUS, message.frame_index, message.timestamp, status))
+        publish(Message(TOPIC_RULA, message.frame_index, (angles, breakdown)))
+        publish(Message(TOPIC_STATUS, message.frame_index, status))
         self.published.append(time.perf_counter())
 
 
@@ -302,8 +306,7 @@ class AdaptationNode(Node):
                 frame_index=message.frame_index, estimated_height=height,
                 stature_class=stature_class, params=params)
             self._frames.clear()
-            publish(Message(TOPIC_ADAPTATION, message.frame_index,
-                            message.timestamp, self.event))
+            publish(Message(TOPIC_ADAPTATION, message.frame_index, self.event))
 
 
 # Landmark indices in code-point order of their names.
@@ -326,35 +329,24 @@ def _landmark_table(stream: str, columns, seen) -> np.ndarray:
                          (c[frame, block, landmark] for c in columns))
 
 
-# The ``rula`` columns after ``frame`` by type, each in the order ``handle``
-# reads a record's values: the float angles; the int angle flags, then scores.
-_ANGLE_NAMES = {field.name for field in fields(JointAngles)}
-_RULA_FLOATS = tuple(name for name, conv in STREAM_FIELDS["rula"] if conv is float)
-_RULA_ANGLE_INTS = tuple(name for name, conv in STREAM_FIELDS["rula"][1:]
-                         if conv is int and name in _ANGLE_NAMES)
-_RULA_SCORE_INTS = tuple(name for name, conv in STREAM_FIELDS["rula"][1:]
-                         if conv is int and name not in _ANGLE_NAMES)
-_RULA_INTS = _RULA_ANGLE_INTS + _RULA_SCORE_INTS
-_angle_floats = attrgetter(*_RULA_FLOATS)
-_angle_ints = attrgetter(*_RULA_ANGLE_INTS)
-_score_ints = attrgetter(*_RULA_SCORE_INTS)
+# The ``rula`` fields from ``frame`` to ``status`` are the JointAngles
+# fields, then the RulaBreakdown fields but ``side``, in that order; the
+# first ``_N_FLOATS`` of those values are floats, the other ``_N_INTS`` ints.
+_angle_values = attrgetter(*(f.name for f in fields(JointAngles)))
+_score_values = attrgetter(*(f.name for f in fields(RulaBreakdown) if f.name != "side"))
+_N_FLOATS = sum(conv is float for _, conv in STREAM_FIELDS["rula"])
+_N_INTS = sum(conv is int for _, conv in STREAM_FIELDS["rula"][1:])
 
 
 def rula_table(seen, floats, ints, status, side) -> np.ndarray:
     """The ``rula`` stream from the recorder's per-frame slots, in frame order.
 
-    Per frame: whether it has a record, the record's ``_RULA_FLOATS``
-    values in ``floats``, its ``_RULA_INTS`` values in ``ints``, its
-    status value and its scored side. Each column goes to the field of
-    its name.
+    Per frame: whether it has a record, its float and its int values in
+    field order, its status value and its scored side.
     """
     frame = np.flatnonzero(seen)
-    columns = {"frame": frame,
-               **dict(zip(_RULA_FLOATS, floats[frame].T)),
-               **dict(zip(_RULA_INTS, ints[frame].T)),
-               "status": status[frame], "side": side[frame]}
-    return columns_table(STREAM_FIELDS["rula"], len(frame),
-                         (columns[name] for name in STREAM_COLUMNS["rula"]))
+    return columns_table(STREAM_FIELDS["rula"], len(frame), (
+        frame, *floats[frame].T, *ints[frame].T, status[frame], side[frame]))
 
 
 class RecorderNode(Node):
@@ -367,11 +359,12 @@ class RecorderNode(Node):
     message, as the fusion node's topology is, so each stream's arrays are
     allocated at construction: axes frame, camera or rig, landmark, then
     values, and a "seen" mask. Cameras are stored in id order; rigs in
-    ``rig_ids`` order, the order their messages carry them, until
-    ``finish`` puts them in id order. ``handle`` copies a message's arrays
-    into its slot and keeps no payload. ``finish`` frees each stream's
-    arrays once its table exists and keeps each rig's DLT residual
-    quantiles in ``dlt_residual``.
+    ``rig_ids`` order, the run's rig order that the per-rig arrays follow,
+    until ``finish`` puts them in id order. ``handle`` copies a message's
+    arrays into its slot and keeps no payload. ``finish`` frees each
+    stream's arrays once its table exists, keeps each rig's DLT residual
+    quantiles in ``dlt_residual`` and counts the ``rula`` stream's
+    statuses, in frame order, in ``status_counts``.
     """
 
     name = "recorder"
@@ -394,8 +387,8 @@ class RecorderNode(Node):
             # xyz, seen (per frame)
             "fused_landmarks": (np.empty((F, N_ALL, 3)), np.zeros(F, bool)),
             # seen, float angles, int flags and scores, status value, side
-            "rula": (np.zeros(F, bool), np.empty((F, len(_RULA_FLOATS))),
-                     np.empty((F, len(_RULA_INTS)), np.int64),
+            "rula": (np.zeros(F, bool), np.empty((F, _N_FLOATS)),
+                     np.empty((F, _N_INTS), np.int64),
                      np.empty(F, object), np.empty(F, object)),
         }
         self.recording: SegmentRecording | None = None
@@ -428,17 +421,16 @@ class RecorderNode(Node):
             xyz[k] = payload
             seen[k] = True
         elif topic == TOPIC_RULA:
-            seen, floats, ints, states, side = self.slots["rula"]
-            angles, breakdown = payload.angles, payload.breakdown
+            seen, floats, ints, _, side = self.slots["rula"]
+            angles, breakdown = payload
+            values = _angle_values(angles) + _score_values(breakdown)
             seen[k] = True
-            floats[k] = _angle_floats(angles)
-            ints[k] = (*_angle_ints(angles), *_score_ints(breakdown))
-            states[k] = payload.status.status.value
+            floats[k] = values[:_N_FLOATS]
+            ints[k] = values[_N_FLOATS:]
             side[k] = breakdown.side
         elif topic == TOPIC_STATUS:
             status: PostureStatus = payload
-            key = status.status.value
-            self.status_counts[key] = self.status_counts.get(key, 0) + 1
+            self.slots["rula"][3][k] = status.status.value
         elif topic == TOPIC_ADAPTATION:
             self.adaptation_event = payload
 
@@ -470,19 +462,21 @@ class RecorderNode(Node):
             seen[:, None, None])
         del xyz
         streams["rula"] = rula_table(*slots.pop("rula"))
+        self.status_counts = dict(Counter(streams["rula"]["status"]))
         self.recording = SegmentRecording({}, streams)
 
 
-def _drive(frames, frame_rate: float, wall_ms: array) -> Iterator[Message]:
-    """Feed the world frames, appending each one's host time to ``wall_ms``.
+def _drive(frames, wall_ms: array) -> Iterator[Message]:
+    """Feed the world frames, numbered from 0 (the run's one frame index),
+    appending each one's host time to ``wall_ms``.
 
     A frame's time runs from its yield until the scheduler asks for the
     next one: under ``serial`` the whole graph's work on it, under
     ``threads`` the hand-off to the camera nodes' inboxes.
     """
-    for frame in frames:
+    for k, frame in enumerate(frames):
         t0 = time.perf_counter()
-        yield Message(TOPIC_WORLD, frame.index, frame.index / frame_rate, frame)
+        yield Message(TOPIC_WORLD, k, frame)
         wall_ms.append(1000.0 * (time.perf_counter() - t0))
 
 
@@ -503,7 +497,7 @@ def _run_segment(config: ScenarioConfig, segment: str, delivery: np.ndarray,
         for cam in rig.cameras:
             camera_nodes.append(CameraNode(cam, spec.noise_sigma, seed, index))
             index += 1
-    fusion_node = FusionNode(rigs, config.frame_rate)
+    fusion_node = FusionNode(rigs)
     ergo_node = ErgonomicsNode(config.adjustments)
     warmup_frames = int(config.warmup * config.frame_rate + 1e-9)
     adapt_node = AdaptationNode(RobotDeliveryParams(config.delivery),
@@ -517,16 +511,15 @@ def _run_segment(config: ScenarioConfig, segment: str, delivery: np.ndarray,
     frame_wall_ms = array("d")
     # Only the driver holds the ground-truth frames, so each one goes once
     # the recorder has copied it.
-    runner(graph, _drive(animate(profile, script, delivery, stance),
-                         config.frame_rate, frame_wall_ms))
+    runner(graph, _drive(animate(profile, script, delivery, stance), frame_wall_ms))
 
     processing = fusion_node.processing_seconds + ergo_node.processing_seconds
     # Both nodes see the released frames in the same order (FIFO topics).
     status_latency = np.subtract(ergo_node.published, fusion_node.released)
-    event = adapt_node.event or recorder.adaptation_event
+    event = recorder.adaptation_event
     manifest = {
         "version": __version__,
-        "scenario": {**config.to_dict(), "stature": stature},
+        "scenario": config.to_dict(),
         "segment": segment,
         "seed": seed,
         "stature": stature,

@@ -181,7 +181,6 @@ class MotionScript:
 class LandmarkFrame:
     """All landmark positions (world meters) at one frame."""
 
-    index: int
     xyz: np.ndarray            # (N_ALL, 3), canonical LandmarkId order
     reach_ok: bool = True
 
@@ -245,7 +244,7 @@ def _arm_ik(shoulder: np.ndarray, target: np.ndarray, upper: float,
 
 def _pose(profile: AnthropometricProfile, stance: np.ndarray,
           trunk_deg: float, neck_deg: float,
-          wrist_goal: np.ndarray | None, index: int) -> LandmarkFrame:
+          wrist_goal: np.ndarray | None) -> LandmarkFrame:
     """Assemble one frame: static lower body, pitched torso, posed arms."""
     seg = profile.segment_lengths
     half_hip = seg["hip_width"] / 2.0
@@ -294,7 +293,7 @@ def _pose(profile: AnthropometricProfile, stance: np.ndarray,
         put(LandmarkId.RIGHT_WRIST, wrist)
 
     xyz.setflags(write=False)
-    return LandmarkFrame(index=index, xyz=xyz, reach_ok=reach_ok)
+    return LandmarkFrame(xyz=xyz, reach_ok=reach_ok)
 
 
 def _ease(s: float) -> float:
@@ -304,7 +303,7 @@ def _ease(s: float) -> float:
 
 def animate(profile: AnthropometricProfile, script: MotionScript,
             delivery_point, stance=(0.0, 0.0, 0.0)) -> tuple[LandmarkFrame, ...]:
-    """Run the motion script and emit the ground-truth frames, one per index.
+    """Run the motion script and emit the ground-truth frames, in frame order.
 
     Phase targets equal to the string ``"delivery"`` resolve to
     ``delivery_point``. Within each phase the wrist goal moves along a
@@ -329,7 +328,7 @@ def animate(profile: AnthropometricProfile, script: MotionScript,
         else:
             resolved.append(np.asarray(phase.target, dtype=float).reshape(3))
 
-    rest = _pose(profile, stance, 0.0, 0.0, None, index=-1)
+    rest = _pose(profile, stance, 0.0, 0.0, None)
     rest_wrist = rest.get(LandmarkId.RIGHT_WRIST).copy()
 
     # Per-phase endpoint state: wrist keypoint and comfort angles.
@@ -359,7 +358,7 @@ def animate(profile: AnthropometricProfile, script: MotionScript,
         trunk = tr0 + (tr1 - tr0) * s
         neck = nk0 + (nk1 - nk0) * s
         goal = w0 + (np.asarray(w1) - np.asarray(w0)) * s
-        frames.append(_pose(profile, stance, trunk, neck, goal, index=k))
+        frames.append(_pose(profile, stance, trunk, neck, goal))
     return tuple(frames)
 
 

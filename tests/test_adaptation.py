@@ -91,7 +91,6 @@ class TestAdaptRobot:
         np.testing.assert_array_equal(params.delivery_point[:2],
                                       default.delivery_point[:2])
         assert params.adapted
-        assert params.source_class.class_id == "c3"
 
     def test_second_adaptation_rejected(self):
         adapted = adapt_robot(classify_height(1.75), self.default())

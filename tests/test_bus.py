@@ -15,8 +15,7 @@ class Doubler(Node):
     publishes = ("out",)
 
     def handle(self, message, publish):
-        publish(Message("out", message.frame_index, message.timestamp,
-                        message.payload * 2))
+        publish(Message("out", message.frame_index, message.payload * 2))
 
 
 class Collector(Node):
@@ -37,7 +36,7 @@ class Collector(Node):
 
 def source(n=20):
     for k in range(n):
-        yield Message("in", k, k / 10.0, k)
+        yield Message("in", k, k)
 
 
 class TestNodeGraphValidation:

@@ -417,16 +417,43 @@ class TestEvalRula:
         assert (out / "area_means.csv").exists()
         assert (out / "angle_distributions.csv").exists()
 
-    def test_self_comparison_zero_deltas(self, run_dir, tmp_path):
+    def test_self_comparison_zero_deltas(self, run_dir, tmp_path, scenario_file):
+        # The same run recorded twice: one segment against its copy.
+        again = tmp_path / "again"
+        assert main(["simulate", "--scenario", str(scenario_file),
+                     "--out", str(again)]) == 0
         out = tmp_path / "self"
         assert main(["eval-rula", "--recording-pre", str(run_dir / "pre"),
-                     "--recording-post", str(run_dir / "pre"),
+                     "--recording-post", str(again / "pre"),
                      "--out", str(out)]) == 0
         rows = (out / "area_means.csv").read_text().splitlines()[1:]
         for row in rows:
             _, pre, post, improvement = row.split(",")
             assert pre == post
             assert float(improvement) == 0.0
+
+    def test_one_segment_as_pre_and_post_exits_2(self, run_dir, tmp_path, capsys):
+        segment = run_dir / "pre"
+        report = tmp_path / "report"
+        assert main(["eval-rula", "--recording-pre", str(segment),
+                     "--recording-post", str(segment), "--out", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: pre and post are the same segment recording {segment}\n"
+        assert captured.out == ""
+        assert not report.exists()
+
+    def test_run_without_post_as_both_roots_exits_2(self, tmp_path, capsys):
+        scenario = tmp_path / "no_adapt.yaml"
+        scenario.write_text(yaml.safe_dump({**SCENARIO, "adapt": False}))
+        run = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(run)]) == 0
+        assert sorted(p.name for p in run.iterdir()) == ["pre"]
+        capsys.readouterr()
+        assert main(["eval-rula", "--recording-pre", str(run),
+                     "--recording-post", str(run)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: pre and post are the same segment recording {run / 'pre'}\n"
+        assert captured.out == ""
 
     def test_mismatched_seed_exits_2(self, run_dir, tmp_path, scenario_file, capsys):
         other = tmp_path / "other"

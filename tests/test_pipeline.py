@@ -1,4 +1,5 @@
 import functools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,12 +9,12 @@ from ergofusion.adaptation import CLASSES, SHOULDER_RATIO
 from ergofusion.bus import Message
 from ergofusion.cameras import StereoRig
 from ergofusion.fusion import compute_anchors, compute_delta, fuse
-from ergofusion.pipeline import (CameraNode, FusionNode, PipelineError,
+from ergofusion.pipeline import (SCHEDULERS, CameraNode, FusionNode, PipelineError,
                                  observation_topic, run_scenario)
-from ergofusion.recording import STREAM_NAMES, SegmentRecording
+from ergofusion.recording import STREAM_NAMES, SegmentRecording, read_manifest
 from ergofusion.scenario import ScenarioConfig, parse_scenario
-from ergofusion.skeleton import (N_ALL, N_FUSED, CameraObservations, LandmarkFrame,
-                                 animate, build_skeleton, observe)
+from ergofusion.skeleton import (N_ALL, N_FUSED, CameraObservations, animate,
+                                 build_skeleton, observe)
 from ergofusion.triangulate import Observation2D, build_dlt_matrix, solve_pairs
 
 from helpers import assert_solves_rows, committed_scenario
@@ -95,7 +96,41 @@ class TestRunScenario:
             run_scenario(committed_scenario(), seed=0, scheduler="fibers")
 
 
+# The manifest stats that time the host, not the run.
+TIMING_STATS = ("mean_frame_processing_ms", "status_latency_ms", "frame_wall_ms",
+                "scheduler")
+
+
+@pytest.fixture(scope="module")
+def handover_runs(tmp_path_factory):
+    """The committed handover run saved under each scheduler's name."""
+    root = tmp_path_factory.mktemp("handover")
+    for scheduler in SCHEDULERS:
+        run_scenario(committed_scenario(), scheduler=scheduler).save(root / scheduler)
+    return root
+
+
 class TestDeterminism:
+    def test_schedulers_write_equal_manifests_but_for_timing(self, handover_runs):
+        manifests = {}
+        for scheduler in SCHEDULERS:
+            manifests[scheduler] = {
+                path.parent.name: read_manifest(path)
+                for path in sorted((handover_runs / scheduler).glob("*/manifest.json"))}
+            for manifest in manifests[scheduler].values():
+                for key in TIMING_STATS:
+                    del manifest["stats"][key]
+        assert list(manifests["serial"]) == ["post", "pre"]
+        assert manifests["serial"] == manifests["threads"]
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_status_counts_are_the_recorded_status_column(self, handover_runs, scheduler):
+        for segment in ("pre", "post"):
+            recording = SegmentRecording.load(handover_runs / scheduler / segment, ("rula",))
+            statuses = recording.streams["rula"]["status"].tolist()
+            assert len(statuses) == recording.manifest["frames"]
+            assert recording.manifest["status_counts"] == dict(Counter(statuses))
+
     def test_same_seed_same_digest(self):
         config = committed_scenario(stature=1.85, noise_sigma=0.002)
         a = run_scenario(config, seed=5)
@@ -191,7 +226,7 @@ def feed(node: FusionNode, bundle: dict, frame_index: int) -> list:
     """Deliver one frame's camera messages; return what the node published."""
     published = []
     for camera_id, obs in bundle.items():
-        node.handle(Message(observation_topic(camera_id), frame_index, 0.0, obs),
+        node.handle(Message(observation_topic(camera_id), frame_index, obs),
                     published.append)
     return published
 
@@ -240,7 +275,6 @@ def check_against_reference(node: FusionNode, bundle: dict, frame_index: int) ->
     """Feed one frame and assert bitwise equality with ``per_rig_reference``."""
     per_rig, fused = (m.payload for m in feed(node, bundle, frame_index))
     want_rigs, want_xyz = per_rig_reference(node, bundle)
-    assert per_rig.rig_ids == tuple(rig.id for rig in node.rigs)
     assert per_rig.xyz.shape == (len(node.rigs), N_ALL, 3)
     for r, (xyz, visible, residual) in enumerate(want_rigs):
         assert per_rig.xyz[r].tobytes() == xyz.tobytes()
@@ -275,16 +309,16 @@ class TestFusionNode:
     def test_random_aux_visibility_equals_the_per_rig_reference(self, seed, hide):
         rng = np.random.default_rng(600 + seed)
         config = committed_scenario(noise_sigma=0.002)
-        node = FusionNode(config.build_rigs(), config.frame_rate)
+        node = FusionNode(config.build_rigs())
         cameras = [cam for rig in node.rigs for cam in rig.cameras]
-        for frame in scenario_frames(config, 30):
+        for index, frame in enumerate(scenario_frames(config, 30)):
             # Each camera loses a random share of the auxiliary landmarks;
             # half of them keep a finite uv where they are hidden.
             bundle = {cam.id: hide_aux(observe(cam, frame, 0.002, rng),
                                        rng.random(N_ALL - N_FUSED) < hide,
                                        rng.random() >= 0.5)
                       for cam in cameras}
-            check_against_reference(node, bundle, frame.index)
+            check_against_reference(node, bundle, index)
 
     @given(hidden=st.lists(st.lists(st.booleans(), min_size=N_ALL - N_FUSED,
                                     max_size=N_ALL - N_FUSED), min_size=6, max_size=6),
@@ -293,7 +327,7 @@ class TestFusionNode:
     def test_generated_aux_visibility_equals_the_per_rig_reference(
             self, hidden, finite_uv, seed, index):
         config, rigs, frames = handover_frames()
-        node = FusionNode(rigs, config.frame_rate)
+        node = FusionNode(rigs)
         rng = np.random.default_rng(seed)
         cameras = [cam for rig in rigs for cam in rig.cameras]
         bundle = {cam.id: hide_aux(observe(cam, frames[index], 0.002, rng), hide, finite)
@@ -302,7 +336,7 @@ class TestFusionNode:
 
     def test_first_failure_in_rig_order_is_reported(self):
         config = committed_scenario(noise_sigma=0.0)
-        node = FusionNode(config.build_rigs(), config.frame_rate)
+        node = FusionNode(config.build_rigs())
         frame = scenario_frames(config, 1)[0]
         bundle = {cam.id: observe(cam, frame, 0.0)
                   for rig in node.rigs for cam in rig.cameras}
@@ -313,11 +347,11 @@ class TestFusionNode:
             right.uv[landmark] = left.uv[landmark]
         with pytest.raises(PipelineError, match=r"^frame 0: rig S2 failed to "
                                                 r"triangulate nose: point at infinity$"):
-            feed(node, bundle, frame.index)
+            feed(node, bundle, 0)
 
     def test_hidden_point_at_infinity_is_masked_not_raised(self):
         config = committed_scenario(noise_sigma=0.0)
-        node = FusionNode(config.build_rigs(), config.frame_rate)
+        node = FusionNode(config.build_rigs())
         frame = scenario_frames(config, 1)[0]
         bundle = {cam.id: observe(cam, frame, 0.0)
                   for rig in node.rigs for cam in rig.cameras}
@@ -326,7 +360,7 @@ class TestFusionNode:
         left, right = bundle["S2.L"], bundle["S2.R"]
         right.uv[13] = left.uv[13]
         right.visible[13] = False
-        check_against_reference(node, bundle, frame.index)
+        check_against_reference(node, bundle, 0)
 
 
 class TestCameraNode:
@@ -337,12 +371,10 @@ class TestCameraNode:
         frame = scenario_frames(committed_scenario(), 1)[0]
         for camera_index in (0, 3):
             node = CameraNode(camera, 0.002, seed, camera_index)
-            # The bus frame index keys the noise, not the payload's index.
-            for index, payload_index in ((0, 0), (9, 9), (2 ** 32 + 1, 2 ** 32 + 1),
-                                         (5, 6)):
-                frame = LandmarkFrame(payload_index, frame.xyz)
+            # The bus frame index keys the noise.
+            for index in (0, 9, 2 ** 32 + 1):
                 published = []
-                node.handle(Message("world", index, 0.0, frame), published.append)
+                node.handle(Message("world", index, frame), published.append)
                 want = observe(camera, frame, 0.002,
                                np.random.default_rng((seed, camera_index, index)))
                 assert published[0].payload.uv.tobytes() == want.uv.tobytes()

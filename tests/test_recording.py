@@ -20,8 +20,7 @@ from ergofusion import evaluate
 from ergofusion.evaluate import rula_compare_many
 from ergofusion.bus import Message
 from ergofusion import pipeline
-from ergofusion.pipeline import (PerRigLandmarks, RecorderNode, RulaRecord, _quantiles,
-                                 run_scenario)
+from ergofusion.pipeline import PerRigLandmarks, RecorderNode, _quantiles, run_scenario
 from ergofusion.rula import (STATUS_MESSAGES, JointAngles, PostureState, PostureStatus,
                              RulaBreakdown)
 from ergofusion import recording
@@ -136,9 +135,14 @@ def test_recorded_ground_truth_is_the_animation_bit_for_bit(criterion_9_run):
         assert got.tobytes() == want.tobytes()
 
 
-def _recorded_rows(messages) -> dict[str, list[tuple]]:
-    """Reference: the rows of ``messages`` built one tuple at a time, sorted."""
+def _recorded_rows(messages, rig_ids) -> dict[str, list[tuple]]:
+    """Reference: the rows of ``messages`` built one tuple at a time, sorted.
+
+    A per-rig message's rigs are ``rig_ids`` in order; a ``rula`` row takes
+    its status from its frame's ``posture_status`` message."""
     rows = {name: [] for name in STREAM_NAMES}
+    status = {m.frame_index: m.payload.status.value
+              for m in messages if m.topic == "posture_status"}
     for message in messages:
         topic, k, payload = message.topic, message.frame_index, message.payload
         if topic == "world":
@@ -154,7 +158,7 @@ def _recorded_rows(messages) -> dict[str, list[tuple]]:
             rows["per_rig_landmarks"] += [
                 (k, rig_id, name, x, y, z, residual, 2)
                 for rig_id, xyz, residuals, visible in zip(
-                    payload.rig_ids, payload.xyz.tolist(), payload.residual.tolist(),
+                    rig_ids, payload.xyz.tolist(), payload.residual.tolist(),
                     payload.visible.tolist())
                 for name, (x, y, z), residual, seen in zip(
                     LANDMARK_NAMES, xyz, residuals, visible) if seen]
@@ -163,7 +167,7 @@ def _recorded_rows(messages) -> dict[str, list[tuple]]:
                 (k, name, x, y, z, "fused" if i < N_FUSED else "aux")
                 for i, (name, (x, y, z)) in enumerate(zip(LANDMARK_NAMES, payload.tolist()))]
         elif topic == "rula":
-            a, b = payload.angles, payload.breakdown
+            a, b = payload
             rows["rula"].append((
                 k, a.upper_arm_left, a.upper_arm_right, a.lower_arm_left,
                 a.lower_arm_right, a.wrist_left, a.wrist_right, a.neck, a.trunk,
@@ -172,7 +176,7 @@ def _recorded_rows(messages) -> dict[str, list[tuple]]:
                 b.score_wrist_twist, b.table_a,
                 b.score_neck, b.score_trunk, b.score_legs, b.table_b,
                 b.wrist_arm_score, b.neck_trunk_leg_score,
-                b.grand, b.action_level, payload.status.status.value, b.side))
+                b.grand, b.action_level, status[k], b.side))
     return {name: sorted(stream_rows) for name, stream_rows in rows.items()}
 
 
@@ -194,18 +198,18 @@ def _random_messages(rng) -> tuple[tuple, list[Message]]:
     n_frames = int(rng.integers(0, 5))
     for k in rng.permutation(n_frames).tolist():
         reach_ok = bool(rng.random() < 0.5)
-        messages.append(Message("world", k, 0.0, LandmarkFrame(k, points(), reach_ok)))
+        messages.append(Message("world", k, LandmarkFrame(points(), reach_ok)))
         for camera in cameras:
             visible = seen()
             uv = np.where(visible[:, None], rng.normal(size=(N_ALL, 2)), np.nan)
-            messages.append(Message(f"observations/{camera}", k, 0.0,
+            messages.append(Message(f"observations/{camera}", k,
                                     CameraObservations(camera, uv, visible)))
         if rng.random() < 0.3:
             continue  # dropped: no landmarks and no score for this frame
         xyz, visible, residual = zip(*((points(), seen(), rng.random(N_ALL)) for _ in rigs))
-        messages.append(Message("per_rig_landmarks", k, 0.0, PerRigLandmarks(
-            tuple(rigs), np.stack(xyz), np.stack(visible), np.stack(residual))))
-        messages.append(Message("fused_landmarks", k, 0.0, points()))
+        messages.append(Message("per_rig_landmarks", k, PerRigLandmarks(
+            np.stack(xyz), np.stack(visible), np.stack(residual))))
+        messages.append(Message("fused_landmarks", k, points()))
         angles = JointAngles(*rng.uniform(-180.0, 180.0, 8).tolist(),
                              legs_supported=bool(rng.random() < 0.5),
                              aux_present=bool(rng.random() < 0.5))
@@ -213,10 +217,18 @@ def _random_messages(rng) -> tuple[tuple, list[Message]]:
             **{f.name: int(rng.integers(1, 8)) for f in dataclasses.fields(RulaBreakdown)
                if f.name != "side"}, side=str(rng.choice(["left", "right"])))
         state = states[rng.integers(len(states))]
-        messages.append(Message("rula", k, 0.0, RulaRecord(
-            angles, breakdown, PostureStatus(state, STATUS_MESSAGES[state]))))
+        messages.append(Message("rula", k, (angles, breakdown)))
+        messages.append(Message("posture_status", k,
+                                PostureStatus(state, STATUS_MESSAGES[state])))
     rng.shuffle(messages)  # as the threaded scheduler may deliver them
     return (cameras, rigs, n_frames), messages
+
+
+def test_rula_columns_are_the_angle_then_score_fields():
+    # The recorder copies a record's values into the stream in this order.
+    angles = [f.name for f in dataclasses.fields(JointAngles)]
+    scores = [f.name for f in dataclasses.fields(RulaBreakdown) if f.name != "side"]
+    assert STREAM_COLUMNS["rula"] == ("frame", *angles, *scores, "status", "side")
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -226,7 +238,7 @@ def test_recorder_tables_equal_the_per_row_reference(seed):
     for message in messages:
         recorder.handle(message, None)
     recorder.finish(None)
-    want = _recorded_rows(messages)
+    want = _recorded_rows(messages, segment[1])
     for name in STREAM_NAMES:
         table = recorder.recording.streams[name]
         assert table.dtype == recording._DTYPES[name]
@@ -831,7 +843,7 @@ def _flat_bytes(message: Message) -> int:
     payload = message.payload
     if isinstance(payload, np.ndarray):
         return 8 + payload.nbytes
-    if isinstance(payload, RulaRecord):
+    if isinstance(payload, tuple):  # a ``rula`` (angles, breakdown) pair
         return 8 * len(STREAM_FIELDS["rula"])
     values = [getattr(payload, f.name) for f in dataclasses.fields(payload)]
     return 8 + sum(v.nbytes if isinstance(v, np.ndarray) else

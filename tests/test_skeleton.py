@@ -200,7 +200,7 @@ class TestCapture:
         frame = self._frame()
         xyz = frame.xyz.copy()
         xyz[LANDMARK_INDEX[LandmarkId.LEFT_WRIST]] = [10.0, 0.0, 1.0]  # behind the rig
-        behind = LandmarkFrame(index=0, xyz=xyz)
+        behind = LandmarkFrame(xyz=xyz)
         for cam in make_rig().cameras:
             cam_obs = observe(cam, behind, 0.0)
             assert not cam_obs.visible[LANDMARK_INDEX[LandmarkId.LEFT_WRIST]]
