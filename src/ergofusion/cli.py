@@ -1,8 +1,9 @@
 """``ergofusion`` command line: simulate scenarios and evaluate recordings.
 
 Exit codes: 0 success, 1 runtime failure, 2 validation/configuration
-failure. The ``ERGOFUSION_OUT`` environment variable supplies the
-default output root for ``simulate``.
+failure; a closed stdout (``| head -1``) only discards the rest of the
+output. The ``ERGOFUSION_OUT`` environment variable supplies the default
+output root for ``simulate``.
 """
 
 from __future__ import annotations
@@ -65,6 +66,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(text: str) -> None:
+    """Print ``text``; once the reader has closed stdout, discard the rest."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # Later prints and the flush at exit go to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _resolve_segment(path_str: str, streams: tuple[str, ...]) -> SegmentRecording:
     """Load ``streams`` of a segment directory, or of a run's ``pre`` segment."""
     path = Path(path_str)
@@ -99,7 +109,7 @@ def _cmd_simulate(args) -> int:
                                  scheduler=args.scheduler)
         recording.save(target)
         for name, segment in recording.segments.items():
-            print(f"{target / name}  frames={segment.manifest['frames']}  "
+            _emit(f"{target / name}  frames={segment.manifest['frames']}  "
                   f"digest={segment.manifest['digest'][:12]}")
     return EXIT_OK
 
@@ -107,22 +117,22 @@ def _cmd_simulate(args) -> int:
 def _cmd_eval_rmse(args) -> int:
     segment = _resolve_segment(args.recording, RMSE_STREAMS)
     report = rmse_report(segment)
-    print(report.to_text())
+    _emit(report.to_text())
     if args.out:
         import json
         Path(args.out).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-        print(f"report written to {args.out}")
+        _emit(f"report written to {args.out}")
     return EXIT_OK
 
 
 def _cmd_eval_rula(args) -> int:
     pairs = pair_recordings(args.recording_pre, args.recording_post)
     comparison = rula_compare_many(pairs)
-    print(comparison.to_text())
+    _emit(comparison.to_text())
     if args.out:
         paths = write_comparison(comparison, args.out)
         for name, path in paths.items():
-            print(f"{name}: {path}")
+            _emit(f"{name}: {path}")
     return EXIT_OK
 
 
@@ -130,7 +140,7 @@ def _cmd_export(args) -> int:
     segment = _resolve_segment(args.recording, (EXPORT_STREAMS[args.what],))
     out = args.out or f"{args.what}.{args.format}"
     path = export(segment, args.what, args.format, out)
-    print(f"wrote {path}")
+    _emit(f"wrote {path}")
     return EXIT_OK
 
 

@@ -7,12 +7,13 @@ Topology (one topic per edge label, single publisher each)::
     fusion --fused_landmarks--> ergonomics, adaptation
     ergonomics --rula, posture_status--> recorder
     adaptation --adaptation--> recorder
-    (recorder also subscribes world, observations, per_rig_landmarks, fused)
+    (recorder also subscribes observations, per_rig_landmarks, fused)
 
 A message carries its frame's index, which the driver numbers from 0 and
 every node reads, and a payload holding only what its subscribers read:
 
-- ``world``: the ground-truth ``LandmarkFrame`` (xyz and reach flag);
+- ``world``: the frame's (N_ALL, 3) ground-truth positions, row k of the
+  segment's ``animate`` array;
 - ``observations/<cam>``: that camera's ``CameraObservations``;
 - ``per_rig_landmarks``: ``PerRigLandmarks``, every rig's xyz, visibility
   and DLT residual, rigs in the run's rig order;
@@ -42,10 +43,12 @@ ergonomics node has published its posture status) go to the manifest
 stats, outside the digest. Camera noise is keyed by the bus frame index,
 as every node reads it.
 
-The recorder keeps no message. A segment's cameras, rigs and frame
-count are fixed before it starts, so the recorder allocates each
-stream's arrays once (frame, camera or rig, landmark, values, plus a
-"seen" mask) and copies each message's arrays into its frame's slot.
+The recorder keeps no message. It is built with the segment's ground
+truth, the arrays ``animate`` returned to the driver, not fed it on
+``world``. A segment's cameras, rigs and frame count are fixed before it
+starts, so the recorder allocates every other stream's arrays once
+(frame, camera or rig, landmark, values, plus a "seen" mask) and copies
+each message's arrays into its frame's slot.
 At the end of a segment it builds each stream's table from the slots,
 already in canonical order, so delivery order cannot change a row and
 nothing is sorted; it frees a stream's arrays once its table exists.
@@ -133,7 +136,7 @@ def _uint32_words(n: int) -> list[int]:
 
 
 class CameraNode(Node):
-    """Projects ground-truth frames into one camera with seeded noise."""
+    """Projects each frame's ground-truth positions into one camera, with seeded noise."""
 
     def __init__(self, camera: CameraModel, noise_sigma: float, seed: int,
                  camera_index: int):
@@ -355,30 +358,30 @@ class RecorderNode(Node):
     order: by frame, then camera or rig id, then landmark name (ids and
     names in code-point order), with nothing to sort.
 
+    The ``ground_truth`` table is built from ``ground_truth``, the arrays
+    ``animate`` returned, which the recorder is built with and never copies.
     A segment's cameras, rigs and frame count are fixed before its first
-    message, as the fusion node's topology is, so each stream's arrays are
-    allocated at construction: axes frame, camera or rig, landmark, then
-    values, and a "seen" mask. Cameras are stored in id order; rigs in
-    ``rig_ids`` order, the run's rig order that the per-rig arrays follow,
-    until ``finish`` puts them in id order. ``handle`` copies a message's
-    arrays into its slot and keeps no payload. ``finish`` frees each
-    stream's arrays once its table exists, keeps each rig's DLT residual
-    quantiles in ``dlt_residual`` and counts the ``rula`` stream's
-    statuses, in frame order, in ``status_counts``.
+    message, as the fusion node's topology is, so every other stream's
+    arrays are allocated at construction: axes frame, camera or rig,
+    landmark, then values, and a "seen" mask. Cameras are stored in id
+    order; rigs in ``rig_ids`` order, the run's rig order that the per-rig
+    arrays follow, until ``finish`` puts them in id order. ``handle``
+    copies a message's arrays into its slot and keeps no payload.
+    ``finish`` frees each stream's arrays once its table exists, keeps
+    each rig's DLT residual quantiles in ``dlt_residual`` and counts the
+    ``rula`` stream's statuses, in frame order, in ``status_counts``.
     """
 
     name = "recorder"
     publishes = ()
 
-    def __init__(self, camera_ids, rig_ids, n_frames: int):
+    def __init__(self, camera_ids, rig_ids, ground_truth: tuple[np.ndarray, np.ndarray]):
         self.camera_ids = sorted(camera_ids)
         self._camera_slot = {camera: c for c, camera in enumerate(self.camera_ids)}
         self.rig_ids = tuple(rig_ids)
-        self.n_frames = n_frames
-        F, C, R = n_frames, len(self.camera_ids), len(self.rig_ids)
+        self.ground_truth = ground_truth
+        F, C, R = len(ground_truth[0]), len(self.camera_ids), len(self.rig_ids)
         self.slots: dict[str, tuple] = {
-            # xyz, reach_ok, seen (per frame)
-            "ground_truth": (np.empty((F, N_ALL, 3)), np.empty(F, bool), np.zeros(F, bool)),
             # uv, seen (= visible)
             "observations": (np.empty((F, C, N_ALL, 2)), np.zeros((F, C, N_ALL), bool)),
             # xyz, residual, seen (= visible)
@@ -393,7 +396,7 @@ class RecorderNode(Node):
         }
         self.recording: SegmentRecording | None = None
         self.dlt_residual: dict[str, dict[str, float] | None] = {}
-        self.subscribes = (TOPIC_WORLD, TOPIC_PER_RIG, TOPIC_FUSED, TOPIC_RULA,
+        self.subscribes = (TOPIC_PER_RIG, TOPIC_FUSED, TOPIC_RULA,
                            TOPIC_STATUS, TOPIC_ADAPTATION) + tuple(
             observation_topic(c) for c in camera_ids)
         self.status_counts: dict[str, int] = {}
@@ -411,11 +414,6 @@ class RecorderNode(Node):
             xyz[k] = payload.xyz
             residual[k] = payload.residual
             seen[k] = payload.visible
-        elif topic == TOPIC_WORLD:
-            xyz, reach_ok, seen = self.slots["ground_truth"]
-            xyz[k] = payload.xyz
-            reach_ok[k] = payload.reach_ok
-            seen[k] = True
         elif topic == TOPIC_FUSED:
             xyz, seen = self.slots["fused_landmarks"]
             xyz[k] = payload
@@ -435,14 +433,11 @@ class RecorderNode(Node):
             self.adaptation_event = payload
 
     def finish(self, publish):
-        # Popped one stream at a time, so each stream's arrays go as its table comes.
+        # Popped one stream at a time, so each stream's arrays go as its table
+        # comes. The ground truth's arrays are the driver's and outlive
+        # finish, so its table comes last, after the other slots are freed.
         slots, streams = self.slots, {}
-        frame = np.arange(self.n_frames)[:, None, None]
-        xyz, reach_ok, seen = slots.pop("ground_truth")
-        streams["ground_truth"] = _landmark_table("ground_truth", (
-            frame, _LANDMARKS, *np.moveaxis(xyz[:, None], -1, 0), reach_ok[:, None, None]),
-            seen[:, None, None])
-        del xyz, reach_ok
+        frame = np.arange(len(self.ground_truth[0]))[:, None, None]
         uv, seen = slots.pop("observations")
         streams["observations"] = _landmark_table("observations", (
             frame, np.array(self.camera_ids, object)[:, None], _LANDMARKS,
@@ -463,20 +458,24 @@ class RecorderNode(Node):
         del xyz
         streams["rula"] = rula_table(*slots.pop("rula"))
         self.status_counts = dict(Counter(streams["rula"]["status"]))
+        xyz, reach_ok = self.ground_truth
+        streams["ground_truth"] = _landmark_table("ground_truth", (
+            frame, _LANDMARKS, *np.moveaxis(xyz[:, None], -1, 0), reach_ok[:, None, None]),
+            True)
         self.recording = SegmentRecording({}, streams)
 
 
-def _drive(frames, wall_ms: array) -> Iterator[Message]:
-    """Feed the world frames, numbered from 0 (the run's one frame index),
-    appending each one's host time to ``wall_ms``.
+def _drive(positions: np.ndarray, wall_ms: array) -> Iterator[Message]:
+    """Feed row k of the (F, N_ALL, 3) ground-truth positions as frame k
+    (the run's one frame index), appending its host time to ``wall_ms``.
 
     A frame's time runs from its yield until the scheduler asks for the
     next one: under ``serial`` the whole graph's work on it, under
     ``threads`` the hand-off to the camera nodes' inboxes.
     """
-    for k, frame in enumerate(frames):
+    for k, xyz in enumerate(positions):
         t0 = time.perf_counter()
-        yield Message(TOPIC_WORLD, k, frame)
+        yield Message(TOPIC_WORLD, k, xyz)
         wall_ms.append(1000.0 * (time.perf_counter() - t0))
 
 
@@ -491,27 +490,24 @@ def _run_segment(config: ScenarioConfig, segment: str, delivery: np.ndarray,
 
     rigs = config.build_rigs()
 
-    camera_nodes = []
-    index = 0
-    for spec, rig in zip(config.rigs, rigs):
-        for cam in rig.cameras:
-            camera_nodes.append(CameraNode(cam, spec.noise_sigma, seed, index))
-            index += 1
+    cameras = [(cam, spec.noise_sigma) for spec, rig in zip(config.rigs, rigs)
+               for cam in rig.cameras]
+    camera_nodes = [CameraNode(cam, sigma, seed, index)
+                    for index, (cam, sigma) in enumerate(cameras)]
     fusion_node = FusionNode(rigs)
     ergo_node = ErgonomicsNode(config.adjustments)
     warmup_frames = int(config.warmup * config.frame_rate + 1e-9)
     adapt_node = AdaptationNode(RobotDeliveryParams(config.delivery),
                                 warmup_frames, adapt_enabled)
-    recorder = RecorderNode(fusion_node.camera_ids, fusion_node.rig_ids, n_frames)
+    ground_truth = animate(profile, script, delivery, stance)
+    recorder = RecorderNode(fusion_node.camera_ids, fusion_node.rig_ids, ground_truth)
 
     graph = NodeGraph(
         camera_nodes + [fusion_node, ergo_node, adapt_node, recorder],
         source_topics=(TOPIC_WORLD,))
     runner = run_serial if scheduler == "serial" else run_threaded
     frame_wall_ms = array("d")
-    # Only the driver holds the ground-truth frames, so each one goes once
-    # the recorder has copied it.
-    runner(graph, _drive(animate(profile, script, delivery, stance), frame_wall_ms))
+    runner(graph, _drive(ground_truth[0], frame_wall_ms))
 
     processing = fusion_node.processing_seconds + ergo_node.processing_seconds
     # Both nodes see the released frames in the same order (FIFO topics).

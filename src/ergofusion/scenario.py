@@ -60,6 +60,9 @@ STANCE_BACK_FRACTION = 0.275
 
 MAX_RIGS = 8
 
+# A stature grid holds at most one value per millimetre of the range.
+MAX_STATURES = round(1000 * (STATURE_RANGE[1] - STATURE_RANGE[0])) + 1
+
 
 class ScenarioError(ValueError):
     """Invalid or incomplete scenario configuration."""
@@ -275,8 +278,11 @@ def _parse_statures(value) -> tuple[float, ...]:
             raise ScenarioError("stature grid: need step > 0 and stop >= start")
         # The grid ends at the last value not above stop. The slack only
         # absorbs rounding: (1.9 - 1.5) / 0.1 is 3.999999999999999.
-        count = int((stop - start) / step + 1e-9) + 1
-        statures = tuple(round(start + i * step, 9) for i in range(count))
+        steps = (stop - start) / step + 1e-9            # inf for a tiny step
+        if not steps < MAX_STATURES:
+            raise ScenarioError(f"stature grid: {start} to {stop} in steps of {step} "
+                                f"has more than {MAX_STATURES} values")
+        statures = tuple(round(start + i * step, 9) for i in range(int(steps) + 1))
     elif isinstance(value, (list, tuple)):
         statures = tuple(_number(v, "stature") for v in value)
     else:

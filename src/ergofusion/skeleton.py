@@ -177,17 +177,6 @@ class MotionScript:
         return int(self.frame_rate * self.total_duration + 1e-9)
 
 
-@dataclass(frozen=True)
-class LandmarkFrame:
-    """All landmark positions (world meters) at one frame."""
-
-    xyz: np.ndarray            # (N_ALL, 3), canonical LandmarkId order
-    reach_ok: bool = True
-
-    def get(self, lm: LandmarkId) -> np.ndarray:
-        return self.xyz[LANDMARK_INDEX[lm]]
-
-
 def trunk_flexion_for_target(profile: AnthropometricProfile, target_z: float) -> float:
     """Forward trunk flexion (degrees) adopted to work at ``target_z``."""
     hip = profile.hip_height
@@ -242,29 +231,23 @@ def _arm_ik(shoulder: np.ndarray, target: np.ndarray, upper: float,
     return elbow, wrist, reachable
 
 
+# The lower body's rows: hips, knees, ankles, each left then right.
+_LOWER = slice(LANDMARK_INDEX[LandmarkId.LEFT_HIP], LANDMARK_INDEX[LandmarkId.RIGHT_ANKLE] + 1)
+
+
 def _pose(profile: AnthropometricProfile, stance: np.ndarray,
           trunk_deg: float, neck_deg: float,
-          wrist_goal: np.ndarray | None) -> LandmarkFrame:
-    """Assemble one frame: static lower body, pitched torso, posed arms."""
+          wrist_goal: np.ndarray | None, xyz: np.ndarray) -> bool:
+    """Write one frame's pitched torso, head and arms into ``xyz``
+    (N_ALL, 3), leaving the lower body; return whether the wrist goal
+    was reachable."""
     seg = profile.segment_lengths
-    half_hip = seg["hip_width"] / 2.0
     half_sho = seg["shoulder_width"] / 2.0
-    hip_z = profile.hip_height
-    knee_z = profile.knee_height
-
-    xyz = np.zeros((N_ALL, 3))
 
     def put(lm: LandmarkId, p):
         xyz[LANDMARK_INDEX[lm]] = p
 
-    for side, sy in ((LandmarkId.LEFT_ANKLE, half_hip), (LandmarkId.RIGHT_ANKLE, -half_hip)):
-        put(side, stance + np.array([0.0, sy, 0.0]))
-    for side, sy in ((LandmarkId.LEFT_KNEE, half_hip), (LandmarkId.RIGHT_KNEE, -half_hip)):
-        put(side, stance + np.array([0.0, sy, knee_z]))
-    for side, sy in ((LandmarkId.LEFT_HIP, half_hip), (LandmarkId.RIGHT_HIP, -half_hip)):
-        put(side, stance + np.array([0.0, sy, hip_z]))
-
-    hip_mid = stance + np.array([0.0, 0.0, hip_z])
+    hip_mid = stance + np.array([0.0, 0.0, profile.hip_height])
     r_trunk = _pitch(trunk_deg)
     sho_l = hip_mid + r_trunk @ np.array([0.0, half_sho, seg["hip_to_shoulder"]])
     sho_r = hip_mid + r_trunk @ np.array([0.0, -half_sho, seg["hip_to_shoulder"]])
@@ -282,18 +265,15 @@ def _pose(profile: AnthropometricProfile, stance: np.ndarray,
     put(LandmarkId.LEFT_ELBOW, sho_l + seg["upper_arm"] * trunk_down)
     put(LandmarkId.LEFT_WRIST, sho_l + profile.arm_reach * trunk_down)
 
-    reach_ok = True
     if wrist_goal is None:
         put(LandmarkId.RIGHT_ELBOW, sho_r + seg["upper_arm"] * trunk_down)
         put(LandmarkId.RIGHT_WRIST, sho_r + profile.arm_reach * trunk_down)
-    else:
-        elbow, wrist, reach_ok = _arm_ik(sho_r, np.asarray(wrist_goal, dtype=float),
-                                         seg["upper_arm"], seg["forearm"])
-        put(LandmarkId.RIGHT_ELBOW, elbow)
-        put(LandmarkId.RIGHT_WRIST, wrist)
-
-    xyz.setflags(write=False)
-    return LandmarkFrame(xyz=xyz, reach_ok=reach_ok)
+        return True
+    elbow, wrist, reach_ok = _arm_ik(sho_r, np.asarray(wrist_goal, dtype=float),
+                                     seg["upper_arm"], seg["forearm"])
+    put(LandmarkId.RIGHT_ELBOW, elbow)
+    put(LandmarkId.RIGHT_WRIST, wrist)
+    return reach_ok
 
 
 def _ease(s: float) -> float:
@@ -302,8 +282,12 @@ def _ease(s: float) -> float:
 
 
 def animate(profile: AnthropometricProfile, script: MotionScript,
-            delivery_point, stance=(0.0, 0.0, 0.0)) -> tuple[LandmarkFrame, ...]:
-    """Run the motion script and emit the ground-truth frames, in frame order.
+            delivery_point, stance=(0.0, 0.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
+    """Run the motion script; return the ground truth of every frame.
+
+    Returns two read-only arrays in frame order: the (F, N_ALL, 3) world
+    positions and the (F,) reach flag. The feet never move, so the hips,
+    knees and ankles are written once for all frames.
 
     Phase targets equal to the string ``"delivery"`` resolve to
     ``delivery_point``. Within each phase the wrist goal moves along a
@@ -311,55 +295,55 @@ def animate(profile: AnthropometricProfile, script: MotionScript,
     position, and the trunk/neck comfort angles ease between the phase
     endpoint values; progress reaches exactly 1 at each phase's last
     frame, so reachable targets are hit to machine precision there.
-    Unreachable goals saturate at full extension with ``reach_ok=False``.
+    Unreachable goals saturate at full extension and clear the reach flag.
     """
     delivery = np.asarray(delivery_point, dtype=float).reshape(3)
     stance = np.asarray(stance, dtype=float).reshape(3)
 
-    resolved: list[np.ndarray | None] = []
+    rest = np.empty((N_ALL, 3))
+    _pose(profile, stance, 0.0, 0.0, None, rest)
+    rest_wrist = rest[LANDMARK_INDEX[LandmarkId.RIGHT_WRIST]]
+
+    # Each phase's end state (wrist goal, trunk and neck angles); phase i
+    # starts from ends[i], the rest pose for the first.
+    ends = [(rest_wrist, 0.0, 0.0)]
     for phase in script.phases:
-        if phase.target is None:
-            resolved.append(None)
-        elif isinstance(phase.target, str):
-            if phase.target != "delivery":
-                raise SkeletonError(
-                    f"phase {phase.name!r}: unknown symbolic target {phase.target!r}")
-            resolved.append(delivery)
-        else:
-            resolved.append(np.asarray(phase.target, dtype=float).reshape(3))
-
-    rest = _pose(profile, stance, 0.0, 0.0, None)
-    rest_wrist = rest.get(LandmarkId.RIGHT_WRIST).copy()
-
-    # Per-phase endpoint state: wrist keypoint and comfort angles.
-    starts, ends = [], []
-    wrist_prev, trunk_prev, neck_prev = rest_wrist, 0.0, 0.0
-    for target in resolved:
+        target = phase.target
         if target is None:
-            wrist_end, trunk_end, neck_end = rest_wrist, 0.0, 0.0
-        else:
-            wrist_end = target
-            trunk_end = trunk_flexion_for_target(profile, float(target[2]))
-            neck_end = neck_flexion_for_target(profile, float(target[2]))
-        starts.append((wrist_prev, trunk_prev, neck_prev))
-        ends.append((wrist_end, trunk_end, neck_end))
-        wrist_prev, trunk_prev, neck_prev = wrist_end, trunk_end, neck_end
+            ends.append((rest_wrist, 0.0, 0.0))
+            continue
+        if isinstance(target, str):
+            if target != "delivery":
+                raise SkeletonError(
+                    f"phase {phase.name!r}: unknown symbolic target {target!r}")
+            target = delivery
+        target = np.asarray(target, dtype=float).reshape(3)
+        z = float(target[2])
+        ends.append((target, trunk_flexion_for_target(profile, z),
+                     neck_flexion_for_target(profile, z)))
 
     boundaries = np.cumsum([p.duration for p in script.phases])
     dt = 1.0 / script.frame_rate
-    frames = []
+    xyz = np.empty((script.n_frames, N_ALL, 3))
+    reach_ok = np.empty(script.n_frames, bool)
+    half_hip = profile.segment_lengths["hip_width"] / 2.0
+    xyz[:, _LOWER] = [stance + np.array([0.0, sy, z])
+                      for z in (profile.hip_height, profile.knee_height, 0.0)
+                      for sy in (half_hip, -half_hip)]
     for k in range(script.n_frames):
         t_end = (k + 1) * dt  # progress measured at frame end
         i = int(np.searchsorted(boundaries, t_end - 1e-9))
         i = min(i, len(script.phases) - 1)
         t0 = boundaries[i] - script.phases[i].duration
         s = _ease((t_end - t0) / script.phases[i].duration)
-        (w0, tr0, nk0), (w1, tr1, nk1) = starts[i], ends[i]
+        (w0, tr0, nk0), (w1, tr1, nk1) = ends[i], ends[i + 1]
         trunk = tr0 + (tr1 - tr0) * s
         neck = nk0 + (nk1 - nk0) * s
-        goal = w0 + (np.asarray(w1) - np.asarray(w0)) * s
-        frames.append(_pose(profile, stance, trunk, neck, goal))
-    return tuple(frames)
+        goal = w0 + (w1 - w0) * s
+        reach_ok[k] = _pose(profile, stance, trunk, neck, goal, xyz[k])
+    xyz.setflags(write=False)
+    reach_ok.setflags(write=False)
+    return xyz, reach_ok
 
 
 @dataclass(frozen=True)
@@ -371,9 +355,9 @@ class CameraObservations:
     visible: np.ndarray      # (N_ALL,) bool
 
 
-def observe(camera, frame: LandmarkFrame, noise_sigma: float,
+def observe(camera, xyz: np.ndarray, noise_sigma: float,
             rng: np.random.Generator | None = None) -> CameraObservations:
-    """Project one frame into one camera and add per-coordinate noise.
+    """Project (N_ALL, 3) positions into one camera, adding per-coordinate noise.
 
     Landmarks at non-positive depth are marked not visible (uv NaN).
     A positive ``noise_sigma`` needs ``rng``, a seeded generator, so that
@@ -384,7 +368,7 @@ def observe(camera, frame: LandmarkFrame, noise_sigma: float,
     if noise_sigma > 0 and rng is None:
         raise SkeletonError("noise_sigma > 0 needs a seeded rng")
     # project_many returns a fresh uv array, so it is updated in place.
-    uv, depth = camera.project_many(frame.xyz)
+    uv, depth = camera.project_many(xyz)
     visible = depth > 0
     if noise_sigma > 0:
         uv += rng.normal(0.0, noise_sigma, size=uv.shape)

@@ -14,8 +14,7 @@ from helpers import committed_scenario
 
 def upright_frames(stature=1.75, seconds=3.0):
     script = MotionScript(phases=(MotionPhase("rest", seconds, None),))
-    return [frame.xyz for frame in animate(build_skeleton(stature), script,
-                                           np.zeros(3))]
+    return animate(build_skeleton(stature), script, np.zeros(3))[0]
 
 
 class TestClassifyHeight:
@@ -63,9 +62,9 @@ class TestEstimateHeight:
         script = MotionScript(phases=(
             MotionPhase("reach", 0.2, (0.35, 0.0, 0.2)),
             MotionPhase("hold", 2.8, (0.35, 0.0, 0.2))))
-        frames = animate(profile, script, np.zeros(3))
+        xyz, _ = animate(profile, script, np.zeros(3))
         with pytest.raises(InsufficientDataError):
-            estimate_height([frame.xyz for frame in frames])
+            estimate_height(xyz)
 
 
 class TestAdaptRobot:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -87,6 +91,11 @@ BAD_FIELDS = [
     ("stature='1.75'", ("stature",), "1.75", "stature"),
     ("stature start='1.5'", ("stature",), {"start": "1.5", "stop": 1.9, "step": 0.1},
      "stature start"),
+    # A grid's count is checked before any of its values is built.
+    ("stature step=1e-05", ("stature",), {"start": 1.5, "stop": 2.0, "step": 1e-05},
+     "stature grid"),
+    ("stature step=1e-09", ("stature",), {"start": 1.5, "stop": 2.0, "step": 1e-09},
+     "stature grid"),
     ("warmup='2.0'", ("warmup",), "2.0", "warmup"),
     ("frame_rate='10'", ("frame_rate",), "10", "frame_rate"),
     ("delivery=quoted", ("delivery",), ["0.9", "0", "1.4315"], "delivery"),
@@ -575,3 +584,40 @@ class TestStreamsEachCommandParses:
         rewrite_field(run_dir / "pre" / "observations.csv", 4, 3, "abc")
         rewrite_field(run_dir / "post" / "observations.csv", 4, 3, "abc")
         assert main(command(name, run_dir, tmp_path / "out.csv")) == 0
+
+
+class TestClosedStdout:
+    """A reader that closes stdout at once, as ``| head -1`` soon does,
+    stops no command: the rest of its output is discarded."""
+
+    @staticmethod
+    def run(argv, unbuffered: bool) -> tuple[int, str]:
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(Path(__file__).resolve().parent.parent / "src"),
+                          os.environ.get("PYTHONPATH")))))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "ergofusion", *map(str, argv)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        return proc.wait(), err
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_commands_run_to_the_end(self, tmp_path, unbuffered):
+        grid = yaml.safe_load(yaml.safe_dump(SCENARIO))
+        grid["stature"] = [1.6, 1.75, 1.9]
+        path = tmp_path / "grid.yaml"
+        path.write_text(yaml.safe_dump(grid))
+        out = tmp_path / "gridout"
+        assert self.run(["simulate", "--scenario", path, "--out", out], unbuffered) == (0, "")
+        assert len(list(out.rglob("manifest.json"))) == 6
+        assert self.run(["eval-rmse", "--recording", out / "stature_1.60",
+                         "--out", tmp_path / "rmse.json"], unbuffered) == (0, "")
+        assert (tmp_path / "rmse.json").exists()
+        report = tmp_path / "rula"
+        assert self.run(["eval-rula", "--recording-pre", out, "--recording-post", out,
+                         "--out", report], unbuffered) == (0, "")
+        assert len(list(report.iterdir())) == 3

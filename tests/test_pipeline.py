@@ -219,7 +219,7 @@ class TestRecordingRoundTrip:
 
 def scenario_frames(config, n):
     return animate(build_skeleton(config.stature), config.script(), config.delivery,
-                   config.resolve_stance(config.stature))[:n]
+                   config.resolve_stance(config.stature))[0][:n]
 
 
 def feed(node: FusionNode, bundle: dict, frame_index: int) -> list:

@@ -11,7 +11,6 @@ import random
 import struct
 import tracemalloc
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -29,7 +28,7 @@ from ergofusion.recording import (CHUNK_ROWS, STREAM_COLUMNS, STREAM_FIELDS, STR
                                   csv_chunks, json_chunks)
 from ergofusion.scenario import parse_scenario
 from ergofusion.skeleton import (LANDMARK_NAMES, N_ALL, N_FUSED, CameraObservations,
-                                 LandmarkFrame, animate, build_skeleton)
+                                 animate, build_skeleton)
 
 from helpers import committed_data, committed_scenario, rows_recording, rows_table
 
@@ -126,30 +125,32 @@ def test_recorded_streams_have_their_stream_dtypes(criterion_9_run):
 def test_recorded_ground_truth_is_the_animation_bit_for_bit(criterion_9_run):
     config = CRITERION_9_CONFIG
     for segment in criterion_9_run.segments.values():
-        frames = animate(build_skeleton(config.stature), config.script(),
-                         np.array(segment.manifest["delivery_point"]),
-                         config.resolve_stance(config.stature))
-        want = np.array([frame.xyz for frame in frames])
+        want, _ = animate(build_skeleton(config.stature), config.script(),
+                          np.array(segment.manifest["delivery_point"]),
+                          config.resolve_stance(config.stature))
         got = segment.ground_truth_positions()
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
 
-def _recorded_rows(messages, rig_ids) -> dict[str, list[tuple]]:
-    """Reference: the rows of ``messages`` built one tuple at a time, sorted.
+def _recorded_rows(ground_truth, messages, rig_ids) -> dict[str, list[tuple]]:
+    """Reference: the rows of ``ground_truth`` and ``messages`` built one
+    tuple at a time, sorted.
 
-    A per-rig message's rigs are ``rig_ids`` in order; a ``rula`` row takes
-    its status from its frame's ``posture_status`` message."""
+    Every frame of the (positions, reach flags) ``ground_truth`` has its
+    rows; a per-rig message's rigs are ``rig_ids`` in order; a ``rula``
+    row takes its status from its frame's ``posture_status`` message."""
     rows = {name: [] for name in STREAM_NAMES}
+    xyz, reach_ok = ground_truth
+    rows["ground_truth"] = [
+        (k, name, x, y, z, int(reach_ok[k]))
+        for k, frame in enumerate(xyz.tolist())
+        for name, (x, y, z) in zip(LANDMARK_NAMES, frame)]
     status = {m.frame_index: m.payload.status.value
               for m in messages if m.topic == "posture_status"}
     for message in messages:
         topic, k, payload = message.topic, message.frame_index, message.payload
-        if topic == "world":
-            rows["ground_truth"] += [
-                (k, name, x, y, z, int(payload.reach_ok))
-                for name, (x, y, z) in zip(LANDMARK_NAMES, payload.xyz.tolist())]
-        elif topic.startswith("observations/"):
+        if topic.startswith("observations/"):
             rows["observations"] += [
                 (k, payload.camera_id, name, u, v)
                 for name, (u, v), seen in zip(LANDMARK_NAMES, payload.uv.tolist(),
@@ -183,7 +184,7 @@ def _recorded_rows(messages, rig_ids) -> dict[str, list[tuple]]:
 def _random_messages(rng) -> tuple[tuple, list[Message]]:
     """Recorder input for a few frames, with landmarks each camera or rig
     missed and frames the synchronizer dropped: the recorder's arguments
-    (camera ids, rig ids, frame count) and the messages."""
+    (camera ids, rig ids, ground truth) and the messages."""
     cameras = ["C" + str(i) for i in rng.permutation(int(rng.integers(1, 5)))]
     rigs = ["S" + str(i) for i in rng.permutation(int(rng.integers(1, 4)))]
     states = list(PostureState)
@@ -196,9 +197,8 @@ def _random_messages(rng) -> tuple[tuple, list[Message]]:
 
     messages = []
     n_frames = int(rng.integers(0, 5))
+    ground_truth = (rng.normal(size=(n_frames, N_ALL, 3)), rng.random(n_frames) < 0.5)
     for k in rng.permutation(n_frames).tolist():
-        reach_ok = bool(rng.random() < 0.5)
-        messages.append(Message("world", k, LandmarkFrame(points(), reach_ok)))
         for camera in cameras:
             visible = seen()
             uv = np.where(visible[:, None], rng.normal(size=(N_ALL, 2)), np.nan)
@@ -221,7 +221,7 @@ def _random_messages(rng) -> tuple[tuple, list[Message]]:
         messages.append(Message("posture_status", k,
                                 PostureStatus(state, STATUS_MESSAGES[state])))
     rng.shuffle(messages)  # as the threaded scheduler may deliver them
-    return (cameras, rigs, n_frames), messages
+    return (cameras, rigs, ground_truth), messages
 
 
 def test_rula_columns_are_the_angle_then_score_fields():
@@ -238,7 +238,7 @@ def test_recorder_tables_equal_the_per_row_reference(seed):
     for message in messages:
         recorder.handle(message, None)
     recorder.finish(None)
-    want = _recorded_rows(messages, segment[1])
+    want = _recorded_rows(segment[2], messages, segment[1])
     for name in STREAM_NAMES:
         table = recorder.recording.streams[name]
         assert table.dtype == recording._DTYPES[name]
@@ -864,11 +864,14 @@ def test_recorder_keeps_flat_buffers_not_messages(monkeypatch):
     del messages
     config = committed_scenario("desk_rmse")
     rigs = config.build_rigs()
+    # The driver's, which the recorder is built with and does not copy.
+    ground_truth = animate(build_skeleton(config.stature), config.script(),
+                           config.delivery, config.resolve_stance(config.stature))
     tracemalloc.start()
     try:
         # Built while traced, so its preallocated slots count as retained.
         recorder = RecorderNode([cam.id for rig in rigs for cam in rig.cameras],
-                                [rig.id for rig in rigs], config.script().n_frames)
+                                [rig.id for rig in rigs], ground_truth)
         pending = pickle.loads(pickled)
         while pending:
             recorder.handle(pending.pop(), None)
@@ -893,29 +896,37 @@ def test_recorder_keeps_flat_buffers_not_messages(monkeypatch):
     assert peak <= retained + 1.25 * tables, (peak, retained, tables)
 
 
-def test_ground_truth_frames_go_as_the_driver_moves_on(monkeypatch):
-    refs = []
+@pytest.mark.parametrize("scheduler", ["serial", "threads"])
+def test_recorded_ground_truth_is_the_array_animate_returned(monkeypatch, scheduler):
+    returned, held, topics = [], [], []
     animate = pipeline.animate
+    handle, finish = RecorderNode.handle, RecorderNode.finish
 
     def tracked(*args):
-        frames = animate(*args)
-        refs.extend(map(weakref.ref, frames))
-        return frames
+        returned.append(animate(*args))
+        return returned[-1]
 
-    alive = []
-    finish = RecorderNode.finish
+    def handled(node, message, publish):
+        topics.append(message.topic)
+        handle(node, message, publish)
 
-    def counted(node, publish):
-        alive.append(sum(ref() is not None for ref in refs))
+    def finished(node, publish):
+        held.append(node.ground_truth)
         finish(node, publish)
 
     monkeypatch.setattr(pipeline, "animate", tracked)
-    monkeypatch.setattr(RecorderNode, "finish", counted)
-    run_scenario(committed_scenario("desk_rmse"), scheduler="serial")
-    assert len(refs) == 500
-    # The recorder has copied every frame; at most the serial loop's last
-    # message still holds one.
-    assert len(alive) == 1 and alive[0] <= 1, alive
+    monkeypatch.setattr(RecorderNode, "handle", handled)
+    monkeypatch.setattr(RecorderNode, "finish", finished)
+    run = run_scenario(committed_scenario("desk_handover"), scheduler=scheduler)
+    # One animation per segment, which its recorder holds as returned.
+    assert len(returned) == len(held) == len(run.segments) == 2
+    for (xyz, reach_ok), truth, segment in zip(returned, held, run.segments.values()):
+        assert truth[0] is xyz and truth[1] is reach_ok
+        table = segment.streams["ground_truth"]
+        assert segment.ground_truth_positions().tobytes() == xyz.tobytes()
+        assert table["reach_ok"].tolist() == np.repeat(reach_ok, N_ALL).tolist()
+    # The recorder hears every other topic, but never the driver's.
+    assert "world" not in topics and "fused_landmarks" in topics
 
 
 def test_interrupted_save_leaves_no_loadable_recording(criterion_9_run, tmp_path,

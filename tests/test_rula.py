@@ -25,7 +25,7 @@ def angles(**overrides) -> JointAngles:
 
 def rest_frame(stature=1.75):
     script = MotionScript(phases=(MotionPhase("rest", 0.5, None),))
-    return animate(build_skeleton(stature), script, np.zeros(3))[0]
+    return animate(build_skeleton(stature), script, np.zeros(3))[0][0]
 
 
 class TestWorksheetTables:
@@ -308,15 +308,14 @@ def reference_joint_angles(xyz) -> JointAngles:
 
 class TestComputeJointAngles:
     def test_upright_rest_pose_has_zero_flexion(self):
-        a = compute_joint_angles(rest_frame().xyz)
+        a = compute_joint_angles(rest_frame())
         for value in (a.upper_arm_left, a.upper_arm_right, a.lower_arm_left,
                       a.lower_arm_right, a.neck, a.trunk):
             assert abs(value) < 1e-6
         assert a.legs_supported and a.aux_present
 
     def test_horizontal_arm_is_ninety_degrees(self):
-        frame = rest_frame()
-        xyz = frame.xyz.copy()
+        xyz = rest_frame().copy()
         sho = xyz[LANDMARK_INDEX[LandmarkId.RIGHT_SHOULDER]]
         xyz[LANDMARK_INDEX[LandmarkId.RIGHT_ELBOW]] = sho + [0.3, 0.0, 0.0]
         xyz[LANDMARK_INDEX[LandmarkId.RIGHT_WRIST]] = sho + [0.55, 0.0, 0.0]
@@ -331,9 +330,8 @@ class TestComputeJointAngles:
             target = np.array([rng.uniform(0.2, 0.5), rng.uniform(-0.4, 0.1),
                                rng.uniform(0.3, 1.6)])
             script = MotionScript(phases=(MotionPhase("reach", 1.0, tuple(target)),))
-            frame = animate(profile, script, np.zeros(3))[-1]
-            a = compute_joint_angles(frame.xyz)
-            xyz = frame.xyz
+            xyz = animate(profile, script, np.zeros(3))[0][-1]
+            a = compute_joint_angles(xyz)
 
             def at(lm):
                 return xyz[LANDMARK_INDEX[lm]]
@@ -355,13 +353,13 @@ class TestComputeJointAngles:
             assert abs(a.lower_arm_right - (180.0 - interior)) < 1e-9
 
     def test_missing_fused_landmark_reported_by_name(self):
-        xyz = rest_frame().xyz.copy()
+        xyz = rest_frame().copy()
         xyz[LANDMARK_INDEX[LandmarkId.LEFT_KNEE]] = np.nan
         with pytest.raises(IncompleteFrameError, match="left_knee"):
             compute_joint_angles(xyz)
 
     def test_missing_auxiliary_flags_neck(self):
-        xyz = rest_frame().xyz.copy()
+        xyz = rest_frame().copy()
         xyz[12:] = np.nan
         a = compute_joint_angles(xyz)
         assert a.neck == 0.0
@@ -369,7 +367,7 @@ class TestComputeJointAngles:
 
     def test_equals_the_norm_and_cross_reference_bit_for_bit(self):
         rng = np.random.default_rng(21)
-        rest = rest_frame().xyz
+        rest = rest_frame()
         hips = [LANDMARK_INDEX[LandmarkId.LEFT_HIP], LANDMARK_INDEX[LandmarkId.RIGHT_HIP]]
         shoulders = [LANDMARK_INDEX[LandmarkId.LEFT_SHOULDER],
                      LANDMARK_INDEX[LandmarkId.RIGHT_SHOULDER]]

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import yaml
 from hypothesis import given, strategies as st
 
 from ergofusion.cameras import StereoRig
-from ergofusion.scenario import ScenarioError, load_scenario, parse_scenario
+from ergofusion.scenario import MAX_STATURES, ScenarioError, load_scenario, parse_scenario
 from ergofusion.skeleton import SEGMENT_RATIOS, STATURE_RANGE, build_skeleton
 
 from helpers import committed_data
@@ -67,6 +69,26 @@ class TestParseScenario:
     def test_stature_list(self):
         config = parse_scenario(make(stature=[1.6, 1.8]))
         assert config.statures == (1.6, 1.8)
+
+    def test_a_grid_may_step_every_millimetre_of_the_range(self):
+        lo, hi = STATURE_RANGE
+        statures = parse_scenario(make(stature={"start": lo, "stop": hi,
+                                                "step": 0.001})).statures
+        assert len(statures) == MAX_STATURES == 1001
+
+    @pytest.mark.parametrize("step", [0.0009, 1e-05, 1e-09, 5e-324])
+    def test_a_finer_grid_is_refused_before_any_value_is_built(self, step):
+        data = make(stature={"start": 1.2, "stop": 2.2, "step": step})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioError, match=r"^stature grid: 1.2 to 2.2 in steps "
+                                                    r"of .* has more than 1001 values$"):
+                parse_scenario(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Parsing the 1 001 values of the millimetre grid peaks at about 50 KiB.
+        assert peak < 8 * 1024, peak
 
     def test_missing_required_fields_named(self):
         for field in ("stature", "delivery", "rigs", "motion"):

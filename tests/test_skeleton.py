@@ -6,8 +6,8 @@ import pytest
 from ergofusion.cameras import StereoRig, look_at_rotation
 from ergofusion.rula import compute_joint_angles
 from ergofusion.skeleton import (ALL_LANDMARKS, AUX_LANDMARKS, FUSED_LANDMARKS,
-                                 LANDMARK_INDEX, LandmarkFrame, LandmarkId,
-                                 MotionPhase, MotionScript, SEGMENT_RATIOS,
+                                 LANDMARK_INDEX, N_ALL, LandmarkId, MotionPhase,
+                                 MotionScript, SEGMENT_RATIOS,
                                  SkeletonError, animate, build_skeleton,
                                  neck_flexion_for_target, observe,
                                  trunk_flexion_for_target)
@@ -63,8 +63,8 @@ class TestMotionScript:
     def test_zero_duration_script_is_empty(self):
         script = MotionScript(phases=())
         assert script.n_frames == 0
-        frames = animate(build_skeleton(STATURE), script, np.zeros(3))
-        assert len(frames) == 0
+        xyz, reach_ok = animate(build_skeleton(STATURE), script, np.zeros(3))
+        assert xyz.shape == (0, N_ALL, 3) and reach_ok.shape == (0,)
 
     def test_frame_count_rounds_down(self):
         script = MotionScript(phases=(MotionPhase("rest", 1.26, None),))
@@ -81,41 +81,40 @@ class TestAnimate:
         shoulder_z = profile.shoulder_height
         target = np.array([0.30, -profile.segment_lengths["shoulder_width"] / 2.0,
                            shoulder_z])
-        frames = animate(profile, reach_script(), target)
-        wrist = frames[-1].get(LandmarkId.RIGHT_WRIST)
+        xyz, reach_ok = animate(profile, reach_script(), target)
+        wrist = xyz[-1, LANDMARK_INDEX[LandmarkId.RIGHT_WRIST]]
         assert np.linalg.norm(wrist - target) < 1e-6
-        assert frames[-1].reach_ok
+        assert reach_ok[-1]
 
     def test_shoulder_height_reach_is_comfortable(self):
         profile = build_skeleton(STATURE)
         sh_y = -profile.segment_lengths["shoulder_width"] / 2.0
         target = np.array([0.25, sh_y, profile.shoulder_height])
-        frames = animate(profile, reach_script(), target)
-        angles = compute_joint_angles(frames[-1].xyz)
+        xyz, _ = animate(profile, reach_script(), target)
+        angles = compute_joint_angles(xyz[-1])
         assert angles.upper_arm_right < 45.0
         assert abs(angles.trunk) < 5.0
 
     def test_knee_height_target_bends_trunk(self):
         profile = build_skeleton(STATURE)
         target = np.array([0.35, 0.0, profile.knee_height])
-        frames = animate(profile, reach_script(), target)
-        angles = compute_joint_angles(frames[-1].xyz)
+        xyz, _ = animate(profile, reach_script(), target)
+        angles = compute_joint_angles(xyz[-1])
         assert 20.0 < angles.trunk <= 60.0
 
     def test_unreachable_target_saturates_and_flags(self):
         profile = build_skeleton(STATURE)
         target = np.array([2.0, 0.0, profile.shoulder_height])
-        frames = animate(profile, reach_script(), target)
-        last = frames[-1]
-        assert not last.reach_ok
-        extension = np.linalg.norm(last.get(LandmarkId.RIGHT_WRIST)
-                                   - last.get(LandmarkId.RIGHT_SHOULDER))
+        xyz, reach_ok = animate(profile, reach_script(), target)
+        assert not reach_ok[-1]
+        extension = np.linalg.norm(xyz[-1, LANDMARK_INDEX[LandmarkId.RIGHT_WRIST]]
+                                   - xyz[-1, LANDMARK_INDEX[LandmarkId.RIGHT_SHOULDER]])
         assert abs(extension - profile.arm_reach) < 1e-9
 
     def test_bone_lengths_constant_across_frames(self):
         profile = build_skeleton(1.62)
         target = np.array([0.35, -0.2, profile.knee_height])  # engages trunk+neck
-        frames = animate(profile, reach_script(3.0), target)
+        xyz, _ = animate(profile, reach_script(3.0), target)
         pairs = [
             (LandmarkId.LEFT_SHOULDER, LandmarkId.LEFT_ELBOW),
             (LandmarkId.LEFT_ELBOW, LandmarkId.LEFT_WRIST),
@@ -130,15 +129,32 @@ class TestAnimate:
             (LandmarkId.NOSE, LandmarkId.MID_EAR),
         ]
         lengths = np.array([
-            [np.linalg.norm(f.get(a) - f.get(b)) for a, b in pairs]
-            for f in frames])
+            [np.linalg.norm(f[LANDMARK_INDEX[a]] - f[LANDMARK_INDEX[b]]) for a, b in pairs]
+            for f in xyz])
         assert np.max(np.abs(lengths - lengths[0])) < 1e-9
+
+    def test_read_only_arrays_with_the_lower_body_fixed(self):
+        profile = build_skeleton(1.62)
+        target = np.array([0.35, -0.2, profile.knee_height])  # engages trunk+neck
+        script = reach_script(3.0)
+        xyz, reach_ok = animate(profile, script, target)
+        assert xyz.shape == (script.n_frames, N_ALL, 3)
+        assert reach_ok.shape == (script.n_frames,) and reach_ok.dtype == bool
+        assert not xyz.flags.writeable and not reach_ok.flags.writeable
+        # The feet stay put, so hips, knees and ankles are the same bits
+        # in every frame, while the torso moves.
+        lower = [LANDMARK_INDEX[lm] for lm in (
+            LandmarkId.LEFT_HIP, LandmarkId.RIGHT_HIP, LandmarkId.LEFT_KNEE,
+            LandmarkId.RIGHT_KNEE, LandmarkId.LEFT_ANKLE, LandmarkId.RIGHT_ANKLE)]
+        assert xyz[:, lower].tobytes() == np.tile(xyz[0, lower], (len(xyz), 1, 1)).tobytes()
+        assert np.ptp(xyz[:, LANDMARK_INDEX[LandmarkId.LEFT_SHOULDER], 0]) > 0.1
+        assert xyz[0, LANDMARK_INDEX[LandmarkId.LEFT_ANKLE]].tolist() == \
+            [0.0, profile.segment_lengths["hip_width"] / 2.0, 0.0]
 
     def test_deterministic_generation(self):
         profile = build_skeleton(1.9)
         target = np.array([0.4, -0.25, 1.2])
-        a, b = (np.array([f.xyz for f in animate(profile, reach_script(), target)])
-                for _ in range(2))
+        a, b = (animate(profile, reach_script(), target)[0] for _ in range(2))
         np.testing.assert_array_equal(a, b)
 
     def test_unknown_symbolic_target_rejected(self):
@@ -171,13 +187,13 @@ class TestCapture:
     def _frame(self):
         profile = build_skeleton(STATURE)
         return animate(profile, MotionScript(phases=(MotionPhase("rest", 0.5, None),)),
-                       np.zeros(3))[0]
+                       np.zeros(3))[0][0]
 
     def test_zero_noise_equals_projection(self):
         frame = self._frame()
         for cam in make_rig().cameras:
             obs = observe(cam, frame, 0.0)
-            uv, depth = cam.project_many(frame.xyz)
+            uv, depth = cam.project_many(frame)
             assert obs.visible.all()
             np.testing.assert_array_equal(obs.uv, uv)
 
@@ -185,7 +201,7 @@ class TestCapture:
         frame = self._frame()
         rig = make_rig()
         cam = rig.left
-        clean, _ = cam.project_many(frame.xyz)
+        clean, _ = cam.project_many(frame)
         rng = np.random.default_rng(123)
         sigma = 0.002
         idx = LANDMARK_INDEX[LandmarkId.RIGHT_WRIST]
@@ -198,9 +214,8 @@ class TestCapture:
 
     def test_landmark_behind_camera_not_visible(self):
         frame = self._frame()
-        xyz = frame.xyz.copy()
-        xyz[LANDMARK_INDEX[LandmarkId.LEFT_WRIST]] = [10.0, 0.0, 1.0]  # behind the rig
-        behind = LandmarkFrame(xyz=xyz)
+        behind = frame.copy()
+        behind[LANDMARK_INDEX[LandmarkId.LEFT_WRIST]] = [10.0, 0.0, 1.0]  # behind the rig
         for cam in make_rig().cameras:
             cam_obs = observe(cam, behind, 0.0)
             assert not cam_obs.visible[LANDMARK_INDEX[LandmarkId.LEFT_WRIST]]
