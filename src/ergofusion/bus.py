@@ -118,6 +118,10 @@ class NodeGraph:
 
         for i in range(len(self.nodes)):
             visit(i)
+        # visit refers to itself through its closure, and the closure holds
+        # the graph: without this, every node, with all it holds, would
+        # outlive the graph until the cyclic garbage collector runs.
+        del visit
 
     def subscribers(self, topic: str) -> tuple[Node, ...]:
         return self._subscribers.get(topic, ())
@@ -215,6 +219,8 @@ class FrameSynchronizer:
     a merely slow-to-deliver camera from causing spurious drops when
     nodes run concurrently. Bundles are keyed by camera id and released in strictly
     increasing frame order, so arrival order cannot change the output.
+    ``dropped`` counts the dropped frames and ``dropped_by_camera``, per
+    camera id in id order, those of them that camera had not reported.
     """
 
     def __init__(self, camera_ids: Iterable[str]):
@@ -222,6 +228,7 @@ class FrameSynchronizer:
         if not self.camera_ids:
             raise BusError("synchronizer needs at least one camera id")
         self.dropped = 0
+        self.dropped_by_camera = dict.fromkeys(sorted(self.camera_ids), 0)
         self._pending: dict[int, dict[str, object]] = {}
         self._progress: dict[str, int] = {c: -1 for c in self.camera_ids}
 
@@ -244,7 +251,8 @@ class FrameSynchronizer:
             if len(pending[head]) == len(self.camera_ids):
                 released.append((head, pending.pop(head)))
             elif final or min(self._progress.values()) - head >= SYNC_DROP_LAG:
-                del pending[head]
+                for camera_id in self.camera_ids.difference(pending.pop(head)):
+                    self.dropped_by_camera[camera_id] += 1
                 self.dropped += 1
             else:
                 break

@@ -7,14 +7,14 @@ Topology (one topic per edge label, single publisher each)::
     fusion --fused_landmarks--> ergonomics, adaptation
     ergonomics --rula, posture_status--> recorder
     adaptation --adaptation--> recorder
-    (recorder also subscribes observations, per_rig_landmarks, fused)
+    (recorder also subscribes per_rig_landmarks, fused)
 
 A message carries its frame's index, which the driver numbers from 0 and
 every node reads, and a payload holding only what its subscribers read:
 
-- ``world``: the frame's (N_ALL, 3) ground-truth positions, row k of the
-  segment's ``animate`` array;
-- ``observations/<cam>``: that camera's ``CameraObservations``;
+- ``world``: no payload; it ticks the frame;
+- ``observations/<cam>``: that camera's ``CameraObservations`` of the
+  frame, row k of its segment's;
 - ``per_rig_landmarks``: ``PerRigLandmarks``, every rig's xyz, visibility
   and DLT residual, rigs in the run's rig order;
 - ``fused_landmarks``: the (N_ALL, 3) array of the fused rows followed by
@@ -39,15 +39,25 @@ quantiles (``stats.dlt_residual``, from the recorder's per-rig
 residuals), the host time per source frame
 (``stats.frame_wall_ms``) and the status latency (``stats.status_latency_ms``:
 from the synchronizer releasing a frame to the fusion node until the
-ergonomics node has published its posture status) go to the manifest
-stats, outside the digest. Camera noise is keyed by the bus frame index,
-as every node reads it.
+ergonomics node has published its posture status) and the frames the
+synchronizer dropped per missing camera (``stats.dropped_frames_by_camera``)
+go to the manifest stats, outside the digest.
+
+A camera node simulates its whole segment when it is built, from the
+segment's ground truth: one ``project_many`` call over every frame, then
+frame k's noise from its own generator, ``default_rng((seed, camera,
+k))``, all of them seeded through one hash over the segment
+(``noise.frame_generators``). Its ``handle`` publishes row k on the
+frame's tick. The noise is thus keyed by (seed, camera, frame index)
+only: the same under both schedulers and in paired pre/post segments.
 
 The recorder keeps no message. It is built with the segment's ground
-truth, the arrays ``animate`` returned to the driver, not fed it on
-``world``. A segment's cameras, rigs and frame count are fixed before it
-starts, so the recorder allocates every other stream's arrays once
-(frame, camera or rig, landmark, values, plus a "seen" mask) and copies
+truth, the arrays ``animate`` returned to the driver, and with the
+camera nodes' observation arrays, not fed them on the bus. A segment's
+rigs and frame count are fixed before it starts, so the recorder
+allocates every other stream's arrays once
+(frame, rig where the stream has one, landmark, values, plus a "seen"
+mask) and copies
 each message's arrays into its frame's slot.
 At the end of a segment it builds each stream's table from the slots,
 already in canonical order, so delivery order cannot change a row and
@@ -126,39 +136,41 @@ class AdaptationEvent:
     params: RobotDeliveryParams
 
 
-def _uint32_words(n: int) -> list[int]:
-    """A non-negative int as SeedSequence reads it: 32-bit words, low first."""
-    words = [n & 0xFFFFFFFF]
-    while n > 0xFFFFFFFF:
-        n >>= 32
-        words.append(n & 0xFFFFFFFF)
-    return words
-
-
 class CameraNode(Node):
-    """Projects each frame's ground-truth positions into one camera, with seeded noise."""
+    """One camera's view of a segment, simulated when the node is built.
+
+    ``positions`` is the segment's (F, N_ALL, 3) ground truth. The node
+    projects all of it in one ``observe`` call and adds frame k's noise
+    from ``default_rng((seed, camera_index, k))``, the frame being the
+    bus frame index as in every other node, so the noise is identical
+    across schedulers and across paired pre/post segments. ``segment``
+    holds the read-only (F, N_ALL, 2) uv and (F, N_ALL) visibility;
+    ``handle`` publishes row k on frame k's tick.
+    """
 
     def __init__(self, camera: CameraModel, noise_sigma: float, seed: int,
-                 camera_index: int):
+                 camera_index: int, positions: np.ndarray):
         self.name = f"camera:{camera.id}"
         self.camera = camera
-        self.noise_sigma = noise_sigma
         self.subscribes = (TOPIC_WORLD,)
         self.publishes = (observation_topic(camera.id),)
-        # Noise keyed by (seed, camera, frame) only, the frame being the
-        # bus frame index as in every other node: identical across
-        # scheduler modes and across paired pre/post segments. These are
-        # the words default_rng((seed, camera_index, frame)) converts the
-        # ints to, so the stream is the same without converting each frame.
-        self._entropy = _uint32_words(seed) + _uint32_words(camera_index)
+        # Imported here, so that importing the package does not load
+        # numpy.random, about 8 ms: only a simulation needs it.
+        from .noise import frame_generators
+        rngs = (frame_generators(seed, camera_index, len(positions))
+                if noise_sigma > 0 else None)
+        self.segment = observe(camera, positions, noise_sigma, rngs)
+        self.segment.uv.setflags(write=False)
+        self.segment.visible.setflags(write=False)
 
     def handle(self, message, publish):
-        rng = None
-        if self.noise_sigma > 0:
-            rng = np.random.default_rng(
-                np.array(self._entropy + _uint32_words(message.frame_index), np.uint32))
-        obs = observe(self.camera, message.payload, self.noise_sigma, rng)
-        publish(Message(self.publishes[0], message.frame_index, obs))
+        k, segment = message.frame_index, self.segment
+        publish(Message(self.publishes[0], k, CameraObservations(
+            segment.camera_id, segment.uv[k], segment.visible[k])))
+
+    def finish(self, publish):
+        # Every frame is published: the recorder holds the segment now.
+        self.segment = None
 
 
 class FusionNode(Node):
@@ -359,14 +371,16 @@ class RecorderNode(Node):
     names in code-point order), with nothing to sort.
 
     The ``ground_truth`` table is built from ``ground_truth``, the arrays
-    ``animate`` returned, which the recorder is built with and never copies.
-    A segment's cameras, rigs and frame count are fixed before its first
-    message, as the fusion node's topology is, so every other stream's
-    arrays are allocated at construction: axes frame, camera or rig,
-    landmark, then values, and a "seen" mask. Cameras are stored in id
-    order; rigs in ``rig_ids`` order, the run's rig order that the per-rig
-    arrays follow, until ``finish`` puts them in id order. ``handle``
-    copies a message's arrays into its slot and keeps no payload.
+    ``animate`` returned, and the ``observations`` table from
+    ``observations``, each camera's segment ``CameraObservations`` as its
+    node simulated it; the recorder is built with both and copies neither
+    before ``finish``. A segment's rigs and frame count are fixed before
+    its first message, as the fusion node's topology is, so every other
+    stream's arrays are allocated at construction: axes frame, rig or
+    none, landmark, then values, and a "seen" mask. Rigs are stored in
+    ``rig_ids`` order, the run's rig order that the per-rig arrays follow,
+    until ``finish`` puts them in id order. ``handle`` copies a message's
+    arrays into its slot and keeps no payload.
     ``finish`` frees each stream's arrays once its table exists, keeps
     each rig's DLT residual quantiles in ``dlt_residual`` and counts the
     ``rula`` stream's statuses, in frame order, in ``status_counts``.
@@ -375,15 +389,13 @@ class RecorderNode(Node):
     name = "recorder"
     publishes = ()
 
-    def __init__(self, camera_ids, rig_ids, ground_truth: tuple[np.ndarray, np.ndarray]):
-        self.camera_ids = sorted(camera_ids)
-        self._camera_slot = {camera: c for c, camera in enumerate(self.camera_ids)}
+    def __init__(self, observations, rig_ids, ground_truth: tuple[np.ndarray, np.ndarray]):
         self.rig_ids = tuple(rig_ids)
         self.ground_truth = ground_truth
-        F, C, R = len(ground_truth[0]), len(self.camera_ids), len(self.rig_ids)
+        F, R = len(ground_truth[0]), len(self.rig_ids)
         self.slots: dict[str, tuple] = {
-            # uv, seen (= visible)
-            "observations": (np.empty((F, C, N_ALL, 2)), np.zeros((F, C, N_ALL), bool)),
+            # each camera's segment, cameras in id order
+            "observations": tuple(sorted(observations, key=attrgetter("camera_id"))),
             # xyz, residual, seen (= visible)
             "per_rig_landmarks": (np.empty((F, R, N_ALL, 3)), np.empty((F, R, N_ALL)),
                                   np.zeros((F, R, N_ALL), bool)),
@@ -397,19 +409,13 @@ class RecorderNode(Node):
         self.recording: SegmentRecording | None = None
         self.dlt_residual: dict[str, dict[str, float] | None] = {}
         self.subscribes = (TOPIC_PER_RIG, TOPIC_FUSED, TOPIC_RULA,
-                           TOPIC_STATUS, TOPIC_ADAPTATION) + tuple(
-            observation_topic(c) for c in camera_ids)
+                           TOPIC_STATUS, TOPIC_ADAPTATION)
         self.status_counts: dict[str, int] = {}
         self.adaptation_event: AdaptationEvent | None = None
 
     def handle(self, message, publish):
         topic, k, payload = message.topic, message.frame_index, message.payload
-        if topic.startswith("observations/"):
-            uv, seen = self.slots["observations"]
-            c = self._camera_slot[payload.camera_id]
-            uv[k, c] = payload.uv
-            seen[k, c] = payload.visible
-        elif topic == TOPIC_PER_RIG:
+        if topic == TOPIC_PER_RIG:
             xyz, residual, seen = self.slots["per_rig_landmarks"]
             xyz[k] = payload.xyz
             residual[k] = payload.residual
@@ -438,10 +444,13 @@ class RecorderNode(Node):
         # finish, so its table comes last, after the other slots are freed.
         slots, streams = self.slots, {}
         frame = np.arange(len(self.ground_truth[0]))[:, None, None]
-        uv, seen = slots.pop("observations")
+        cameras = slots.pop("observations")
+        camera_ids = np.array([obs.camera_id for obs in cameras], object)
+        uv = np.stack([obs.uv for obs in cameras], axis=1)
+        seen = np.stack([obs.visible for obs in cameras], axis=1)
+        del cameras
         streams["observations"] = _landmark_table("observations", (
-            frame, np.array(self.camera_ids, object)[:, None], _LANDMARKS,
-            *np.moveaxis(uv, -1, 0)), seen)
+            frame, camera_ids[:, None], _LANDMARKS, *np.moveaxis(uv, -1, 0)), seen)
         del uv
         xyz, residual, seen = slots.pop("per_rig_landmarks")
         self.dlt_residual = {rig_id: _quantiles(residual[:, r][seen[:, r]])
@@ -465,17 +474,17 @@ class RecorderNode(Node):
         self.recording = SegmentRecording({}, streams)
 
 
-def _drive(positions: np.ndarray, wall_ms: array) -> Iterator[Message]:
-    """Feed row k of the (F, N_ALL, 3) ground-truth positions as frame k
-    (the run's one frame index), appending its host time to ``wall_ms``.
+def _drive(n_frames: int, wall_ms: array) -> Iterator[Message]:
+    """Tick frames 0 to ``n_frames`` - 1 (the run's one frame index),
+    appending each frame's host time to ``wall_ms``.
 
     A frame's time runs from its yield until the scheduler asks for the
     next one: under ``serial`` the whole graph's work on it, under
     ``threads`` the hand-off to the camera nodes' inboxes.
     """
-    for k, xyz in enumerate(positions):
+    for k in range(n_frames):
         t0 = time.perf_counter()
-        yield Message(TOPIC_WORLD, k, xyz)
+        yield Message(TOPIC_WORLD, k, None)
         wall_ms.append(1000.0 * (time.perf_counter() - t0))
 
 
@@ -489,25 +498,26 @@ def _run_segment(config: ScenarioConfig, segment: str, delivery: np.ndarray,
     n_frames = script.n_frames
 
     rigs = config.build_rigs()
+    ground_truth = animate(profile, script, delivery, stance)
 
     cameras = [(cam, spec.noise_sigma) for spec, rig in zip(config.rigs, rigs)
                for cam in rig.cameras]
-    camera_nodes = [CameraNode(cam, sigma, seed, index)
+    camera_nodes = [CameraNode(cam, sigma, seed, index, ground_truth[0])
                     for index, (cam, sigma) in enumerate(cameras)]
     fusion_node = FusionNode(rigs)
     ergo_node = ErgonomicsNode(config.adjustments)
     warmup_frames = int(config.warmup * config.frame_rate + 1e-9)
     adapt_node = AdaptationNode(RobotDeliveryParams(config.delivery),
                                 warmup_frames, adapt_enabled)
-    ground_truth = animate(profile, script, delivery, stance)
-    recorder = RecorderNode(fusion_node.camera_ids, fusion_node.rig_ids, ground_truth)
+    recorder = RecorderNode([node.segment for node in camera_nodes],
+                            fusion_node.rig_ids, ground_truth)
 
     graph = NodeGraph(
         camera_nodes + [fusion_node, ergo_node, adapt_node, recorder],
         source_topics=(TOPIC_WORLD,))
     runner = run_serial if scheduler == "serial" else run_threaded
     frame_wall_ms = array("d")
-    runner(graph, _drive(ground_truth[0], frame_wall_ms))
+    runner(graph, _drive(n_frames, frame_wall_ms))
 
     processing = fusion_node.processing_seconds + ergo_node.processing_seconds
     # Both nodes see the released frames in the same order (FIFO topics).
@@ -535,6 +545,7 @@ def _run_segment(config: ScenarioConfig, segment: str, delivery: np.ndarray,
             "status_latency_ms": _quantiles(1000.0 * status_latency),
             "frame_wall_ms": _quantiles(frame_wall_ms),
             "prefactor_count": fusion_node.prefactor_count,
+            "dropped_frames_by_camera": fusion_node.synchronizer.dropped_by_camera,
             "dlt_residual": recorder.dlt_residual,
             "scheduler": scheduler,
         },

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 import numpy as np
 
@@ -348,30 +349,39 @@ def animate(profile: AnthropometricProfile, script: MotionScript,
 
 @dataclass(frozen=True)
 class CameraObservations:
-    """One camera's noisy 2D view of one frame's landmarks."""
+    """One camera's noisy 2D view of one frame's landmarks, or of a
+    segment's, with a leading frame axis."""
 
     camera_id: str
-    uv: np.ndarray           # (N_ALL, 2); NaN where not visible
-    visible: np.ndarray      # (N_ALL,) bool
+    uv: np.ndarray           # (N_ALL, 2) or (F, N_ALL, 2); NaN where not visible
+    visible: np.ndarray      # (N_ALL,) or (F, N_ALL) bool
 
 
 def observe(camera, xyz: np.ndarray, noise_sigma: float,
-            rng: np.random.Generator | None = None) -> CameraObservations:
-    """Project (N_ALL, 3) positions into one camera, adding per-coordinate noise.
+            rng: np.random.Generator | Iterable[np.random.Generator] | None = None,
+            ) -> CameraObservations:
+    """Project one frame's (N_ALL, 3) positions, or a segment's
+    (F, N_ALL, 3), into one camera, adding per-coordinate noise.
 
     Landmarks at non-positive depth are marked not visible (uv NaN).
-    A positive ``noise_sigma`` needs ``rng``, a seeded generator, so that
-    the noise is reproducible.
+    A positive ``noise_sigma`` needs ``rng``, so that the noise is
+    reproducible: a seeded generator for one frame, or for a segment an
+    iterable of F seeded generators, frame k's (N_ALL, 2) noise drawn
+    from the k-th. All frames are projected in one ``project_many`` call.
     """
     if noise_sigma < 0:
         raise SkeletonError("noise_sigma must be >= 0")
     if noise_sigma > 0 and rng is None:
         raise SkeletonError("noise_sigma > 0 needs a seeded rng")
+    xyz = np.asarray(xyz)
     # project_many returns a fresh uv array, so it is updated in place.
-    uv, depth = camera.project_many(xyz)
-    visible = depth > 0
+    uv, depth = camera.project_many(xyz.reshape(-1, 3))
+    uv = uv.reshape(*xyz.shape[:-1], 2)
+    visible = depth.reshape(xyz.shape[:-1]) > 0
     if noise_sigma > 0:
-        uv += rng.normal(0.0, noise_sigma, size=uv.shape)
+        frames = uv.reshape(-1, *uv.shape[-2:])
+        for frame, frame_rng in zip(frames, (rng,) if xyz.ndim == 2 else rng, strict=True):
+            frame += frame_rng.normal(0.0, noise_sigma, size=frame.shape)
     if not visible.all():
         uv[~visible] = np.nan
     return CameraObservations(camera_id=camera.id, uv=uv, visible=visible)

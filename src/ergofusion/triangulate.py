@@ -8,8 +8,13 @@ stacking, per observation, the two independent cross-product rows
 of the observing camera's 3x4 projection matrix (rows k1, k2, k3),
 applied to the homogeneous unknown h = [x, y, z, w]. Rows are scaled to
 unit norm so that cameras at very different distances condition the
-system equally; the recovered point is invariant to per-observation row
-scaling.
+system equally. Row scaling leaves the point unchanged only on exact
+observations, where every row vanishes at the true point. With noise it
+reweights the least-squares residuals, and because each row's norm
+includes its translation column, the recovered point depends on where
+the world origin is: moving the scene and the cameras together does not
+move the point by exactly the shift (a strict expected failure in
+``tests/test_metamorphic.py``).
 
 Two solvers share those rows:
 

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -77,6 +79,20 @@ class TestNodeGraphValidation:
 
 
 class TestSchedulers:
+    @pytest.mark.parametrize("runner", [run_serial, run_threaded])
+    def test_a_run_graph_is_freed_without_the_cycle_collector(self, runner):
+        # Nodes hold a segment's arrays: they must go when the graph does.
+        collector = Collector()
+        graph = NodeGraph([Doubler(), collector], source_topics=("in",))
+        freed = weakref.ref(collector)
+        gc.disable()
+        try:
+            runner(graph, source())
+            del graph, collector
+            assert freed() is None
+        finally:
+            gc.enable()
+
     def test_serial_delivers_in_order(self):
         collector = Collector()
         graph = NodeGraph([Doubler(), collector], source_topics=("in",))
@@ -172,6 +188,24 @@ class TestFrameSynchronizer:
         sync.add("c2", 0, "y")
         assert sync.finish() == []
         assert sync.dropped == 1
+        assert sync.dropped_by_camera == {"c1": 0, "c2": 0, "c3": 1}
+
+    def test_drops_are_counted_per_missing_camera(self):
+        # c1 skips frame 0 and c2 and c3 skip frame 2, dropped once every
+        # camera is 3 frames past them; c3 never sends frame 6, dropped at
+        # the end.
+        skipped = {("c1", 0), ("c2", 2), ("c3", 2), ("c3", 6)}
+        sync = FrameSynchronizer(CAMS)
+        released = []
+        for k in range(7):
+            for cam in CAMS:
+                if (cam, k) not in skipped:
+                    released += sync.add(cam, k, k)
+        assert sync.dropped_by_camera == {"c1": 1, "c2": 1, "c3": 1}
+        released += sync.finish()
+        assert [k for k, _ in released] == [1, 3, 4, 5]
+        assert sync.dropped == 3
+        assert sync.dropped_by_camera == {"c1": 1, "c2": 1, "c3": 2}
 
     def test_unknown_camera_rejected(self):
         sync = FrameSynchronizer(CAMS)

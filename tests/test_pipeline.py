@@ -368,16 +368,49 @@ class TestCameraNode:
                                       2 ** 64 + 5, 12345678901234567890123])
     def test_noise_is_the_int_tuple_stream(self, seed):
         camera = committed_scenario().build_rigs()[1].right
-        frame = scenario_frames(committed_scenario(), 1)[0]
+        frames = scenario_frames(committed_scenario(), 100)
         for camera_index in (0, 3):
-            node = CameraNode(camera, 0.002, seed, camera_index)
-            # The bus frame index keys the noise.
-            for index in (0, 9, 2 ** 32 + 1):
-                published = []
-                node.handle(Message("world", index, frame), published.append)
-                want = observe(camera, frame, 0.002,
+            node = CameraNode(camera, 0.002, seed, camera_index, frames)
+            # The bus frame index keys the noise; every frame of the segment
+            # is the int-tuple stream's, drawn on its own.
+            published = []
+            for index in range(len(frames)):
+                node.handle(Message("world", index, None), published.append)
+            assert [m.frame_index for m in published] == list(range(len(frames)))
+            for index, message in enumerate(published):
+                want = observe(camera, frames[index], 0.002,
                                np.random.default_rng((seed, camera_index, index)))
-                assert published[0].payload.uv.tobytes() == want.uv.tobytes()
+                assert message.payload.camera_id == camera.id
+                assert message.payload.uv.tobytes() == want.uv.tobytes()
+                assert message.payload.visible.tobytes() == want.visible.tobytes()
+
+
+class TestDroppedFramesByCamera:
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_manifest_counts_each_cameras_drops_outside_the_digest(self, scheduler):
+        recording = run_scenario(committed_scenario(), scheduler=scheduler)
+        for name, segment in recording.segments.items():
+            assert segment.manifest["stats"]["dropped_frames_by_camera"] == {
+                f"{rig}.{side}": 0 for rig in ("S1", "S2", "S3") for side in "LR"}
+            assert segment.digest() == SCENARIO_DIGESTS["desk_handover"][name]
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_frames_a_camera_missed_are_counted_against_it(self, monkeypatch, scheduler):
+        lost = {("S2.L", 5), ("S2.L", 6), ("S3.R", 6), ("S1.L", 99)}
+        handle = CameraNode.handle
+
+        def lossy(node, message, publish):
+            if (node.camera.id, message.frame_index) not in lost:
+                handle(node, message, publish)
+
+        monkeypatch.setattr(CameraNode, "handle", lossy)
+        segment = run_scenario(committed_scenario(adapt=False),
+                               scheduler=scheduler).segments["pre"]
+        assert segment.manifest["dropped_frames"] == 3
+        assert segment.manifest["stats"]["dropped_frames_by_camera"] == {
+            "S1.L": 1, "S1.R": 0, "S2.L": 2, "S2.R": 0, "S3.L": 0, "S3.R": 1}
+        frames = set(segment.streams["fused_landmarks"]["frame"].tolist())
+        assert frames == set(range(100)) - {5, 6, 99}
 
 
 class TestFrameWallTime:

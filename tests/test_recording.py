@@ -133,29 +133,32 @@ def test_recorded_ground_truth_is_the_animation_bit_for_bit(criterion_9_run):
         assert got.tobytes() == want.tobytes()
 
 
-def _recorded_rows(ground_truth, messages, rig_ids) -> dict[str, list[tuple]]:
-    """Reference: the rows of ``ground_truth`` and ``messages`` built one
-    tuple at a time, sorted.
+def _recorded_rows(ground_truth, observations, messages,
+                   rig_ids) -> dict[str, list[tuple]]:
+    """Reference: the rows of ``ground_truth``, ``observations`` and
+    ``messages`` built one tuple at a time, sorted.
 
     Every frame of the (positions, reach flags) ``ground_truth`` has its
-    rows; a per-rig message's rigs are ``rig_ids`` in order; a ``rula``
-    row takes its status from its frame's ``posture_status`` message."""
+    rows; each camera's segment ``observations`` has a row per frame and
+    landmark it saw; a per-rig message's rigs are ``rig_ids`` in order; a
+    ``rula`` row takes its status from its frame's ``posture_status``
+    message."""
     rows = {name: [] for name in STREAM_NAMES}
     xyz, reach_ok = ground_truth
     rows["ground_truth"] = [
         (k, name, x, y, z, int(reach_ok[k]))
         for k, frame in enumerate(xyz.tolist())
         for name, (x, y, z) in zip(LANDMARK_NAMES, frame)]
+    rows["observations"] = [
+        (k, obs.camera_id, name, u, v)
+        for obs in observations
+        for k, (uv, visible) in enumerate(zip(obs.uv.tolist(), obs.visible.tolist()))
+        for name, (u, v), seen in zip(LANDMARK_NAMES, uv, visible) if seen]
     status = {m.frame_index: m.payload.status.value
               for m in messages if m.topic == "posture_status"}
     for message in messages:
         topic, k, payload = message.topic, message.frame_index, message.payload
-        if topic.startswith("observations/"):
-            rows["observations"] += [
-                (k, payload.camera_id, name, u, v)
-                for name, (u, v), seen in zip(LANDMARK_NAMES, payload.uv.tolist(),
-                                              payload.visible.tolist()) if seen]
-        elif topic == "per_rig_landmarks":
+        if topic == "per_rig_landmarks":
             rows["per_rig_landmarks"] += [
                 (k, rig_id, name, x, y, z, residual, 2)
                 for rig_id, xyz, residuals, visible in zip(
@@ -184,7 +187,8 @@ def _recorded_rows(ground_truth, messages, rig_ids) -> dict[str, list[tuple]]:
 def _random_messages(rng) -> tuple[tuple, list[Message]]:
     """Recorder input for a few frames, with landmarks each camera or rig
     missed and frames the synchronizer dropped: the recorder's arguments
-    (camera ids, rig ids, ground truth) and the messages."""
+    (each camera's segment observations, rig ids, ground truth) and the
+    messages."""
     cameras = ["C" + str(i) for i in rng.permutation(int(rng.integers(1, 5)))]
     rigs = ["S" + str(i) for i in rng.permutation(int(rng.integers(1, 4)))]
     states = list(PostureState)
@@ -198,12 +202,12 @@ def _random_messages(rng) -> tuple[tuple, list[Message]]:
     messages = []
     n_frames = int(rng.integers(0, 5))
     ground_truth = (rng.normal(size=(n_frames, N_ALL, 3)), rng.random(n_frames) < 0.5)
+    observations = []
+    for camera in cameras:
+        visible = rng.random((n_frames, N_ALL)) < 0.7
+        uv = np.where(visible[..., None], rng.normal(size=(n_frames, N_ALL, 2)), np.nan)
+        observations.append(CameraObservations(camera, uv, visible))
     for k in rng.permutation(n_frames).tolist():
-        for camera in cameras:
-            visible = seen()
-            uv = np.where(visible[:, None], rng.normal(size=(N_ALL, 2)), np.nan)
-            messages.append(Message(f"observations/{camera}", k,
-                                    CameraObservations(camera, uv, visible)))
         if rng.random() < 0.3:
             continue  # dropped: no landmarks and no score for this frame
         xyz, visible, residual = zip(*((points(), seen(), rng.random(N_ALL)) for _ in rigs))
@@ -221,7 +225,7 @@ def _random_messages(rng) -> tuple[tuple, list[Message]]:
         messages.append(Message("posture_status", k,
                                 PostureStatus(state, STATUS_MESSAGES[state])))
     rng.shuffle(messages)  # as the threaded scheduler may deliver them
-    return (cameras, rigs, ground_truth), messages
+    return (observations, rigs, ground_truth), messages
 
 
 def test_rula_columns_are_the_angle_then_score_fields():
@@ -238,7 +242,7 @@ def test_recorder_tables_equal_the_per_row_reference(seed):
     for message in messages:
         recorder.handle(message, None)
     recorder.finish(None)
-    want = _recorded_rows(segment[2], messages, segment[1])
+    want = _recorded_rows(segment[2], segment[0], messages, segment[1])
     for name in STREAM_NAMES:
         table = recorder.recording.streams[name]
         assert table.dtype == recording._DTYPES[name]
@@ -851,8 +855,14 @@ def _flat_bytes(message: Message) -> int:
 
 
 def test_recorder_keeps_flat_buffers_not_messages(monkeypatch):
-    messages = []
-    handle = RecorderNode.handle
+    messages, observations = [], []
+    init, handle = RecorderNode.__init__, RecorderNode.handle
+
+    def built(node, cameras, *args):
+        observations.extend(cameras)
+        init(node, cameras, *args)
+
+    monkeypatch.setattr(RecorderNode, "__init__", built)
     monkeypatch.setattr(RecorderNode, "handle", lambda node, message, publish: (
         messages.append(message), handle(node, message, publish)))
     run_scenario(committed_scenario("desk_rmse"))
@@ -864,14 +874,14 @@ def test_recorder_keeps_flat_buffers_not_messages(monkeypatch):
     del messages
     config = committed_scenario("desk_rmse")
     rigs = config.build_rigs()
-    # The driver's, which the recorder is built with and does not copy.
+    # The driver's and the camera nodes', which the recorder is built with
+    # and does not copy before it builds the tables.
     ground_truth = animate(build_skeleton(config.stature), config.script(),
                            config.delivery, config.resolve_stance(config.stature))
     tracemalloc.start()
     try:
         # Built while traced, so its preallocated slots count as retained.
-        recorder = RecorderNode([cam.id for rig in rigs for cam in rig.cameras],
-                                [rig.id for rig in rigs], ground_truth)
+        recorder = RecorderNode(observations, [rig.id for rig in rigs], ground_truth)
         pending = pickle.loads(pickled)
         while pending:
             recorder.handle(pending.pop(), None)
