@@ -28,7 +28,7 @@ The fusion node synchronizes per-camera messages by frame index and
 solves every rig's landmarks in one fixed-shape DLT pass per frame (one
 ``solve_pairs(uv, projections)`` call on a projection stack built once
 per run: each point's closed-form least-squares solution of its
-row-normalized DLT rows, elementwise numpy only), masking afterwards the
+scaled DLT rows, elementwise numpy only), masking afterwards the
 points a rig did not see in both cameras. It applies the
 graph-Laplacian solve, prefactored exactly once per run
 (``prefactor_count`` is asserted in tests); only value checks stay per frame.
@@ -45,11 +45,12 @@ go to the manifest stats, outside the digest.
 
 A camera node simulates its whole segment when it is built, from the
 segment's ground truth: one ``project_many`` call over every frame, then
-frame k's noise from its own generator, ``default_rng((seed, camera,
-k))``, all of them seeded through one hash over the segment
-(``noise.frame_generators``). Its ``handle`` publishes row k on the
-frame's tick. The noise is thus keyed by (seed, camera, frame index)
-only: the same under both schedulers and in paired pre/post segments.
+one draw of the segment's noise from the camera's own stream,
+``default_rng((seed, camera)).normal(0, σ, (F, N_ALL, 2))``. Its
+``handle`` publishes row k on the frame's tick. The noise is thus keyed
+by (seed, camera) only, and frame k's noise is row k of that camera's
+stream: the same under both schedulers, in paired pre/post segments and
+on any segment's first n frames.
 
 The recorder keeps no message. It is built with the segment's ground
 truth, the arrays ``animate`` returned to the driver, and with the
@@ -140,12 +141,13 @@ class CameraNode(Node):
     """One camera's view of a segment, simulated when the node is built.
 
     ``positions`` is the segment's (F, N_ALL, 3) ground truth. The node
-    projects all of it in one ``observe`` call and adds frame k's noise
-    from ``default_rng((seed, camera_index, k))``, the frame being the
-    bus frame index as in every other node, so the noise is identical
-    across schedulers and across paired pre/post segments. ``segment``
-    holds the read-only (F, N_ALL, 2) uv and (F, N_ALL) visibility;
-    ``handle`` publishes row k on frame k's tick.
+    projects all of it in one ``observe`` call and adds the noise of
+    ``default_rng((seed, camera_index))``, drawn as one (F, N_ALL, 2)
+    array whose row k is frame k's, the frame being the bus frame index
+    as in every other node, so the noise is identical across schedulers
+    and across paired pre/post segments. ``segment`` holds the read-only
+    (F, N_ALL, 2) uv and (F, N_ALL) visibility; ``handle`` publishes row
+    k on frame k's tick.
     """
 
     def __init__(self, camera: CameraModel, noise_sigma: float, seed: int,
@@ -156,10 +158,9 @@ class CameraNode(Node):
         self.publishes = (observation_topic(camera.id),)
         # Imported here, so that importing the package does not load
         # numpy.random, about 8 ms: only a simulation needs it.
-        from .noise import frame_generators
-        rngs = (frame_generators(seed, camera_index, len(positions))
-                if noise_sigma > 0 else None)
-        self.segment = observe(camera, positions, noise_sigma, rngs)
+        from numpy.random import default_rng
+        rng = default_rng((seed, camera_index)) if noise_sigma > 0 else None
+        self.segment = observe(camera, positions, noise_sigma, rng)
         self.segment.uv.setflags(write=False)
         self.segment.visible.setflags(write=False)
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
@@ -358,16 +357,15 @@ class CameraObservations:
 
 
 def observe(camera, xyz: np.ndarray, noise_sigma: float,
-            rng: np.random.Generator | Iterable[np.random.Generator] | None = None,
-            ) -> CameraObservations:
+            rng: np.random.Generator | None = None) -> CameraObservations:
     """Project one frame's (N_ALL, 3) positions, or a segment's
     (F, N_ALL, 3), into one camera, adding per-coordinate noise.
 
     Landmarks at non-positive depth are marked not visible (uv NaN).
-    A positive ``noise_sigma`` needs ``rng``, so that the noise is
-    reproducible: a seeded generator for one frame, or for a segment an
-    iterable of F seeded generators, frame k's (N_ALL, 2) noise drawn
-    from the k-th. All frames are projected in one ``project_many`` call.
+    A positive ``noise_sigma`` needs ``rng``, a seeded generator, so that
+    the noise is reproducible: it is one ``rng.normal`` draw of the uv's
+    shape, so for a segment frame k's (N_ALL, 2) noise is row k of it.
+    All frames are projected in one ``project_many`` call.
     """
     if noise_sigma < 0:
         raise SkeletonError("noise_sigma must be >= 0")
@@ -379,9 +377,7 @@ def observe(camera, xyz: np.ndarray, noise_sigma: float,
     uv = uv.reshape(*xyz.shape[:-1], 2)
     visible = depth.reshape(xyz.shape[:-1]) > 0
     if noise_sigma > 0:
-        frames = uv.reshape(-1, *uv.shape[-2:])
-        for frame, frame_rng in zip(frames, (rng,) if xyz.ndim == 2 else rng, strict=True):
-            frame += frame_rng.normal(0.0, noise_sigma, size=frame.shape)
+        uv += rng.normal(0.0, noise_sigma, size=uv.shape)
     if not visible.all():
         uv[~visible] = np.nan
     return CameraObservations(camera_id=camera.id, uv=uv, visible=visible)

@@ -6,15 +6,16 @@ stacking, per observation, the two independent cross-product rows
     u * k3 - k1       and       v * k3 - k2
 
 of the observing camera's 3x4 projection matrix (rows k1, k2, k3),
-applied to the homogeneous unknown h = [x, y, z, w]. Rows are scaled to
-unit norm so that cameras at very different distances condition the
-system equally. Row scaling leaves the point unchanged only on exact
-observations, where every row vanishes at the true point. With noise it
-reweights the least-squares residuals, and because each row's norm
-includes its translation column, the recovered point depends on where
-the world origin is: moving the scene and the cameras together does not
-move the point by exactly the shift (a strict expected failure in
-``tests/test_metamorphic.py``).
+applied to the homogeneous unknown h = [x, y, z, w]. Each row is scaled
+so that its first three entries, the row's normal direction in space,
+have unit norm, so that cameras at very different distances condition
+the system equally. On exact observations every row vanishes at the
+true point, so the scaling leaves it unchanged; with noise it weights
+the least-squares residuals. Moving the scene and the cameras together
+by t changes only each row's last entry c, to c - r·t, where r is the
+row's first three entries; so those weights, and the recovered point
+relative to the scene, do not depend on where the world origin is
+(``tests/test_metamorphic.py``).
 
 Two solvers share those rows:
 
@@ -141,8 +142,10 @@ class StereoTriangulation:
 def build_dlt_matrix(observations: Sequence[Observation2D]) -> np.ndarray:
     """Stack the two independent DLT rows per observation into a (2m, 4) matrix.
 
-    Each row is scaled to unit Euclidean norm. Requires m >= 2; coincident
-    camera centers are only detectable at solve time (rank check).
+    Each row is scaled so that its first three entries have unit
+    Euclidean norm, which does not depend on the world origin. Requires
+    m >= 2; coincident camera centers are only detectable at solve time
+    (rank check).
     """
     if len(observations) < 2:
         raise InsufficientViewsError(
@@ -154,7 +157,7 @@ def build_dlt_matrix(observations: Sequence[Observation2D]) -> np.ndarray:
         rows.append(u * k3 - k1)
         rows.append(v * k3 - k2)
     a = np.array(rows)
-    norms = np.linalg.norm(a, axis=1)
+    norms = np.linalg.norm(a[:, :3], axis=1)
     if np.any(norms < 1e-300):
         raise DegenerateGeometryError("zero DLT row (degenerate observation)")
     return a / norms[:, None]
@@ -203,8 +206,8 @@ def solve_pairs(uv, projections) -> StereoTriangulation:
     a = uv[..., None] * projections[..., 2:, :] - projections[..., :2, :]
     # (row, column, point), so that each entry is a contiguous (k,) array.
     a = np.ascontiguousarray(a.reshape(-1, 16).T).reshape(4, 4, -1)
-    sq = a * a
-    norms = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3])
+    sq = a[:, :3] * a[:, :3]
+    norms = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
     # A NaN norm (from a non-finite uv) fails the comparison.
     degenerate = ~((norms >= 1e-300) & (norms < np.inf)).all(axis=0)
     if degenerate.any():

@@ -1,17 +1,20 @@
 """Camera simulation over a whole segment against the per-frame reference.
 
-A camera node projects its segment in one call and seeds every frame's
-noise generator from one hash over the segment. Both must give the bits
-of the per-frame path: one ``project_many`` call per frame and
-``default_rng((seed, camera_index, frame))`` built from the int tuple.
+A camera node projects its segment in one call and draws the segment's
+noise in one call from the camera's own stream. That must give the bits
+of the per-frame path: one ``project_many`` call per frame, and as frame
+k's noise row k of ``default_rng((seed, camera_index)).normal(0, σ,
+(F, N_ALL, 2))``.
 """
+
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ergofusion.bus import Message
 from ergofusion.cameras import CameraModel, look_at_rotation
-from ergofusion.noise import frame_generators, seed_words, uint32_words
 from ergofusion.pipeline import CameraNode, run_scenario
 from ergofusion.scenario import load_scenario
 from ergofusion.skeleton import N_ALL, animate, build_skeleton
@@ -19,34 +22,17 @@ from ergofusion.skeleton import N_ALL, animate, build_skeleton
 from helpers import SCENARIO_DIR, committed_scenario
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2 ** 80), camera_index=st.integers(0, 2 ** 20),
-       n_frames=st.integers(1, 40))
-def test_seed_words_are_the_seed_sequence_state(seed, camera_index, n_frames):
-    # Up to 5 words of entropy: more than SeedSequence's 4-word pool.
-    prefix = uint32_words(seed) + uint32_words(camera_index)
-    entropy = [prefix + [k] for k in range(n_frames)]
-    got = seed_words(np.array(entropy, np.uint32))
-    assert got.dtype == np.uint64 and got.shape == (n_frames, 4)
-    generators = frame_generators(seed, camera_index, n_frames)
-    for k, (words, generator) in enumerate(zip(got, generators, strict=True)):
-        for key in (np.array(entropy[k], np.uint32), (seed, camera_index, k)):
-            want = np.random.SeedSequence(key).generate_state(4, np.uint64)
-            assert words.tobytes() == want.tobytes()
-        want = np.random.default_rng((seed, camera_index, k))
-        assert generator.normal(0.0, 0.01, (N_ALL, 2)).tobytes() == \
-            want.normal(0.0, 0.01, (N_ALL, 2)).tobytes()
-
-
 def reference_observations(camera, noise_sigma, seed, camera_index, positions):
-    """Frame by frame: one projection and a fresh ``default_rng`` each."""
+    """Frame by frame: one projection each, and row k of the camera's
+    noise as frame k's."""
+    noise = np.random.default_rng((seed, camera_index)).normal(
+        0.0, noise_sigma, (len(positions), N_ALL, 2))
     uv, visible = [], []
     for k, xyz in enumerate(positions):
         frame_uv, depth = camera.project_many(xyz)
         seen = depth > 0
         if noise_sigma > 0:
-            frame_uv += np.random.default_rng((seed, camera_index, k)).normal(
-                0.0, noise_sigma, size=frame_uv.shape)
+            frame_uv += noise[k]
         frame_uv[~seen] = np.nan
         uv.append(frame_uv)
         visible.append(seen)
@@ -79,13 +65,19 @@ def test_committed_segments_are_the_per_frame_observations(monkeypatch, stem):
         assert_is_the_reference(segment, args)
 
 
+@functools.cache
+def handover_positions() -> np.ndarray:
+    """The committed handover's (F, N_ALL, 3) pre-segment ground truth."""
+    config = committed_scenario()
+    return animate(build_skeleton(config.stature), config.script(),
+                   config.delivery, config.resolve_stance(config.stature))[0]
+
+
 @pytest.mark.parametrize("noise_sigma", [0.0, 0.002])
 def test_landmarks_behind_the_camera_are_the_per_frame_observations(noise_sigma):
     # A camera between the operator and the delivery point, facing away
     # from the operator: the reaching arm crosses its image plane.
-    config = committed_scenario()
-    positions, _ = animate(build_skeleton(config.stature), config.script(),
-                           config.delivery, config.resolve_stance(config.stature))
+    positions = handover_positions()
     position = np.array([0.5, -0.2, 1.2])
     camera = CameraModel.from_pose(
         "inside", look_at_rotation(position, position + [1.0, 0.0, 0.0]), position)
@@ -97,3 +89,20 @@ def test_landmarks_behind_the_camera_are_the_per_frame_observations(noise_sigma)
     assert (visible.any(axis=0) & ~visible.all(axis=0)).any()
     assert np.isnan(node.segment.uv[~visible]).all()
     assert_is_the_reference(node.segment, args)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 80), camera_index=st.integers(0, 5),
+       n_frames=st.integers(1, 100))
+def test_a_segments_first_frames_are_its_first_rows(seed, camera_index, n_frames):
+    # Frame k's noise is row k of the camera's stream, whatever the
+    # segment's length.
+    positions = handover_positions()
+    camera = committed_scenario().build_rigs()[camera_index // 2].cameras[camera_index % 2]
+    whole = CameraNode(camera, 0.002, seed, camera_index, positions)
+    first = CameraNode(camera, 0.002, seed, camera_index, positions[:n_frames])
+    published = []
+    for k in range(n_frames):
+        first.handle(Message("world", k, None), published.append)
+    uv = np.array([message.payload.uv for message in published])
+    assert uv.tobytes() == whole.segment.uv[:n_frames].tobytes()

@@ -117,35 +117,35 @@ READ_STREAMS = [("eval-rula", "rula"), ("export-landmarks", "fused_landmarks"),
 # by segment directory under ``--out``.
 SCENARIO_DIGESTS = {
     "desk_handover": {
-        "pre": "ffbd7fc290b5db240305dd3061025ec25ea7e359082d4c94edc3e15b3e2bd2fd",
-        "post": "69e05372954191bc521b195e41f68f146bc8538e0fa0ad4973c901f026e04cc0",
+        "pre": "8b6f5468708d03007fb266aee087df5b9d263a5767baec8f76d548a51a9177a6",
+        "post": "8b6f5468708d03007fb266aee087df5b9d263a5767baec8f76d548a51a9177a6",
     },
     "desk_rmse": {
-        "pre": "594260ed351e75709518ac07b670fa4d413c6a28216a5e64af2cd237d92650cc",
+        "pre": "b3d65d4cda0e4641cc72e79fdf3e1a1f10e057e4a9fe69d7f85db087c8a5f9d4",
     },
     "stature_grid": {
-        "stature_1.50/pre": "695ad9ddbc9d6b86d1127f1e869c6428b18e551542d4795ae3006c4d49127363",
-        "stature_1.50/post": "6f9f349d8b7314ea21817b2a8500bc85cc404e10b9d693c59f88a451e0582b37",
-        "stature_1.55/pre": "9cd24b9f08b6e8eb344a47799c99423084489e2aaaf09944d1d2a4879a0f4aad",
-        "stature_1.55/post": "43cda8efdb6e1aab83a9687a3b19109b68f42cfb5764591f8ae57ad292aef18a",
-        "stature_1.60/pre": "4e97b04ce5440083bfaa387cd07a3e9f4514e9d68639a05060171b3d07ef615b",
-        "stature_1.60/post": "5165ad35ff27da616bb400a5b163001a8f9b44ab383b736d95858b364b8e3e51",
-        "stature_1.65/pre": "e07aad2f95da339448532ea0e67b7027752c4f86a2641cbc012a03165d619cdc",
-        "stature_1.65/post": "dcbf84679f5cd08bf244613b0c441d072878f1dbc3ef2415045240ee0a1dbd1d",
-        "stature_1.70/pre": "bdf68766f4fb33ce528ec2636d038987f54758c3eb263a5807cf0cbdd7ac1021",
-        "stature_1.70/post": "0e70f3bec9f1eb20733672684e0cc4eb1bfa4685b4a8fda6df362d3f46fddb64",
-        "stature_1.75/pre": "ffbd7fc290b5db240305dd3061025ec25ea7e359082d4c94edc3e15b3e2bd2fd",
-        "stature_1.75/post": "69e05372954191bc521b195e41f68f146bc8538e0fa0ad4973c901f026e04cc0",
-        "stature_1.80/pre": "b9ea90c2c788ab1f23676ded97d38dd71dcd0ad39fb3e3002e28c86a8381c11a",
-        "stature_1.80/post": "8e9a5ac0dffc108eb4e861363c144f59a5e5ac1ccfd95e290777a180009ab152",
-        "stature_1.85/pre": "cb91646186d02153c1bdb2ca106b1bbe05b41a1651c38a4514fc4d54da6a4157",
-        "stature_1.85/post": "03ae7048ead8ad7d6643a1073fdf61efcc3d2aa8a85b445e7948b75bad10aa1d",
-        "stature_1.90/pre": "32bb48ffe57458ecc615b6f4bba6060d45322e5218732d5afadba4fc8ee89ed3",
-        "stature_1.90/post": "ea9930e591f09df6bbe69633d08025fe473a553caa5fb52fc09424c7641b16d8",
-        "stature_1.95/pre": "27aedb2f4f31ff9d6e150650eea92a252bd8510812dfa1dc1f0021bdb346e4d5",
-        "stature_1.95/post": "55ea3a9def95e383a3fd27580945da5b822ebffbb55eb248abefa689e467d26c",
-        "stature_2.00/pre": "4904231f665dcd6bd7e0bcdb38a341d6c61ee089c4b0189ea1dd3a1f7c3a4541",
-        "stature_2.00/post": "d26aa07682db338dc9f4af72d0933467d8a70a993ad714b7a50922489a8c3794",
+        "stature_1.50/pre": "d56afe58152a337662bfca46763bb8995cfba52b85074868c9f6ccd62eae39ca",
+        "stature_1.50/post": "777b34b8f3c75658338f39c7ac9f8bfec434147d82ab294c7b109ecbf03a4606",
+        "stature_1.55/pre": "25dabdf3caf3aa9c22d91de0183d3adc228dc85144ead44738916a8bfb110d12",
+        "stature_1.55/post": "847abdc141c4ececf1c9a37d37a42870386ac830ad87c9d1f14a925ec70b101d",
+        "stature_1.60/pre": "e281516b52a2bb7365db767543fcbf5da4c383f5fe89b333b0f2f87e5847ac2c",
+        "stature_1.60/post": "44247d5f7a83a6e5f50cd7aa1efa1ec4f12a7c5a114f3212d1aac2278957c795",
+        "stature_1.65/pre": "e292d836d044021884ac853088b8b49b6057ca6745891b212974b0fe0656bd36",
+        "stature_1.65/post": "5108f060f54e0dcec531bdca49ebd16a4883dc7fcc100b85dc0950aa6b2ca9f7",
+        "stature_1.70/pre": "70a9ac7464161623f8e7b182763be312c1761ac6b95ee7b52b88ad8fafd03b3f",
+        "stature_1.70/post": "70a9ac7464161623f8e7b182763be312c1761ac6b95ee7b52b88ad8fafd03b3f",
+        "stature_1.75/pre": "8b6f5468708d03007fb266aee087df5b9d263a5767baec8f76d548a51a9177a6",
+        "stature_1.75/post": "8b6f5468708d03007fb266aee087df5b9d263a5767baec8f76d548a51a9177a6",
+        "stature_1.80/pre": "8eae0ad064ef5a698883099ef8b805eeab7ec9f3034c88434d7e6f37df5c34fd",
+        "stature_1.80/post": "c1042c7f4145d805ee9b7e14c9427d1fc54e7ec37c513e90835e90614001387d",
+        "stature_1.85/pre": "aa1d108fd74e571fec281d1bfc9bfabdbf85af65d69680efcb0a0cca56b23265",
+        "stature_1.85/post": "24655e7f885c3d652d171b3c6ff626afc67f23c0fe00ae2335f84f3262d5a5bb",
+        "stature_1.90/pre": "a3a00eb75dda6d97bb5d64956eab1c97138247dbf2230a53ab7d5018544905ca",
+        "stature_1.90/post": "8cab3cfb22fddc230283a3775c99603ba0c58817d8d441763a3f5f76d3d9c509",
+        "stature_1.95/pre": "294f84f8afc5f6310d0eb9b99e4174afb5a1a8d5c881083fa9ec3bfbf4092bd8",
+        "stature_1.95/post": "a0f6749aec78323e7c968668dae5c601a7459d4ea40c4cb4294254ff0be7b43a",
+        "stature_2.00/pre": "59851e5044c02a2572dbedbde0158400dc24b88166ed1c8170dc1c8ca3fdef30",
+        "stature_2.00/post": "fa0fdd15269578bf35d57bddd1cc64655d85cfb30883bfd1f35a26c305bb7dde",
     },
 }
 
@@ -586,15 +586,20 @@ class TestStreamsEachCommandParses:
         assert main(command(name, run_dir, tmp_path / "out.csv")) == 0
 
 
+def source_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(Path(__file__).resolve().parent.parent / "src"),
+                      os.environ.get("PYTHONPATH")))))
+
+
 class TestClosedStdout:
     """A reader that closes stdout at once, as ``| head -1`` soon does,
     stops no command: the rest of its output is discarded."""
 
     @staticmethod
     def run(argv, unbuffered: bool) -> tuple[int, str]:
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (str(Path(__file__).resolve().parent.parent / "src"),
-                          os.environ.get("PYTHONPATH")))))
+        env = source_env()
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
@@ -621,3 +626,20 @@ class TestClosedStdout:
         assert self.run(["eval-rula", "--recording-pre", out, "--recording-post", out,
                          "--out", report], unbuffered) == (0, "")
         assert len(list(report.iterdir())) == 3
+
+
+def test_loading_a_scenario_leaves_numpy_random_unimported():
+    # numpy.random takes about 8 ms to import, and only a simulation's
+    # camera nodes use it. numpy < 2 imports it with numpy itself.
+    code = ("import sys, numpy\n"
+            "eager = 'numpy.random' in sys.modules\n"
+            "import ergofusion.cli\n"
+            "from ergofusion.scenario import load_scenario\n"
+            f"load_scenario({str(SCENARIO_DIR / 'stature_grid.yaml')!r}).expand_statures()\n"
+            "print(eager, 'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=source_env(), check=True,
+                         capture_output=True, text=True).stdout
+    eager, loaded = out.split()
+    if eager == "True":
+        pytest.skip("this numpy imports numpy.random when numpy is imported")
+    assert loaded == "False"

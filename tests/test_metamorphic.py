@@ -5,8 +5,7 @@ import copy
 import functools
 
 import numpy as np
-import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ergofusion.pipeline import run_scenario
 from ergofusion.recording import STREAM_FIELDS
@@ -77,15 +76,10 @@ def test_moving_the_noiseless_scene_moves_no_rula_score(dx, dy):
     assert_rula_unmoved(0.0, dx, dy)
 
 
-# At the committed noise (0.001). Each rig's DLT rows are scaled to unit
-# norm with their translation column, which depends on where the world
-# origin is, so with noise the least-squares point moves relative to the
-# scene: a 1 m shift moves the short handover's angles by about 0.05
-# degrees, a 2.5 m one flips a neck score. Mending the row scaling
-# changes every recording digest.
-@pytest.mark.xfail(strict=True, reason="the stereo solve's row scaling depends on "
-                                       "the world origin")
-@settings(max_examples=15, phases=(Phase.generate,))  # a failing example is not shrunk
+# At the committed noise (0.001): each DLT row is scaled by the norm of
+# its first three entries, which a shift of the world origin leaves as
+# it is, so the noisy least-squares point moves with the scene.
+@settings(max_examples=15)
 @given(dx=SHIFTS, dy=SHIFTS)
 def test_moving_the_noisy_scene_moves_no_rula_score(dx, dy):
     assert_rula_unmoved(None, dx, dy)

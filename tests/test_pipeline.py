@@ -18,6 +18,7 @@ from ergofusion.skeleton import (N_ALL, N_FUSED, CameraObservations, animate,
 from ergofusion.triangulate import Observation2D, build_dlt_matrix, solve_pairs
 
 from helpers import assert_solves_rows, committed_scenario
+from test_camera_simulation import reference_observations
 from test_cli import SCENARIO_DIGESTS
 
 
@@ -366,23 +367,21 @@ class TestFusionNode:
 class TestCameraNode:
     @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 31, 2 ** 32 - 1, 2 ** 32,
                                       2 ** 64 + 5, 12345678901234567890123])
-    def test_noise_is_the_int_tuple_stream(self, seed):
+    def test_noise_is_row_k_of_the_cameras_stream(self, seed):
         camera = committed_scenario().build_rigs()[1].right
         frames = scenario_frames(committed_scenario(), 100)
         for camera_index in (0, 3):
             node = CameraNode(camera, 0.002, seed, camera_index, frames)
-            # The bus frame index keys the noise; every frame of the segment
-            # is the int-tuple stream's, drawn on its own.
+            # The bus frame index picks the row of the camera's one stream.
             published = []
             for index in range(len(frames)):
                 node.handle(Message("world", index, None), published.append)
             assert [m.frame_index for m in published] == list(range(len(frames)))
+            uv, visible = reference_observations(camera, 0.002, seed, camera_index, frames)
             for index, message in enumerate(published):
-                want = observe(camera, frames[index], 0.002,
-                               np.random.default_rng((seed, camera_index, index)))
                 assert message.payload.camera_id == camera.id
-                assert message.payload.uv.tobytes() == want.uv.tobytes()
-                assert message.payload.visible.tobytes() == want.visible.tobytes()
+                assert message.payload.uv.tobytes() == uv[index].tobytes()
+                assert message.payload.visible.tobytes() == visible[index].tobytes()
 
 
 class TestDroppedFramesByCamera:

@@ -34,8 +34,8 @@ from helpers import committed_data, committed_scenario, rows_recording, rows_tab
 
 # Serial-scheduler digests of the acceptance criterion-9 configuration.
 PINNED_DIGESTS = {
-    "pre": "5b3450c590dada0629d00e170d62fa0b2e5f8a525300c3d9711d4ab9948337f7",
-    "post": "f028d749a3e4a63cc5be3da9e1464f7ab7d9f88f488c22d72d07d890a66b2d12",
+    "pre": "42e8c46c9c94527e658b50941eaa56456595013dad427a11b4f82fc268044cfc",
+    "post": "a214dc65c9f607ea70cf7f587d35288011f17df85473668eae9ee7790f5f7244",
 }
 
 

@@ -38,11 +38,11 @@ class TestBuildDltMatrix:
             a = build_dlt_matrix(exact_observations(cams, point))
             assert a.shape == (2 * m, 4)
 
-    def test_rows_are_unit_norm(self):
+    def test_rows_have_unit_norm_without_the_translation_column(self):
         rng = np.random.default_rng(2)
         cams = random_camera_ring(rng, 3)
         a = build_dlt_matrix(exact_observations(cams, np.zeros(3)))
-        np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(a[:, :3], axis=1), 1.0, atol=1e-12)
 
     def test_consistent_observation_annihilates_point(self):
         rng = np.random.default_rng(3)
@@ -317,7 +317,7 @@ class TestPortableBits:
     OpenBLAS kernels (``OPENBLAS_CORETYPE``)."""
 
     # SHA-256 of xyz, residual, degenerate and at_infinity bytes, in that order.
-    PINNED = "cfd97dfa59690351f071c745ec008b993346d4efa7a28f205d0fd4d67d34dbe2"
+    PINNED = "e5223f37f176696d99d7bed107edc5e61c3b50629e84a08403a00e573ca6b350"
 
     def test_solve_pairs_bits_are_pinned(self):
         # Inputs from the generator alone, with no camera model (and so no
