@@ -367,7 +367,7 @@ class TestFusionNode:
 class TestCameraNode:
     @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 31, 2 ** 32 - 1, 2 ** 32,
                                       2 ** 64 + 5, 12345678901234567890123])
-    def test_noise_is_row_k_of_the_cameras_stream(self, seed):
+    def test_noise_is_the_int_tuple_stream(self, seed):
         camera = committed_scenario().build_rigs()[1].right
         frames = scenario_frames(committed_scenario(), 100)
         for camera_index in (0, 3):
